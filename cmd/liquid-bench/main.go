@@ -54,7 +54,7 @@ func main() {
 		for _, id := range strings.Split(*run, ",") {
 			f, ok := bench.ByID(strings.TrimSpace(id))
 			if !ok {
-				log.Fatalf("liquid-bench: unknown experiment %q (E1..E20, E22, E24)", id)
+				log.Fatalf("liquid-bench: unknown experiment %q (E1..E20, E22, E25)", id)
 			}
 			tables = append(tables, f(scale))
 		}

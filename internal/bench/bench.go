@@ -216,7 +216,6 @@ func All(scale Scale) []Table {
 		E19NoisyNeighbor(scale),
 		E20Durability(scale),
 		E22TableReads(scale),
-		E24IdempotenceOverhead(scale),
 		E25ObservabilityOverhead(scale),
 	}
 }
@@ -245,7 +244,6 @@ func ByID(id string) (func(Scale) Table, bool) {
 		"E19": E19NoisyNeighbor,
 		"E20": E20Durability,
 		"E22": E22TableReads,
-		"E24": E24IdempotenceOverhead,
 		"E25": E25ObservabilityOverhead,
 	}
 	f, ok := m[strings.ToUpper(id)]

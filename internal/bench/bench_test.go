@@ -28,7 +28,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestByIDKnowsAllExperiments(t *testing.T) {
-	for _, id := range []string{"E1", "e2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E22", "E24", "E25"} {
+	for _, id := range []string{"E1", "e2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E22", "E25"} {
 		if _, ok := ByID(id); !ok {
 			t.Fatalf("ByID(%s) unknown", id)
 		}

@@ -33,14 +33,13 @@ const e20Barrier = 5 * time.Millisecond
 //     The reproduction target: group commit within reach of the unsynced
 //     baseline, and >= 5x over per-batch fsync.
 //
-//   - Fetch allocations per consumed record, zero-copy splice vs the legacy
-//     buffered re-encode, under the page-cache model. The spliced path
-//     resolves a fetch to a raw segment-file range (sendfile on Linux), so
-//     the broker never materializes the batch bytes: allocs/op must drop.
+//   - Fetch allocations per consumed record under the page-cache model. A
+//     fetch resolves to a raw segment-file range (sendfile on Linux), so
+//     the broker never materializes the batch bytes.
 func E20Durability(scale Scale) Table {
 	t := Table{
 		ID:      "E20",
-		Title:   "WAL durability policies and zero-copy fetch: produce MB/s per fsync policy; fetch allocs per record, splice vs re-encode",
+		Title:   "WAL durability policies and zero-copy fetch: produce MB/s per fsync policy; spliced-fetch allocs per record",
 		Claim:   "§3.1/§4.1: a durable log need not serialize on the disk barrier — group commit amortizes one fdatasync across all in-flight produces; and sealed batches mean stored bytes are wire bytes, so fetches splice straight from the segment file",
 		Headers: []string{"configuration", "records", "MB/s", "krec/s", "fsyncs", "alloc B/rec"},
 	}
@@ -155,84 +154,60 @@ func E20Durability(scale Scale) Table {
 			"group commit amortization: %.1fx the per-batch-fsync produce rate (target >= 5x)", group/batch))
 	}
 
-	// Fetch side: allocations per consumed record, zero-copy vs buffered.
+	// Fetch side: allocations per consumed record on the spliced fetch path.
 	// Mallocs are counted process-wide between two GC fences; the workload
-	// (one consumer draining the feed) dominates, and both modes run the
-	// identical workload, so the delta isolates the serving path.
+	// (one consumer draining the feed) dominates. BENCH_E20.json keeps the
+	// retired buffered re-encode path's number for comparison.
+	const fetchName = "fetch/zero-copy-splice"
 	fetchN := scale.pick(4000, 30000)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"fetch/zero-copy-splice", false},
-		{"fetch/buffered-reencode", true},
-	} {
-		s, err := newStack(1, func(c *core.Config) {
-			pageCache(c)
-			c.DisableZeroCopyFetch = mode.disable
-		})
-		if err != nil {
-			t.Notes = append(t.Notes, "failed: "+err.Error())
-			return t
-		}
-		topic := "e20-fetch"
-		if err := s.CreateFeed(topic, 1, 1); err != nil {
-			s.Shutdown()
-			t.Notes = append(t.Notes, "failed: "+err.Error())
-			return t
-		}
-		if err := produceValues(s, topic, fetchN, valueBytes, 0, 1); err != nil {
-			s.Shutdown()
-			t.Notes = append(t.Notes, "failed: "+err.Error())
-			return t
-		}
-		// Warm pass: connection setup, metadata, page-cache population.
-		if got, _ := consumeCount(s, topic, 1, fetchN, 60*time.Second); got < fetchN {
-			s.Shutdown()
-			t.Notes = append(t.Notes, fmt.Sprintf("%s: warm pass consumed %d/%d", mode.name, got, fetchN))
-			return t
-		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		got, err := consumeCount(s, topic, 1, fetchN, 60*time.Second)
-		dur := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		s.Shutdown()
-		if err != nil || got < fetchN {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s: consumed %d/%d (%v)", mode.name, got, fetchN, err))
-			return t
-		}
-		allocsPerRec := float64(m1.Mallocs-m0.Mallocs) / float64(got)
-		bytesPerRec := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(got)
-		rate := float64(int64(got)*valueBytes) / dur.Seconds() / (1 << 20)
-		t.Rows = append(t.Rows, []string{
-			mode.name, fmt.Sprint(got), fmt.Sprintf("%.1f", rate),
-			fmt.Sprintf("%.1f", float64(got)/dur.Seconds()/1e3),
-			"-", fmt.Sprintf("%.0f", bytesPerRec),
-		})
-		t.Results = append(t.Results, Result{
-			Name:          mode.name,
-			RecordsPerSec: float64(got) / dur.Seconds(),
-			MBPerSec:      rate,
-			Extra: map[string]string{
-				"allocs_per_record":      fmt.Sprintf("%.2f", allocsPerRec),
-				"alloc_bytes_per_record": fmt.Sprintf("%.0f", bytesPerRec),
-			},
-		})
+	s, err := newStack(1, pageCache)
+	if err != nil {
+		t.Notes = append(t.Notes, "failed: "+err.Error())
+		return t
 	}
-	if len(t.Results) >= 2 {
-		zc := t.Results[len(t.Results)-2]
-		buf := t.Results[len(t.Results)-1]
-		if zc.Name == "fetch/zero-copy-splice" && buf.Name == "fetch/buffered-reencode" {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"zero-copy fetch allocates %s B/record vs %s buffered — the splice never materializes the batch "+
-					"(the re-encode's read buffer and frame copy are the difference); malloc counts tie because the "+
-					"consumer's per-message decode, identical in both modes, dominates the process-wide count",
-				zc.Extra["alloc_bytes_per_record"], buf.Extra["alloc_bytes_per_record"]))
-		}
+	defer s.Shutdown()
+	topic := "e20-fetch"
+	if err := s.CreateFeed(topic, 1, 1); err != nil {
+		t.Notes = append(t.Notes, "failed: "+err.Error())
+		return t
 	}
+	if err := produceValues(s, topic, fetchN, valueBytes, 0, 1); err != nil {
+		t.Notes = append(t.Notes, "failed: "+err.Error())
+		return t
+	}
+	// Warm pass: connection setup, metadata, page-cache population.
+	if got, _ := consumeCount(s, topic, 1, fetchN, 60*time.Second); got < fetchN {
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: warm pass consumed %d/%d", fetchName, got, fetchN))
+		return t
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	got, err := consumeCount(s, topic, 1, fetchN, 60*time.Second)
+	dur := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	if err != nil || got < fetchN {
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: consumed %d/%d (%v)", fetchName, got, fetchN, err))
+		return t
+	}
+	allocsPerRec := float64(m1.Mallocs-m0.Mallocs) / float64(got)
+	bytesPerRec := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(got)
+	rate := float64(int64(got)*valueBytes) / dur.Seconds() / (1 << 20)
+	t.Rows = append(t.Rows, []string{
+		fetchName, fmt.Sprint(got), fmt.Sprintf("%.1f", rate),
+		fmt.Sprintf("%.1f", float64(got)/dur.Seconds()/1e3),
+		"-", fmt.Sprintf("%.0f", bytesPerRec),
+	})
+	t.Results = append(t.Results, Result{
+		Name:          fetchName,
+		RecordsPerSec: float64(got) / dur.Seconds(),
+		MBPerSec:      rate,
+		Extra: map[string]string{
+			"allocs_per_record":      fmt.Sprintf("%.2f", allocsPerRec),
+			"alloc_bytes_per_record": fmt.Sprintf("%.0f", bytesPerRec),
+		},
+	})
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"fsync barrier modeled at %s on top of the real fsync; policies: none (OS flush), interval (background ticker), batch (inline per append), group (windowed, acks deferred to the covering fdatasync)", e20Barrier))
 	return t

@@ -11,9 +11,9 @@ import (
 )
 
 // E25ObservabilityOverhead measures what the PR-9 ops plane costs on the
-// hot path: the same concurrent acked produce workload as E24 plus a full
-// read-back, run with instrumentation on (the default — every request
-// timed into per-API histogram families, client-side e2e latency tracing,
+// hot path: a concurrent acked produce workload plus a full read-back,
+// run with instrumentation on (the default — every request timed into
+// per-API histogram families, client-side e2e latency tracing,
 // the 1s gauge exporter tick, and a live /metrics+pprof HTTP server) and
 // off (DisableInstrumentation, no ops server). OS-flush durability keeps
 // the path CPU-bound, the worst case for per-request bookkeeping.

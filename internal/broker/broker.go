@@ -67,12 +67,6 @@ type Config struct {
 	// the covering fdatasync lands. The zero value keeps the legacy
 	// OS-buffered flushing.
 	Durability log.Durability
-	// DisableZeroCopyFetch routes fetch responses through the legacy
-	// buffered re-encode path instead of splicing raw committed batch
-	// ranges from segment files into the socket (sendfile). Zero-copy is
-	// on by default; the switch exists for equivalence testing and
-	// diagnosis.
-	DisableZeroCopyFetch bool
 	// PageCache, when non-nil, attaches an OS page-cache model to every
 	// partition log (one cache instance per partition, sized by
 	// PageCache.CapacityBytes): reads of non-resident pages pay the

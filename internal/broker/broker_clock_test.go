@@ -33,7 +33,8 @@ func TestLaggingFollowerDetectionInjectedClock(t *testing.T) {
 	}
 
 	// The leader appends; the follower never fetches again.
-	if _, _, _, code := r.appendAsLeader([]record.Record{{Timestamp: 1, Value: []byte("x")}}, 1); code != 0 {
+	batch := record.EncodeBatch(0, []record.Record{{Timestamp: 1, Value: []byte("x")}})
+	if _, _, _, code := r.appendSealedAsLeader([][]byte{batch}, 1); code != 0 {
 		t.Fatalf("append failed: %v", code)
 	}
 	// Within maxLag: not yet lagging.
@@ -65,6 +66,41 @@ func clockBroker(now *time.Time) *Broker {
 	return &Broker{
 		cfg:    cfg,
 		logger: slog.Default(),
+	}
+}
+
+func TestOffsetCommitStampsInjectedClock(t *testing.T) {
+	// Offset-commit records are sealed by the offsets manager itself, so
+	// their timestamp must come from the broker's clock, not the wall clock
+	// the log would stamp a zero timestamp with.
+	now := clockBase
+	b := clockBroker(&now)
+	b.offsets = newOffsetManager(b)
+	l, err := log.Open(t.TempDir(), log.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opart := groupPartition("g", b.cfg.OffsetsPartitions)
+	r := newReplica(tp{topic: OffsetsTopic, partition: opart}, l, 1)
+	defer r.close()
+	r.becomeLeader(1, []int32{1}, []int32{1}, 1)
+	b.replicas = map[tp]*replica{r.tp: r}
+	b.offsets.load(opart, r)
+
+	if code := b.offsets.commit("g", "t", 0, 7, "meta"); code != wire.ErrNone {
+		t.Fatalf("commit: %v", code)
+	}
+	data, err := l.Read(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stamps []int64
+	record.ScanRecords(data, func(rec record.Record) error {
+		stamps = append(stamps, rec.Timestamp)
+		return nil
+	})
+	if len(stamps) != 1 || stamps[0] != clockBase.UnixMilli() {
+		t.Fatalf("offsets-topic record timestamps = %v, want [%d] (the injected clock)", stamps, clockBase.UnixMilli())
 	}
 }
 

@@ -229,7 +229,9 @@ func (f *replicaFetcher) apply(resp *wire.FetchResponse) {
 					r.log.SetOffloadedTo(p.LogStartOffset)
 				}
 				if len(p.Records) == 0 {
-					r.setFollowerHW(p.HighWatermark)
+					// HW only. The one error is a replica closed under
+					// us, which the next pass finds gone.
+					_ = r.appendAsFollower(nil, p.HighWatermark)
 					continue
 				}
 				next, err := appendFetched(r, p.Records, p.HighWatermark)

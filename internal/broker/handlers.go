@@ -351,9 +351,12 @@ func (b *Broker) handleFetch(req *wire.FetchRequest, principal string, reqPenalt
 	if len(req.Topics) == 1 && len(req.Topics[0].Partitions) == 1 {
 		single = b.getReplica(tp{topic: req.Topics[0].Name, partition: req.Topics[0].Partitions[0].Partition})
 	}
-	zeroCopy := !b.cfg.DisableZeroCopyFetch
+	view := viewCommitted
+	if isFollower {
+		view = viewReplication
+	}
 	for {
-		resp, total, hasError := b.collectFetch(req, isFollower, zeroCopy)
+		resp, total, hasError := b.collectFetch(req, view)
 		if total >= minBytes || hasError || !b.now().Before(deadline) {
 			if total > 0 {
 				b.cfg.Metrics.Counter("broker.fetch.bytes").Add(int64(total))
@@ -391,8 +394,8 @@ func (b *Broker) handleFetch(req *wire.FetchRequest, principal string, reqPenalt
 	}
 }
 
-// closeFetchRanges releases the segment file handles a zero-copy fetch
-// response holds. Called after the response frame is written (or when a
+// closeFetchRanges releases the segment file handles a fetch response
+// holds. Called after the response frame is written (or when a
 // long-poll pass discards the response).
 func closeFetchRanges(resp *wire.FetchResponse) {
 	for i := range resp.Topics {
@@ -407,11 +410,10 @@ func closeFetchRanges(resp *wire.FetchResponse) {
 }
 
 // collectFetch performs one non-blocking pass over the requested
-// partitions. With zeroCopy set, reads resolve to raw segment file ranges
-// (spliced into the response frame by the wire layer — sendfile on TCP)
-// instead of copies; cold-tier reads and range failures fall back to the
-// buffered path per partition.
-func (b *Broker) collectFetch(req *wire.FetchRequest, isFollower, zeroCopy bool) (*wire.FetchResponse, int, bool) {
+// partitions. Hot reads resolve to raw segment file ranges, spliced into
+// the response frame by the wire layer (sendfile on TCP); only cold-tier
+// reads carry bytes.
+func (b *Broker) collectFetch(req *wire.FetchRequest, view readView) (*wire.FetchResponse, int, bool) {
 	resp := &wire.FetchResponse{}
 	total := 0
 	hasError := false
@@ -437,44 +439,26 @@ func (b *Broker) collectFetch(req *wire.FetchRequest, isFollower, zeroCopy bool)
 			if maxBytes <= 0 {
 				maxBytes = 1 << 20
 			}
-			var data []byte
-			var rng *log.SegmentRange
-			var hw, start int64
-			var code wire.ErrorCode
-			served := false
-			if zeroCopy {
-				if isFollower {
-					rng, hw, start, code, served = r.readRangeForFollower(p.Offset, maxBytes)
-				} else {
-					rng, hw, start, code, served = r.readRangeForConsumer(p.Offset, maxBytes)
-				}
-			}
-			if !served {
-				if isFollower {
-					data, hw, start, code = r.readForFollower(p.Offset, maxBytes)
-				} else {
-					data, hw, start, code = r.readForConsumer(p.Offset, maxBytes)
-				}
-			}
-			if isFollower && code == wire.ErrNone {
+			res, code := r.read(p.Offset, maxBytes, view)
+			if view == viewReplication && code == wire.ErrNone {
 				for _, id := range r.onFollowerFetch(req.ReplicaID, p.Offset, now) {
 					b.updateISR(r, id, true)
 				}
 			}
 			rp.Err = code
-			rp.HighWatermark = hw
-			rp.LogStartOffset = start
-			if rng != nil {
-				rp.RecordsRange = rng
-				total += int(rng.Len())
-				b.cfg.Metrics.Counter("broker.fetch.splice.bytes").Add(rng.Len())
+			rp.HighWatermark = res.hw
+			rp.LogStartOffset = res.earliest
+			if res.rng != nil {
+				rp.RecordsRange = res.rng
+				total += int(res.rng.Len())
+				b.cfg.Metrics.Counter("broker.fetch.splice.bytes").Add(res.rng.Len())
 				if b.met != nil {
 					b.met.fetchServed.With("splice").Inc()
 				}
 			} else {
-				rp.Records = data
-				total += len(data)
-				if b.met != nil && len(data) > 0 {
+				rp.Records = res.cold
+				total += len(res.cold)
+				if b.met != nil && len(res.cold) > 0 {
 					b.met.fetchServed.With("buffered").Inc()
 				}
 			}

@@ -80,8 +80,11 @@ func (o *offsetManager) load(partition int32, r *replica) {
 	state := make(map[offsetKey][]Checkpoint)
 	off := r.log.StartOffset()
 	for {
-		data, err := r.log.Read(off, 1<<20)
-		if err != nil || len(data) == 0 {
+		// The replication view: a new leader never truncates, so its whole
+		// log, uncommitted tail included, is what it will serve.
+		res, code := r.read(off, 1<<20, viewReplication)
+		data, err := res.bytes()
+		if code != wire.ErrNone || err != nil || len(data) == 0 {
 			break
 		}
 		record.ScanRecords(data, func(rec record.Record) error {
@@ -104,10 +107,11 @@ func (o *offsetManager) load(partition int32, r *replica) {
 			return nil
 		})
 	}
+	keys := len(state) // read before publishing: commit mutates the map under o.mu
 	o.mu.Lock()
 	o.byPart[partition] = state
 	o.mu.Unlock()
-	o.b.logger.Debug("offset manager loaded", "partition", partition, "keys", len(state))
+	o.b.logger.Debug("offset manager loaded", "partition", partition, "keys", keys)
 }
 
 // unload drops in-memory state for a partition whose leadership moved away.
@@ -150,7 +154,8 @@ func (o *offsetManager) commit(group, topic string, partition int32, offset int6
 	// Checkpoints are committed with full ISR acknowledgement so they
 	// survive coordinator failover: a successor restores them from the
 	// replicated offsets partition.
-	_, ackCh, durCh, code := r.appendAsLeader([]record.Record{{Key: key.encode(), Value: value}}, -1)
+	batch := record.EncodeBatch(0, []record.Record{{Key: key.encode(), Value: value, Timestamp: o.b.now().UnixMilli()}})
+	_, ackCh, durCh, code := r.appendSealedAsLeader([][]byte{batch}, -1)
 	if code != wire.ErrNone {
 		return code
 	}

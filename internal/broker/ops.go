@@ -47,7 +47,7 @@ type brokerMetrics struct {
 	apiBytesIn  *metrics.CounterFamily   // broker.api.bytes.in{api}
 	apiErrors   *metrics.CounterFamily   // broker.api.errors{api,code}
 
-	// Fetch service path: zero-copy splice vs buffered re-encode.
+	// Fetch service path: spliced hot-log range vs buffered cold-tier bytes.
 	fetchServed *metrics.CounterFamily // broker.fetch.served{path}
 
 	// Gauge families rebuilt each opsTick. Every tuple carries this

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/storage/log"
-	"repro/internal/storage/record"
 	"repro/internal/tier"
 	"repro/internal/wire"
 )
@@ -183,30 +182,6 @@ func (r *replica) maybeAdvanceHWLocked() {
 	}
 }
 
-// appendAsLeader appends records, returning the assigned base offset, a
-// channel that resolves when the batch is committed (acks=all), and a
-// channel that resolves when the batch is durable under the log's sync
-// policy (group commit; nil when no wait is needed). It is the path for
-// broker-internal appends (the offsets topic); client produce goes through
-// appendSealedAsLeader.
-func (r *replica) appendAsLeader(records []record.Record, acks int16) (int64, <-chan wire.ErrorCode, <-chan error, wire.ErrorCode) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, nil, nil, wire.ErrBrokerNotAvailable
-	}
-	if !r.isLeader {
-		return 0, nil, nil, wire.ErrNotLeaderForPartition
-	}
-	base, err := r.log.Append(records)
-	if err != nil {
-		return 0, nil, nil, wire.ErrUnknown
-	}
-	last := base + int64(len(records)) - 1
-	ch, code := r.finishAppendLocked(last, acks)
-	return base, ch, r.durWaitLocked(last, acks), code
-}
-
 // durWaitLocked arranges the group-commit durability wait for an append
 // ending at last: any acknowledged produce (acks != 0) defers its ack until
 // the covering fdatasync lands. Returns nil when no wait is needed (policy
@@ -218,11 +193,16 @@ func (r *replica) durWaitLocked(last int64, acks int16) <-chan error {
 	return r.log.SyncWait(last + 1)
 }
 
-// appendSealedAsLeader appends a producer's already-encoded (and
-// CheckBatch-validated) batches verbatim, restamping only their base
-// offsets. Compressed batches stay sealed end to end: the bytes written
+// appendSealedAsLeader is the one leader append: client produce and the
+// broker's own offsets-topic writes both arrive as already-encoded (and
+// validated) batches, stored verbatim with only their base offsets
+// restamped. Compressed batches stay sealed end to end: the bytes written
 // here are the bytes followers replicate, consumers fetch and the archiver
 // drains — zero recompression anywhere in the pipeline (paper §3.1/§4.1).
+// It returns the assigned base offset, a channel that resolves when the
+// batches are committed (acks=all), and a channel that resolves when they
+// are durable under the log's sync policy (group commit; nil when no wait
+// is needed).
 //
 // Idempotent batches are deduplicated against the log's producer-state
 // table: a retried batch is answered with the offsets of its original
@@ -301,8 +281,9 @@ func (r *replica) finishAppendLocked(last int64, acks int16) (<-chan wire.ErrorC
 	return w.ch, wire.ErrNone
 }
 
-// appendAsFollower appends a replicated batch and adopts the leader's high
-// watermark (bounded by the local log end).
+// appendAsFollower appends a replicated batch (none when the fetch
+// returned no data) and adopts the leader's high watermark, bounded by the
+// local log end.
 func (r *replica) appendAsFollower(batch []byte, leaderHW int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -322,19 +303,6 @@ func (r *replica) appendAsFollower(batch []byte, leaderHW int64) error {
 		r.hw = hw
 	}
 	return nil
-}
-
-// setFollowerHW adopts the leader's HW when a fetch returned no data.
-func (r *replica) setFollowerHW(leaderHW int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hw := leaderHW
-	if leo := r.log.NextOffset(); hw > leo {
-		hw = leo
-	}
-	if hw > r.hw {
-		r.hw = hw
-	}
 }
 
 // onFollowerFetch records a follower's fetch position (it has every offset
@@ -468,8 +436,10 @@ func (r *replica) tierPartition() *tier.Partition {
 // the tiered-earliest when cold segments exist, the local log start
 // otherwise.
 func (r *replica) earliestAvailable() int64 {
-	t := r.tierPartition()
-	start := r.log.StartOffset()
+	return tieredEarliest(r.tierPartition(), r.log.StartOffset())
+}
+
+func tieredEarliest(t *tier.Partition, start int64) int64 {
 	if t != nil {
 		if e, ok := t.Earliest(); ok && e < start {
 			return e
@@ -485,183 +455,93 @@ func (r *replica) snapshotState() (leader int32, epoch int32, isr []int32, isLea
 	return r.leaderID, r.epoch, append([]int32(nil), r.isr...), r.isLeader
 }
 
-// readForConsumer reads committed data (below the high watermark). The
-// third return value is the earliest AVAILABLE offset — tiered-earliest
-// when the partition has cold segments, the local log start otherwise — so
-// an out-of-range response tells the client exactly where auto-reset may
-// resume instead of making it guess.
-func (r *replica) readForConsumer(offset int64, maxBytes int) ([]byte, int64, int64, wire.ErrorCode) {
+// readView is the visibility bound of a replica read.
+type readView int
+
+const (
+	// viewCommitted is the consumer view: whole batches below the high
+	// watermark, with rewinds below the hot log served by the cold tier.
+	viewCommitted readView = iota
+	// viewReplication is the follower view: the hot log up to its end
+	// (uncommitted data becomes committed exactly when followers have it).
+	viewReplication
+)
+
+// readResult is what a partition read resolved to. Hot data is a range of
+// the segment file for the wire layer to splice into the response frame —
+// stored bytes are wire bytes — and the caller closes it; cold-tier data
+// arrives in memory. earliest is the earliest offset AVAILABLE to the view
+// (tiered-earliest when the partition has cold segments), so an
+// out-of-range response tells the client exactly where a reset may resume.
+type readResult struct {
+	rng      *log.SegmentRange
+	cold     []byte
+	hw       int64
+	earliest int64
+}
+
+// bytes materializes the result for callers that decode batches instead of
+// forwarding them, releasing the range.
+func (res *readResult) bytes() ([]byte, error) {
+	if res.rng == nil {
+		return res.cold, nil
+	}
+	defer res.rng.Close()
+	return res.rng.Bytes()
+}
+
+// read is the replica's one read path: up to maxBytes of whole batches
+// starting at offset (at least one when any is visible), bounded by view.
+func (r *replica) read(offset int64, maxBytes int, view readView) (readResult, wire.ErrorCode) {
 	r.mu.Lock()
-	hw := r.hw
-	isLeader := r.isLeader
-	closed := r.closed
-	t := r.tier
+	hw, isLeader, closed, t := r.hw, r.isLeader, r.closed, r.tier
 	r.mu.Unlock()
 	if closed {
-		return nil, 0, 0, wire.ErrBrokerNotAvailable
+		return readResult{}, wire.ErrBrokerNotAvailable
 	}
 	if !isLeader {
-		return nil, 0, 0, wire.ErrNotLeaderForPartition
+		return readResult{}, wire.ErrNotLeaderForPartition
 	}
-	start := r.log.StartOffset()
-	earliest := start
-	if t != nil {
-		if e, ok := t.Earliest(); ok && e < earliest {
-			earliest = e
-		}
+	start, end := r.log.StartOffset(), r.log.NextOffset()
+	bound := hw
+	if view == viewReplication {
+		bound, t = end, nil // followers replicate only the hot log
 	}
-	if offset < start && t != nil && offset >= earliest {
+	res := readResult{hw: hw, earliest: tieredEarliest(t, start)}
+	switch {
+	case offset < res.earliest || offset > end:
+		return res, wire.ErrOffsetOutOfRange
+	case offset < start:
 		// Cold read: the offset fell off the hot log but the tier holds
 		// it. Everything tiered is below an old high watermark, so the
 		// whole response is committed data.
 		data, err := t.Read(offset, maxBytes)
 		switch {
 		case err == nil:
-			return data, hw, earliest, wire.ErrNone
-		case errors.Is(err, tier.ErrOffsetBelowTier):
-			return nil, hw, earliest, wire.ErrOffsetOutOfRange
-		case errors.Is(err, tier.ErrNotCovered):
-			// Between the offload frontier and the local start there is
-			// no data on either tier; contiguity makes this unreachable
-			// unless the manifest lags a concurrent reload — have the
-			// client retry via out-of-range with the true earliest.
-			return nil, hw, earliest, wire.ErrOffsetOutOfRange
-		default:
-			return nil, hw, earliest, wire.ErrUnknown
+			res.cold = data
+			return res, wire.ErrNone
+		case errors.Is(err, tier.ErrOffsetBelowTier), errors.Is(err, tier.ErrNotCovered):
+			// ErrNotCovered: between the offload frontier and the local
+			// start there is no data on either tier; contiguity makes
+			// this unreachable unless the manifest lags a concurrent
+			// reload — have the client retry with the true earliest.
+			return res, wire.ErrOffsetOutOfRange
 		}
+		return res, wire.ErrUnknown
+	case offset >= bound:
+		return res, wire.ErrNone // caught up: empty fetch
 	}
-	if offset < earliest || offset > hw {
-		if offset >= hw && offset <= r.log.NextOffset() {
-			return nil, hw, earliest, wire.ErrNone // caught up: empty fetch
-		}
-		return nil, hw, earliest, wire.ErrOffsetOutOfRange
+	// Batch boundaries align with the high watermark because replication
+	// moves whole batches; a batch straddling it resolves to an empty range.
+	rng, err := r.log.ReadRange(offset, maxBytes, bound)
+	switch {
+	case err == nil:
+		res.rng = rng
+		return res, wire.ErrNone
+	case errors.Is(err, log.ErrOffsetOutOfRange):
+		return res, wire.ErrOffsetOutOfRange // retention moved the start mid-read
 	}
-	data, err := r.log.Read(offset, maxBytes)
-	if err != nil {
-		return nil, hw, earliest, wire.ErrUnknown
-	}
-	// Serve only batches fully below the high watermark. Batch boundaries
-	// align with HW because replication moves whole batches.
-	data = data[:visibleBatches(data, hw)]
-	return data, hw, earliest, wire.ErrNone
-}
-
-// readForFollower reads up to the log end (followers replicate uncommitted
-// data; it becomes committed exactly when they have it).
-func (r *replica) readForFollower(offset int64, maxBytes int) ([]byte, int64, int64, wire.ErrorCode) {
-	r.mu.Lock()
-	hw := r.hw
-	isLeader := r.isLeader
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return nil, 0, 0, wire.ErrBrokerNotAvailable
-	}
-	if !isLeader {
-		return nil, 0, 0, wire.ErrNotLeaderForPartition
-	}
-	start := r.log.StartOffset()
-	if offset < start {
-		return nil, hw, start, wire.ErrOffsetOutOfRange
-	}
-	end := r.log.NextOffset()
-	if offset > end {
-		return nil, hw, start, wire.ErrOffsetOutOfRange
-	}
-	data, err := r.log.Read(offset, maxBytes)
-	if err != nil {
-		return nil, hw, start, wire.ErrUnknown
-	}
-	return data, hw, start, wire.ErrNone
-}
-
-// readRangeForConsumer is the zero-copy variant of readForConsumer: instead
-// of copying committed batches into a buffer, it resolves them to a raw
-// range of the segment file for the wire layer to splice into the response
-// frame. The guard logic mirrors readForConsumer exactly (the zero-copy
-// equivalence test holds the two paths byte-identical). ok=false means this
-// path does not serve the read — cold-tier reads and range resolution
-// errors — and the caller must fall back to the buffered path.
-func (r *replica) readRangeForConsumer(offset int64, maxBytes int) (rng *log.SegmentRange, hw, earliest int64, code wire.ErrorCode, ok bool) {
-	r.mu.Lock()
-	hw = r.hw
-	isLeader := r.isLeader
-	closed := r.closed
-	t := r.tier
-	r.mu.Unlock()
-	if closed {
-		return nil, 0, 0, wire.ErrBrokerNotAvailable, true
-	}
-	if !isLeader {
-		return nil, 0, 0, wire.ErrNotLeaderForPartition, true
-	}
-	start := r.log.StartOffset()
-	earliest = start
-	if t != nil {
-		if e, ok := t.Earliest(); ok && e < earliest {
-			earliest = e
-		}
-	}
-	if offset < start && t != nil && offset >= earliest {
-		return nil, hw, earliest, wire.ErrNone, false // cold read: buffered path
-	}
-	if offset < earliest || offset > hw {
-		if offset >= hw && offset <= r.log.NextOffset() {
-			return nil, hw, earliest, wire.ErrNone, true // caught up: empty fetch
-		}
-		return nil, hw, earliest, wire.ErrOffsetOutOfRange, true
-	}
-	rng, err := r.log.ReadRange(offset, maxBytes, hw)
-	if err != nil {
-		return nil, hw, earliest, wire.ErrNone, false // fall back to the buffered read
-	}
-	return rng, hw, earliest, wire.ErrNone, true
-}
-
-// readRangeForFollower is the zero-copy variant of readForFollower:
-// replication reads up to the log end with no visibility bound.
-func (r *replica) readRangeForFollower(offset int64, maxBytes int) (rng *log.SegmentRange, hw, start int64, code wire.ErrorCode, ok bool) {
-	r.mu.Lock()
-	hw = r.hw
-	isLeader := r.isLeader
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return nil, 0, 0, wire.ErrBrokerNotAvailable, true
-	}
-	if !isLeader {
-		return nil, 0, 0, wire.ErrNotLeaderForPartition, true
-	}
-	start = r.log.StartOffset()
-	if offset < start {
-		return nil, hw, start, wire.ErrOffsetOutOfRange, true
-	}
-	end := r.log.NextOffset()
-	if offset > end {
-		return nil, hw, start, wire.ErrOffsetOutOfRange, true
-	}
-	rng, err := r.log.ReadRange(offset, maxBytes, -1)
-	if err != nil {
-		return nil, hw, start, wire.ErrNone, false
-	}
-	return rng, hw, start, wire.ErrNone, true
-}
-
-// visibleBatches returns the byte length of the prefix of data whose
-// batches end below hw.
-func visibleBatches(data []byte, hw int64) int {
-	pos := 0
-	for pos < len(data) {
-		info, err := record.PeekBatchInfo(data[pos:])
-		if err != nil || info.LastOffset >= hw {
-			break
-		}
-		if pos+info.Length > len(data) {
-			break
-		}
-		pos += info.Length
-	}
-	return pos
+	return res, wire.ErrUnknown
 }
 
 // close marks the replica closed and fails outstanding waiters.

@@ -18,7 +18,12 @@ import (
 type replicaSource struct{ r *replica }
 
 func (s replicaSource) ReadCommitted(offset int64, maxBytes int) ([]byte, int64, int64, wire.ErrorCode) {
-	return s.r.readForConsumer(offset, maxBytes)
+	res, code := s.r.read(offset, maxBytes, viewCommitted)
+	data, err := res.bytes()
+	if err != nil {
+		return nil, res.hw, res.earliest, wire.ErrUnknown
+	}
+	return data, res.hw, res.earliest, code
 }
 
 func (s replicaSource) Notify() <-chan struct{} { return s.r.notifyChan() }

@@ -41,9 +41,7 @@ func violationf(invariant, format string, args ...any) Violation {
 //   - no acked-record duplication, unconditionally: idempotent producers
 //     stamp every batch with (id, epoch, sequence) and brokers dedup
 //     retries, so a produce retried across a failover lands exactly once
-//     even when the original ack died with the old leader. (Before
-//     producer idempotence this only held for values acked before the
-//     first fault mark — see LegacyDupWindow.)
+//     even when the original ack died with the old leader.
 type Ledger struct {
 	mu    sync.Mutex
 	acked []string
@@ -323,43 +321,18 @@ func ScanFeed(c *client.Client, topic string, partitions int32, timeout time.Dur
 	return scan, nil
 }
 
-// AckedSurvivalOption adjusts CheckAckedSurvival.
-type AckedSurvivalOption func(*ackedSurvivalConfig)
-
-type ackedSurvivalConfig struct{ legacyDupMark string }
-
-// LegacyDupWindow restores the pre-idempotence carve-out: duplicates are
-// only flagged for values acked before the named mark, and acks in flight
-// during a fault are tolerated as at-least-once. Only for workloads that
-// deliberately disable producer idempotence — everything else gets the
-// unconditional exactly-once check.
-func LegacyDupWindow(mark string) AckedSurvivalOption {
-	return func(c *ackedSurvivalConfig) { c.legacyDupMark = mark }
-}
-
 // CheckAckedSurvival asserts that every ledger value is in the scan
 // (no acked-record loss) and appears exactly once (no acked-record
 // duplication). The dup check is unconditional: idempotent producers make
 // failover-window retries safe, so a value acked at any point — including
-// mid-fault — must land exactly once. LegacyDupWindow narrows the dup check
-// for non-idempotent workloads.
-func CheckAckedSurvival(scan *FeedScan, ledger *Ledger, opts ...AckedSurvivalOption) []Violation {
-	var cfg ackedSurvivalConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// mid-fault — must land exactly once.
+func CheckAckedSurvival(scan *FeedScan, ledger *Ledger) []Violation {
 	var out []Violation
 	for _, v := range ledger.All() {
-		if scan.Values[v] == 0 {
+		switch n := scan.Values[v]; {
+		case n == 0:
 			out = append(out, violationf("acked-loss", "acked record %q missing from feed", v))
-		}
-	}
-	dupScope := ledger.All()
-	if cfg.legacyDupMark != "" {
-		dupScope = ledger.Before(cfg.legacyDupMark)
-	}
-	for _, v := range dupScope {
-		if n := scan.Values[v]; n > 1 {
+		case n > 1:
 			out = append(out, violationf("acked-dup",
 				"acked record %q appears %d times in the feed", v, n))
 		}

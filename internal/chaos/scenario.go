@@ -98,9 +98,8 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 
 // PreFaultMark is the ledger mark scenarios set before their first fault.
 // It segments the ledger for diagnostics (how much was acked before the
-// schedule started) and feeds LegacyDupWindow for workloads that disable
-// producer idempotence; the default acked-dup check no longer needs it —
-// exactly-once holds across the fault window too.
+// schedule started); the acked-dup check does not need it — exactly-once
+// holds across the fault window too.
 const PreFaultMark = "pre-fault"
 
 // Scenario drives a live core.Stack through a scripted fault schedule while

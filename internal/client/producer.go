@@ -88,7 +88,12 @@ func ParseCodec(s string) (Codec, error) { return record.ParseCodec(s) }
 // ProducerConfig parameterises a Producer.
 type ProducerConfig struct {
 	// Acks selects durability: 0 fire-and-forget, 1 leader ack,
-	// -1 all in-sync replicas (paper §4.3).
+	// -1 all in-sync replicas (paper §4.3). Every acknowledged produce
+	// (acks 1 or all) is idempotent: it carries a producer id, epoch and
+	// per-partition sequence, letting brokers deduplicate retried batches
+	// — a retry across a leader failover appends exactly once.
+	// Fire-and-forget (AcksNone) sends never are: with no response there
+	// is nothing to retry.
 	Acks int16
 	// BatchBytes flushes a partition's buffer when it grows past this.
 	BatchBytes int
@@ -113,13 +118,6 @@ type ProducerConfig struct {
 	// bumped epoch, fencing a zombie instance still sending under the old
 	// one. Anonymous producers get a fresh id per instance.
 	Name string
-	// DisableIdempotence opts out of idempotent produce. By default every
-	// acknowledged produce (acks 1 or all) carries a producer id, epoch and
-	// per-partition sequence, letting brokers deduplicate retried batches —
-	// a retry across a leader failover appends exactly once. Fire-and-forget
-	// (AcksNone) sends are never idempotent: with no response there is
-	// nothing to retry.
-	DisableIdempotence bool
 }
 
 func (c ProducerConfig) withDefaults() ProducerConfig {
@@ -355,10 +353,8 @@ func (p *Producer) noteThrottle(ms int32) { p.throttle.note(0, ms) }
 func (p *Producer) Throttled() ThrottleStats { return p.throttle.throttled() }
 
 // idempotent reports whether this producer stamps batches with a producer
-// identity: the default for acknowledged produces, never for AcksNone.
-func (p *Producer) idempotent() bool {
-	return !p.cfg.DisableIdempotence && p.cfg.Acks != AcksNone
-}
+// identity: every acknowledged produce does, AcksNone never.
+func (p *Producer) idempotent() bool { return p.cfg.Acks != AcksNone }
 
 // ensureIdentityLocked initialises the producer identity on first use (and
 // after a terminal delivery failure invalidated it). Called with idemMu

@@ -82,10 +82,6 @@ type Config struct {
 	// fdatasync under SyncGroup. The zero value keeps legacy OS-buffered
 	// flushing.
 	Durability log.Durability
-	// DisableZeroCopyFetch switches every broker's fetch path back to the
-	// legacy buffered re-encode instead of splicing raw batch ranges from
-	// segment files into the socket. For equivalence testing.
-	DisableZeroCopyFetch bool
 	// PageCache, when non-nil, attaches the OS page-cache model of
 	// internal/storage/cache to every partition log on every broker
 	// (paper §4.1 anti-caching): reads of non-resident pages pay the
@@ -233,7 +229,6 @@ func Start(cfg Config) (*Stack, error) {
 			DefaultRetentionMs:     cfg.DefaultRetentionMs,
 			DefaultRetentionBytes:  cfg.DefaultRetentionBytes,
 			Durability:             cfg.Durability,
-			DisableZeroCopyFetch:   cfg.DisableZeroCopyFetch,
 			PageCache:              cfg.PageCache,
 			DefaultQuota:           cfg.DefaultQuota,
 			TierFS:                 tierFS,

@@ -571,43 +571,6 @@ func (l *Log) appendLocked(batch []byte) error {
 	return nil
 }
 
-// Read returns up to maxBytes of whole batches starting at offset. Reading
-// at the log end offset returns (nil, nil). Reads below the start offset or
-// beyond the end offset return ErrOffsetOutOfRange.
-func (l *Log) Read(offset int64, maxBytes int) ([]byte, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
-	end := l.active().nextOffset
-	if offset == end {
-		return nil, nil
-	}
-	if offset < l.startOffset || offset > end {
-		return nil, fmt.Errorf("%w: offset %d not in [%d, %d]", ErrOffsetOutOfRange, offset, l.startOffset, end)
-	}
-	// Find the segment containing offset: the last segment whose base is
-	// <= offset. If its data ends before the offset (compaction gaps),
-	// fall through to the next segment.
-	idx := sort.Search(len(l.segments), func(i int) bool {
-		return l.segments[i].baseOffset > offset
-	}) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	for ; idx < len(l.segments); idx++ {
-		data, err := l.segments[idx].read(offset, maxBytes, l.cfg.Tracker)
-		if err != nil {
-			return nil, err
-		}
-		if data != nil {
-			return data, nil
-		}
-	}
-	return nil, nil
-}
-
 // OffsetForTimestamp returns the offset of the first record whose timestamp
 // is at or after ts, or the log end offset if no such record exists.
 func (l *Log) OffsetForTimestamp(ts int64) (int64, error) {

@@ -40,8 +40,8 @@ func (r *SegmentRange) WriteTo(w io.Writer) (int64, error) {
 	return io.CopyN(w, r.f, r.n)
 }
 
-// Bytes reads the range into memory — the bridge to the buffered
-// representation, for equivalence tests and callers that need bytes.
+// Bytes materializes the range in memory, for callers that decode the
+// batches instead of forwarding them.
 func (r *SegmentRange) Bytes() ([]byte, error) {
 	if r.n == 0 || r.f == nil {
 		return []byte{}, nil
@@ -61,19 +61,80 @@ func (r *SegmentRange) Close() error {
 	return r.f.Close()
 }
 
-// ReadRange resolves the same read Read performs — up to maxBytes of whole
-// batches starting at offset, at least one batch when any qualifies —
-// into a raw byte range of the owning segment file instead of a copy,
-// additionally excluding batches whose last offset reaches limit (the
-// caller's high watermark; limit < 0 means unbounded, the follower
-// replication view). Results mirror the buffered path exactly:
+// resolve is the log's one range resolver: it locates the read (offset,
+// maxBytes, limit) as n bytes at pos of segment s — up to maxBytes of whole
+// batches starting with the first batch whose last offset is at or beyond
+// offset, at least one batch when any qualifies (a large batch can never
+// wedge a reader whose maxBytes is smaller than it), excluding batches whose
+// last offset reaches limit. s == nil means nothing lives at or beyond
+// offset (a read at the log end); n == 0 with s != nil means the first
+// qualifying batch is not visible under limit. Offsets below the log start
+// or beyond its end return ErrOffsetOutOfRange. The caller holds l.mu.
+func (l *Log) resolve(offset int64, maxBytes int, limit int64) (s *segment, pos, n int64, err error) {
+	if l.closed {
+		return nil, 0, 0, ErrClosed
+	}
+	end := l.active().nextOffset
+	if offset == end {
+		return nil, 0, 0, nil
+	}
+	if offset < l.startOffset || offset > end {
+		return nil, 0, 0, fmt.Errorf("%w: offset %d not in [%d, %d]", ErrOffsetOutOfRange, offset, l.startOffset, end)
+	}
+	// Start at the last segment whose base is <= offset; if its data ends
+	// before the offset (compaction gaps), fall through to the next one.
+	idx := sort.Search(len(l.segments), func(i int) bool {
+		return l.segments[i].baseOffset > offset
+	}) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	for ; idx < len(l.segments); idx++ {
+		seg := l.segments[idx]
+		pos, n, err := seg.rangeAt(offset, maxBytes, limit)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if pos < 0 {
+			continue // nothing at or beyond offset in this segment
+		}
+		if t := l.cfg.Tracker; t != nil && n > 0 {
+			if penalty := t.OnRead(seg.baseOffset, pos, n); penalty > 0 {
+				time.Sleep(penalty)
+			}
+		}
+		return seg, pos, n, nil
+	}
+	return nil, 0, 0, nil
+}
+
+// Read returns up to maxBytes of whole batches starting at offset: the
+// range ReadRange(offset, maxBytes, -1) resolves, copied into memory.
+// Reading at the log end offset returns (nil, nil).
+func (l *Log) Read(offset int64, maxBytes int) ([]byte, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	s, pos, n, err := l.resolve(offset, maxBytes, math.MaxInt64)
+	if err != nil || s == nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	if _, err := s.file.ReadAt(buf, pos); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadRange resolves a read into a raw byte range of the owning segment
+// file instead of a copy, excluding batches whose last offset reaches limit
+// (the caller's high watermark; limit < 0 means unbounded, the follower
+// replication view):
 //
-//   - (nil, nil) where Read would return (nil, nil) — nothing at or beyond
-//     offset (reading at the log end);
-//   - a zero-length range where the buffered path would return data that
-//     the visibility trim empties (the first qualifying batch is not yet
-//     below the high watermark);
-//   - otherwise a range holding exactly the bytes Read-then-trim would.
+//   - (nil, nil) when nothing lives at or beyond offset (reading at the log
+//     end);
+//   - a zero-length range when the first qualifying batch is not yet below
+//     limit;
+//   - otherwise a range of whole visible batches, at least one.
 //
 // The returned range MUST be closed by the caller.
 func (l *Log) ReadRange(offset int64, maxBytes int, limit int64) (*SegmentRange, error) {
@@ -82,55 +143,24 @@ func (l *Log) ReadRange(offset int64, maxBytes int, limit int64) (*SegmentRange,
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if l.closed {
-		return nil, ErrClosed
+	s, pos, n, err := l.resolve(offset, maxBytes, limit)
+	if err != nil || s == nil {
+		return nil, err
 	}
-	end := l.active().nextOffset
-	if offset == end {
-		return nil, nil
+	if n == 0 {
+		return &SegmentRange{}, nil
 	}
-	if offset < l.startOffset || offset > end {
-		return nil, fmt.Errorf("%w: offset %d not in [%d, %d]", ErrOffsetOutOfRange, offset, l.startOffset, end)
+	f, err := os.Open(s.path)
+	if err != nil {
+		return nil, err
 	}
-	idx := sort.Search(len(l.segments), func(i int) bool {
-		return l.segments[i].baseOffset > offset
-	}) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	for ; idx < len(l.segments); idx++ {
-		s := l.segments[idx]
-		pos, n, err := s.rangeAt(offset, maxBytes, limit)
-		if err != nil {
-			return nil, err
-		}
-		if pos < 0 {
-			continue // nothing at or beyond offset in this segment
-		}
-		if n == 0 {
-			// The first qualifying batch exists but is not visible under
-			// limit yet: an empty (but non-nil) result, like the buffered
-			// path's visibility trim.
-			return &SegmentRange{}, nil
-		}
-		f, err := os.Open(s.path)
-		if err != nil {
-			return nil, err
-		}
-		if t := l.cfg.Tracker; t != nil {
-			if penalty := t.OnRead(s.baseOffset, pos, n); penalty > 0 {
-				time.Sleep(penalty)
-			}
-		}
-		return &SegmentRange{f: f, pos: pos, n: n}, nil
-	}
-	return nil, nil
+	return &SegmentRange{f: f, pos: pos, n: n}, nil
 }
 
-// rangeAt computes the byte range read-then-trim would return for (offset,
-// maxBytes) bounded by limit (exclusive last-offset cap). pos == -1 means no
-// batch at or beyond offset lives in this segment; n == 0 with pos >= 0
-// means the first qualifying batch is not visible under limit.
+// rangeAt computes this segment's share of resolve: the byte range for
+// (offset, maxBytes) bounded by limit (exclusive last-offset cap). pos == -1
+// means no batch at or beyond offset lives in this segment; n == 0 with
+// pos >= 0 means the first qualifying batch is not visible under limit.
 func (s *segment) rangeAt(offset int64, maxBytes int, limit int64) (int64, int64, error) {
 	pos := s.lookup(offset)
 	var hdr [record.HeaderLen]byte
@@ -158,8 +188,8 @@ func (s *segment) rangeAt(offset int64, maxBytes int, limit int64) (int64, int64
 	if first.LastOffset >= limit {
 		return pos, 0, nil
 	}
-	// Budget mirrors segment.read: at least one whole batch, else maxBytes,
-	// capped at the segment end.
+	// Budget: at least one whole batch, else maxBytes, capped at the
+	// segment end.
 	want := int64(maxBytes)
 	if want < int64(first.Length) {
 		want = int64(first.Length)

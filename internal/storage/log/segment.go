@@ -203,71 +203,6 @@ func (s *segment) lookup(offset int64) int64 {
 	return pos
 }
 
-// read returns up to maxBytes of whole batches starting from the first
-// batch whose last offset is at or beyond the wanted offset. At least one
-// complete batch is returned when any qualifies, even if it exceeds
-// maxBytes, so that a large batch can never wedge a consumer.
-func (s *segment) read(offset int64, maxBytes int, tracker PageTracker) ([]byte, error) {
-	pos := s.lookup(offset)
-	var hdr [record.HeaderLen]byte
-	var first record.BatchInfo
-	found := false
-	// Skip batches that end before the wanted offset.
-	for pos+int64(record.HeaderLen) <= s.size {
-		if _, err := s.file.ReadAt(hdr[:], pos); err != nil && err != io.EOF {
-			return nil, err
-		}
-		info, perr := record.PeekBatchInfo(hdr[:])
-		if perr != nil {
-			return nil, fmt.Errorf("log: read header at %d: %w", pos, perr)
-		}
-		if info.LastOffset >= offset {
-			first = info
-			found = true
-			break
-		}
-		pos += int64(info.Length)
-	}
-	if !found {
-		return nil, nil
-	}
-	// Always return at least one whole batch so a large batch can never
-	// wedge a consumer whose maxBytes is smaller than it.
-	want := int64(maxBytes)
-	if want < int64(first.Length) {
-		want = int64(first.Length)
-	}
-	if pos+want > s.size {
-		want = s.size - pos
-	}
-	buf := make([]byte, want)
-	n, err := s.file.ReadAt(buf, pos)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	buf = buf[:n]
-	if tracker != nil {
-		if penalty := tracker.OnRead(s.baseOffset, pos, int64(n)); penalty > 0 {
-			time.Sleep(penalty)
-		}
-	}
-	return buf[:wholeBatches(buf)], nil
-}
-
-// wholeBatches returns the length of the longest prefix of buf consisting
-// of complete batches.
-func wholeBatches(buf []byte) int {
-	pos := 0
-	for pos < len(buf) {
-		n, err := record.PeekBatchLen(buf[pos:])
-		if err != nil {
-			break
-		}
-		pos += n
-	}
-	return pos
-}
-
 // truncateTo removes all data at offsets >= offset. It rescans the file to
 // find the cut position and rebuilds the index.
 func (s *segment) truncateTo(offset int64, indexInterval int64) error {
