@@ -15,9 +15,6 @@ func (b *Broker) now() time.Time { return b.cfg.Now() }
 // since is time.Since against the injected clock.
 func (b *Broker) since(t time.Time) time.Duration { return b.now().Sub(t) }
 
-// until is time.Until against the injected clock.
-func (b *Broker) until(t time.Time) time.Duration { return t.Sub(b.now()) }
-
 // after waits d of real time. Chaos schedules inject only Now — timers and
 // long-poll waits deliberately stay on the runtime timer wheel, so every
 // such wait funnels through this one reviewed call site.
@@ -34,6 +31,6 @@ func newTicker(d time.Duration) *time.Ticker {
 
 // newTimer is the package's one sanctioned timer constructor; see after.
 func newTimer(d time.Duration) *time.Timer {
-	//lint:ignore clockdiscipline ack deadlines run on real time by design; this helper is the single audited escape hatch
+	//lint:ignore clockdiscipline ack and long-poll deadlines run on real time by design; this helper is the single audited escape hatch
 	return time.NewTimer(d)
 }

@@ -17,6 +17,7 @@ type fetcherManager struct {
 
 	mu       sync.Mutex
 	fetchers map[int32]*replicaFetcher
+	stopped  bool // stopAll ran: a state event still in flight starts nothing
 }
 
 func newFetcherManager(b *Broker) *fetcherManager {
@@ -28,6 +29,9 @@ func newFetcherManager(b *Broker) *fetcherManager {
 func (m *fetcherManager) assign(t tp, leaderID int32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.stopped {
+		return
+	}
 	for id, f := range m.fetchers {
 		if id != leaderID {
 			f.removePartition(t)
@@ -60,6 +64,7 @@ func (m *fetcherManager) stopAll() {
 		fetchers = append(fetchers, f)
 	}
 	m.fetchers = make(map[int32]*replicaFetcher)
+	m.stopped = true
 	m.mu.Unlock()
 	for _, f := range fetchers {
 		f.stopAndWait()
@@ -229,12 +234,12 @@ func (f *replicaFetcher) apply(resp *wire.FetchResponse) {
 					r.log.SetOffloadedTo(p.LogStartOffset)
 				}
 				if len(p.Records) == 0 {
-					// HW only. The one error is a replica closed under
-					// us, which the next pass finds gone.
-					_ = r.appendAsFollower(nil, p.HighWatermark)
+					// HW only. The errors are a replica closed or moved to
+					// another leader under us, which the next pass finds gone.
+					_ = r.appendAsFollower(nil, p.HighWatermark, f.leaderID)
 					continue
 				}
-				next, err := appendFetched(r, p.Records, p.HighWatermark)
+				next, err := appendFetched(r, p.Records, p.HighWatermark, f.leaderID)
 				if err != nil {
 					f.b.logger.Warn("replica append failed",
 						"tp", key.String(), "err", err)
@@ -261,9 +266,9 @@ func (f *replicaFetcher) apply(resp *wire.FetchResponse) {
 	}
 }
 
-// appendFetched splits a fetch payload into batches and appends each,
-// returning the next fetch offset.
-func appendFetched(r *replica, data []byte, leaderHW int64) (int64, error) {
+// appendFetched splits a payload fetched from leader into batches and appends
+// each, returning the next fetch offset.
+func appendFetched(r *replica, data []byte, leaderHW int64, leader int32) (int64, error) {
 	pos := 0
 	next := int64(-1)
 	for pos < len(data) {
@@ -277,7 +282,7 @@ func appendFetched(r *replica, data []byte, leaderHW int64) (int64, error) {
 		if pos+info.Length > len(data) {
 			break
 		}
-		if err := r.appendAsFollower(data[pos:pos+info.Length], leaderHW); err != nil {
+		if err := r.appendAsFollower(data[pos:pos+info.Length], leaderHW, leader); err != nil {
 			return next, err
 		}
 		next = info.LastOffset + 1

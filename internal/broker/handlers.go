@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"net"
+	"reflect"
 	"time"
 
 	"repro/internal/cluster"
@@ -335,29 +336,35 @@ func splitProducePayload(data []byte) ([][]byte, int, error) {
 func (b *Broker) handleFetch(req *wire.FetchRequest, principal string, reqPenalty time.Duration) *wire.FetchResponse {
 	isFollower := req.ReplicaID >= 0
 	maxWait := time.Duration(req.MaxWaitMs) * time.Millisecond
-	if maxWait < 0 {
-		maxWait = 0
-	}
 	if maxWait > 30*time.Second {
 		maxWait = 30 * time.Second
 	}
 	minBytes := int(req.MinBytes)
-	deadline := b.now().Add(maxWait)
-
-	// Single-partition requests (the common consumer case) wait
-	// event-driven on the partition's notify channel; multi-partition
-	// requests poll.
-	var single *replica
-	if len(req.Topics) == 1 && len(req.Topics[0].Partitions) == 1 {
-		single = b.getReplica(tp{topic: req.Topics[0].Name, partition: req.Topics[0].Partitions[0].Partition})
-	}
 	view := viewCommitted
 	if isFollower {
 		view = viewReplication
 	}
+	// One wait path for one partition or many: each pass first takes every
+	// named replica's notify channel for this view, then reads; a pass that
+	// falls short of MinBytes blocks until any of those channels fires (the
+	// view's bound moving after the channel was taken closes it, so no
+	// wake-up is lost), the request's one deadline timer fires or the broker
+	// stops. Nothing polls.
+	expired := maxWait <= 0
+	deadline := newTimer(maxWait)
+	defer deadline.Stop()
+	wake := []reflect.SelectCase{recvCase(b.stopCh), recvCase(deadline.C)}
 	for {
+		wake = wake[:2]
+		for _, t := range req.Topics {
+			for _, p := range t.Partitions {
+				if r := b.getReplica(tp{topic: t.Name, partition: p.Partition}); r != nil {
+					wake = append(wake, recvCase(r.notifyChan(view)))
+				}
+			}
+		}
 		resp, total, hasError := b.collectFetch(req, view)
-		if total >= minBytes || hasError || !b.now().Before(deadline) {
+		if total >= minBytes || hasError || expired {
 			if total > 0 {
 				b.cfg.Metrics.Counter("broker.fetch.bytes").Add(int64(total))
 			}
@@ -372,26 +379,18 @@ func (b *Broker) handleFetch(req *wire.FetchRequest, principal string, reqPenalt
 		// This pass is discarded for another long-poll round; release any
 		// segment file handles its ranges hold.
 		closeFetchRanges(resp)
-		remain := b.until(deadline)
-		if single != nil {
-			select {
-			case <-single.notifyChan():
-			case <-b.after(remain):
-			case <-b.stopCh:
-				return resp
-			}
-		} else {
-			wait := 2 * time.Millisecond
-			if wait > remain {
-				wait = remain
-			}
-			select {
-			case <-b.after(wait):
-			case <-b.stopCh:
-				return resp
-			}
+		switch fired, _, _ := reflect.Select(wake); fired {
+		case 0:
+			return resp
+		case 1:
+			expired = true // one last pass answers with whatever is there
 		}
 	}
+}
+
+// recvCase is a receive on ch for reflect.Select.
+func recvCase(ch any) reflect.SelectCase {
+	return reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)}
 }
 
 // closeFetchRanges releases the segment file handles a fetch response

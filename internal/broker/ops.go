@@ -31,9 +31,9 @@ const (
 	slowLogWindow   = 10 * time.Minute
 )
 
-// walHealthLag is the WAL checkpoint age beyond which /healthz degrades:
-// a log that has carried unsynced bytes for this long means the sync loop
-// is wedged or the disk has stalled.
+// walHealthLag is the WAL sync lag beyond which /healthz degrades: a log
+// that has carried unsynced bytes for this long means the sync loop is
+// wedged or the disk has stalled.
 const walHealthLag = 5 * time.Second
 
 // brokerMetrics pre-resolves every labeled family the request path and the
@@ -59,6 +59,7 @@ type brokerMetrics struct {
 	replicaLagMs      *metrics.GaugeFamily // broker.replica.lag.ms{broker,topic,partition,follower}
 	groupLag          *metrics.GaugeFamily // broker.group.lag{broker,group,topic,partition}
 	checkpointAgeMs   *metrics.GaugeFamily // log.checkpoint.age.ms{broker,topic,partition}
+	syncLagMs         *metrics.GaugeFamily // log.sync.lag.ms{broker,topic,partition}
 	tableLag          *metrics.GaugeFamily // broker.table.lag.offsets{broker,topic,partition}
 	tableApplied      *metrics.GaugeFamily // broker.table.applied.offset{broker,topic,partition}
 
@@ -81,6 +82,7 @@ func newBrokerMetrics(reg *metrics.Registry, brokerID int32, now func() time.Tim
 		replicaLagMs:      reg.GaugeFamily("broker.replica.lag.ms", "broker", "topic", "partition", "follower"),
 		groupLag:          reg.GaugeFamily("broker.group.lag", "broker", "group", "topic", "partition"),
 		checkpointAgeMs:   reg.GaugeFamily("log.checkpoint.age.ms", "broker", "topic", "partition"),
+		syncLagMs:         reg.GaugeFamily("log.sync.lag.ms", "broker", "topic", "partition"),
 		tableLag:          reg.GaugeFamily("broker.table.lag.offsets", "broker", "topic", "partition"),
 		tableApplied:      reg.GaugeFamily("broker.table.applied.offset", "broker", "topic", "partition"),
 		slowlog:           obs.NewSlowLog(slowLogCapacity, slowLogWindow),
@@ -95,6 +97,7 @@ func (m *brokerMetrics) purge() {
 	m.replicaLagOffsets.DeleteWhere("broker", m.id)
 	m.replicaLagMs.DeleteWhere("broker", m.id)
 	m.checkpointAgeMs.DeleteWhere("broker", m.id)
+	m.syncLagMs.DeleteWhere("broker", m.id)
 	m.groupLag.DeleteWhere("broker", m.id)
 	m.tableLag.DeleteWhere("broker", m.id)
 	m.tableApplied.DeleteWhere("broker", m.id)
@@ -246,8 +249,8 @@ func respErrorCodes(resp wire.Message) []wire.ErrorCode {
 // ------------------------------------------------------------ ops tick
 
 // opsTick rebuilds the gauge families that mirror broker state: replication
-// lag per follower, consumer-group lag per committed stream, WAL checkpoint
-// age and table-materializer freshness. Delete+rebuild (rather than
+// lag per follower, consumer-group lag per committed stream, WAL sync lag and
+// checkpoint age, and table-materializer freshness. Delete+rebuild (rather than
 // incremental updates) is what retires tuples for partitions or groups this
 // broker stopped hosting — a stale gauge is worse than a missing one. The
 // deletion is scoped to this broker's own label so concurrent ticks from
@@ -261,6 +264,7 @@ func (b *Broker) opsTick(now time.Time) {
 	m.replicaLagOffsets.DeleteWhere("broker", m.id)
 	m.replicaLagMs.DeleteWhere("broker", m.id)
 	m.checkpointAgeMs.DeleteWhere("broker", m.id)
+	m.syncLagMs.DeleteWhere("broker", m.id)
 	for _, r := range b.replicaSnapshot() {
 		topic, part := r.tp.topic, strconv.Itoa(int(r.tp.partition))
 		for _, f := range r.followerLags(now) {
@@ -268,7 +272,13 @@ func (b *Broker) opsTick(now time.Time) {
 			m.replicaLagOffsets.With(m.id, topic, part, fl).Set(f.offsets)
 			m.replicaLagMs.With(m.id, topic, part, fl).Set(f.ms)
 		}
-		m.checkpointAgeMs.With(m.id, topic, part).Set(r.log.DurabilityLag(now).Milliseconds())
+		// Two clocks: how stale the on-disk recovery checkpoint is (it only
+		// bounds the recovery scan) and how long the oldest unsynced append
+		// has waited for its fsync (the durability promise).
+		if age, ok := r.log.CheckpointAge(now); ok {
+			m.checkpointAgeMs.With(m.id, topic, part).Set(age.Milliseconds())
+		}
+		m.syncLagMs.With(m.id, topic, part).Set(r.log.DurabilityLag(now).Milliseconds())
 	}
 
 	m.groupLag.DeleteWhere("broker", m.id)

@@ -55,7 +55,7 @@ type replica struct {
 	stateVersion int64
 	followers    map[int32]*followerState
 	waiters      []ackWaiter
-	notifyCh     chan struct{} // closed and replaced on append/HW advance
+	notify       [2]chan struct{} // by readView: closed and replaced when the view's bound moves
 	closed       bool
 	// tier is the partition's cold-tier engine, attached while this
 	// replica leads a tiered partition (leadership hand-over recovers it
@@ -70,22 +70,26 @@ func newReplica(t tp, l *log.Log, brokerID int32) *replica {
 		brokerID: brokerID,
 		leaderID: -1,
 		hw:       l.NextOffset(), // standalone logs start fully committed
-		notifyCh: make(chan struct{}),
+		notify:   [2]chan struct{}{make(chan struct{}), make(chan struct{})},
 	}
 }
 
-// notifyLocked wakes all waiters on the notification channel.
-func (r *replica) notifyLocked() {
-	close(r.notifyCh)
-	r.notifyCh = make(chan struct{})
+// notifyLocked wakes the long-polls of the given views: what they can read
+// moved (the log end for followers, the high watermark for consumers) or the
+// replica changed role.
+func (r *replica) notifyLocked(views ...readView) {
+	for _, v := range views {
+		close(r.notify[v])
+		r.notify[v] = make(chan struct{})
+	}
 }
 
-// notifyChan returns the current broadcast channel; it is closed on the
-// next append or high-watermark advance.
-func (r *replica) notifyChan() <-chan struct{} {
+// notifyChan returns the view's current broadcast channel; it is closed the
+// next time the view's bound moves.
+func (r *replica) notifyChan(v readView) <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.notifyCh
+	return r.notify[v]
 }
 
 // highWatermark returns the current high watermark.
@@ -117,26 +121,31 @@ func (r *replica) becomeLeader(epoch int32, replicas, isr []int32, stateVersion 
 		// A sole-survivor leader commits everything it has.
 		r.maybeAdvanceHWLocked()
 	}
-	r.notifyLocked()
+	r.notifyLocked(viewCommitted, viewReplication)
 }
 
 // becomeFollower demotes the replica. Outstanding acks=all produces fail
 // with NotLeader so clients retry against the new leader. The local log is
 // truncated to the high watermark: anything above it was never committed
-// and may diverge from the new leader (paper §4.3 hand-over).
+// and may diverge from the new leader (paper §4.3 hand-over). Re-applied
+// state under the same leader and epoch (an ISR change) cuts nothing: the
+// log it has been following cannot have diverged.
 func (r *replica) becomeFollower(leaderID, epoch int32, stateVersion int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.stateVersion = stateVersion
+	if !r.isLeader && r.leaderID == leaderID && r.epoch == epoch {
+		return nil
+	}
 	r.isLeader = false
 	r.leaderID = leaderID
 	r.epoch = epoch
-	r.stateVersion = stateVersion
 	r.followers = nil
 	r.failWaitersLocked(wire.ErrNotLeaderForPartition)
 	if err := r.log.Truncate(r.hw); err != nil {
 		return err
 	}
-	r.notifyLocked()
+	r.notifyLocked(viewCommitted, viewReplication)
 	return nil
 }
 
@@ -178,7 +187,7 @@ func (r *replica) maybeAdvanceHWLocked() {
 			}
 		}
 		r.waiters = kept
-		r.notifyLocked()
+		r.notifyLocked(viewCommitted)
 	}
 }
 
@@ -267,7 +276,7 @@ func (r *replica) appendSealedAsLeader(batches [][]byte, acks int16) (int64, <-c
 // arranges the acks=all waiter for an append ending at last.
 func (r *replica) finishAppendLocked(last int64, acks int16) (<-chan wire.ErrorCode, wire.ErrorCode) {
 	r.maybeAdvanceHWLocked()
-	r.notifyLocked() // wake follower long-polls
+	r.notifyLocked(viewReplication)
 	if acks != -1 {
 		return nil, wire.ErrNone
 	}
@@ -281,14 +290,20 @@ func (r *replica) finishAppendLocked(last int64, acks int16) (<-chan wire.ErrorC
 	return w.ch, wire.ErrNone
 }
 
-// appendAsFollower appends a replicated batch (none when the fetch
-// returned no data) and adopts the leader's high watermark, bounded by the
-// local log end.
-func (r *replica) appendAsFollower(batch []byte, leaderHW int64) error {
+// appendAsFollower appends a batch replicated from the given leader (none
+// when the fetch returned no data) and adopts its high watermark, bounded by
+// the local log end. A response still in flight from a leader the replica
+// has since stopped following is refused: the log was cut to the high
+// watermark at the hand-over, and appending what the old position asked for
+// would leave a gap or a deposed leader's suffix.
+func (r *replica) appendAsFollower(batch []byte, leaderHW int64, leader int32) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return log.ErrClosed
+	}
+	if r.isLeader || r.leaderID != leader {
+		return fmt.Errorf("broker: %s: stale fetch response from former leader %d", r.tp, leader)
 	}
 	if len(batch) > 0 {
 		if err := r.log.AppendBatch(batch); err != nil {
@@ -553,6 +568,6 @@ func (r *replica) close() error {
 	}
 	r.closed = true
 	r.failWaitersLocked(wire.ErrBrokerNotAvailable)
-	r.notifyLocked()
+	r.notifyLocked(viewCommitted, viewReplication)
 	return r.log.Close()
 }

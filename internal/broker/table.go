@@ -26,7 +26,7 @@ func (s replicaSource) ReadCommitted(offset int64, maxBytes int) ([]byte, int64,
 	return data, res.hw, res.earliest, code
 }
 
-func (s replicaSource) Notify() <-chan struct{} { return s.r.notifyChan() }
+func (s replicaSource) Notify() <-chan struct{} { return s.r.notifyChan(viewCommitted) }
 
 // tableFor returns the table partition served for t, if any.
 func (b *Broker) tableFor(t tp) *table.Partition {

@@ -95,7 +95,9 @@ type ProducerConfig struct {
 	// Fire-and-forget (AcksNone) sends never are: with no response there
 	// is nothing to retry.
 	Acks int16
-	// BatchBytes flushes a partition's buffer when it grows past this.
+	// BatchBytes triggers a flush once the records pending across all
+	// partitions grow past this: it sizes a flush — and so each leader's
+	// produce request — not one partition's batch.
 	BatchBytes int
 	// Linger bounds how long records wait for batching before the
 	// background flusher sends them.
@@ -181,14 +183,15 @@ type Producer struct {
 	throttle throttleTracker
 
 	// idemMu guards the idempotence state below AND is held across each
-	// stamped send: sequence allocation and delivery must not interleave
-	// between concurrent produce calls, or a later sequence could reach the
-	// broker first and be rejected as out of order.
+	// stamped delivery (a whole produce call, all leaders, all retries):
+	// sequence allocation and delivery must not interleave between
+	// concurrent produce calls, or a later sequence could reach the broker
+	// first and be rejected as out of order.
 	idemMu sync.Mutex
 	pid    int64 // allocated producer id; -1 until initialised
 	pepoch int32
-	pidOK  bool                       // identity is live
-	seqs   map[string]map[int32]int64 // topic -> partition -> next base sequence
+	pidOK  bool             // identity is live
+	seqs   map[string]int64 // tpKey -> next base sequence
 
 	flushNow chan struct{}
 	done     chan struct{}
@@ -201,7 +204,7 @@ func NewProducer(c *Client, cfg ProducerConfig) *Producer {
 		cfg:      cfg.withDefaults(),
 		batches:  make(map[string]map[int32][]record.Record),
 		pid:      -1,
-		seqs:     make(map[string]map[int32]int64),
+		seqs:     make(map[string]int64),
 		flushNow: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
@@ -276,14 +279,18 @@ func (p *Producer) SendSync(msg Message) (int64, error) {
 	if err != nil {
 		return -1, err
 	}
-	partition := p.cfg.Partitioner.Partition(&msg, n)
-	recs := []record.Record{{
-		Timestamp: msg.Timestamp,
-		Key:       msg.Key,
-		Value:     msg.Value,
-		Headers:   msg.Headers,
-	}}
-	return p.produce(msg.Topic, partition, recs)
+	b := &partitionBatch{
+		topic:     msg.Topic,
+		partition: p.cfg.Partitioner.Partition(&msg, n),
+		recs: []record.Record{{
+			Timestamp: msg.Timestamp,
+			Key:       msg.Key,
+			Value:     msg.Value,
+			Headers:   msg.Headers,
+		}},
+	}
+	p.produce([]*partitionBatch{b})
+	return b.base, b.err
 }
 
 // flushLoop sends buffered batches on linger expiry or explicit flush
@@ -310,35 +317,44 @@ func (p *Producer) Flush() error {
 	return p.flushOnce()
 }
 
-// flushOnce drains the buffer and produces each partition's batch. The
-// flush mutex covers the whole drain+deliver window; see its field doc.
+// flushOnce drains the buffer and produces every partition's batch in one
+// produce call. The flush mutex covers the whole drain+deliver window; see
+// its field doc.
 func (p *Producer) flushOnce() error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 	p.mu.Lock()
-	batches := p.batches
+	drained := p.batches
 	p.batches = make(map[string]map[int32][]record.Record)
 	p.pending = 0
 	p.mu.Unlock()
 
-	var firstErr error
-	for topic, byPart := range batches {
+	var batches []*partitionBatch
+	for topic, byPart := range drained {
 		for partition, recs := range byPart {
-			if len(recs) == 0 {
-				continue
+			if len(recs) > 0 {
+				batches = append(batches, &partitionBatch{topic: topic, partition: partition, recs: recs})
 			}
-			if _, err := p.produce(topic, partition, recs); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				if p.cfg.OnError != nil {
-					for _, r := range recs {
-						p.cfg.OnError(Message{
-							Topic: topic, Partition: partition,
-							Key: r.Key, Value: r.Value, Timestamp: r.Timestamp,
-						}, err)
-					}
-				}
+		}
+	}
+	if len(batches) == 0 {
+		return nil
+	}
+	p.produce(batches)
+	var firstErr error
+	for _, b := range batches {
+		if b.err == nil {
+			continue
+		}
+		if firstErr == nil {
+			firstErr = b.err
+		}
+		if p.cfg.OnError != nil {
+			for _, r := range b.recs {
+				p.cfg.OnError(Message{
+					Topic: b.topic, Partition: b.partition, Timestamp: r.Timestamp,
+					Key: r.Key, Value: r.Value, Headers: r.Headers,
+				}, b.err)
 			}
 		}
 	}
@@ -371,126 +387,198 @@ func (p *Producer) ensureIdentityLocked() error {
 	// A fresh identity starts a fresh sequence space: named producers keep
 	// their id but produce under a higher epoch, which resets the broker's
 	// window; anonymous producers get a new id entirely.
-	p.seqs = make(map[string]map[int32]int64)
+	p.seqs = make(map[string]int64)
 	return nil
 }
 
-// nextSeqLocked returns the partition's next base sequence (idemMu held).
-func (p *Producer) nextSeqLocked(topic string, partition int32) int64 {
-	byPart, ok := p.seqs[topic]
-	if !ok {
-		byPart = make(map[int32]int64)
-		p.seqs[topic] = byPart
-	}
-	return byPart[partition]
+// partitionBatch is one partition's share of a produce call: its records,
+// the sealed bytes every attempt resends, and — once resolved — the outcome.
+type partitionBatch struct {
+	topic     string
+	partition int32
+	recs      []record.Record
+	payload   []byte // sealed (and, if idempotent, stamped) exactly once
+	resolved  bool   // acked or terminally failed; unresolved batches retry
+	base      int64  // broker-assigned base offset once acked (-1 for acks=0)
+	err       error  // nil once acked; else the last (or terminal) failure
 }
 
-// produce delivers one batch to the partition leader with retries,
-// returning the base offset (or -1 for acks=0). Zero timestamps are
-// stamped with send time here: the broker appends the sealed batch
-// verbatim and never rewrites record timestamps.
+// produce delivers one batch per partition and returns once every one of
+// them is resolved, outcomes in each batch's base/err. Each attempt groups
+// the unresolved batches by current leader and sends ONE produce request per
+// leader, carrying all of that leader's partitions, the leaders concurrently.
+// A retriable code or a connection error leaves just the affected partitions
+// unresolved; after a backoff and a metadata refresh they are regrouped by
+// their new leaders and resent, under the client's MaxRetries. Zero
+// timestamps are stamped with send time here: the broker appends the sealed
+// batch verbatim and never rewrites record timestamps.
 //
-// Idempotent sends (the default for acked produces) stamp the sealed batch
-// once with (producerID, epoch, baseSequence) BEFORE the retry loop: every
+// Idempotent sends (the default for acked produces) stamp each sealed batch
+// once with (producerID, epoch, baseSequence) BEFORE the first attempt: every
 // retry resends the identical bytes, so a broker that already appended the
-// batch — the classic acks=all resend window, where the ack was lost to a
-// leader failover — recognises it and answers with the original offsets
-// (ErrDuplicateSequence, handled here as success) instead of appending
-// twice. On a terminal failure the delivery outcome is unknown, so the
-// identity is invalidated and the next send re-registers: the app saw an
-// error, and a fresh id/epoch guarantees the broker never silently matches
-// a later batch against the orphaned sequence.
-func (p *Producer) produce(topic string, partition int32, recs []record.Record) (int64, error) {
+// batch — the ack was lost to a leader failover — answers with the original
+// offsets (ErrDuplicateSequence, success here) instead of appending twice.
+// Per-partition order holds because idemMu is held across the whole call —
+// one produce in flight at a time, one batch per partition in it. A terminal
+// failure leaves the outcome unknown, so the identity is invalidated and the
+// next send re-registers: a fresh id/epoch guarantees the broker never
+// matches a later batch against the orphaned sequence.
+func (p *Producer) produce(batches []*partitionBatch) {
 	// Honor any outstanding quota verdict (the client half of
 	// backpressure; verdicts are server-capped, so the wait is bounded).
 	// A closing producer's final flush ships without the wait — see the
 	// cooperative-honoring note on throttleTracker.
 	p.throttle.await(0, time.Hour, p.done)
-	now := time.Now().UnixMilli()
-	for i := range recs {
-		if recs[i].Timestamp == 0 {
-			recs[i].Timestamp = now
+	fail := func(err error) {
+		for _, b := range batches {
+			b.err = err
 		}
 	}
-	payload := record.EncodeBatch(0, recs)
-	if p.cfg.Codec != record.CodecNone {
-		sealed, err := record.Compress(payload, p.cfg.Codec)
-		if err != nil {
-			return -1, fmt.Errorf("client: compress batch: %w", err)
+	now := time.Now().UnixMilli()
+	for _, b := range batches {
+		b.base = -1
+		for i := range b.recs {
+			if b.recs[i].Timestamp == 0 {
+				b.recs[i].Timestamp = now
+			}
 		}
-		payload = sealed
+		b.payload = record.EncodeBatch(0, b.recs)
+		if p.cfg.Codec != record.CodecNone {
+			sealed, err := record.Compress(b.payload, p.cfg.Codec)
+			if err != nil {
+				fail(fmt.Errorf("client: compress batch: %w", err))
+				return
+			}
+			b.payload = sealed
+		}
 	}
 	idem := p.idempotent()
 	if idem {
-		// idemMu is held across the whole delivery so concurrent produce
-		// calls cannot reorder sequences on the wire.
 		p.idemMu.Lock()
 		defer p.idemMu.Unlock()
 		if err := p.ensureIdentityLocked(); err != nil {
-			return -1, err
+			fail(err)
+			return
 		}
-		if err := record.StampProducer(payload, p.pid, p.pepoch, p.nextSeqLocked(topic, partition)); err != nil {
-			return -1, err
+		for _, b := range batches {
+			if err := record.StampProducer(b.payload, p.pid, p.pepoch, p.seqs[tpKey(b.topic, b.partition)]); err != nil {
+				fail(err)
+				return
+			}
 		}
 	}
-	req := &wire.ProduceRequest{
-		RequiredAcks: effectiveAcks(p.cfg.Acks),
-		TimeoutMs:    p.cfg.TimeoutMs,
-		Topics: []wire.ProduceTopic{{
-			Name:       topic,
-			Partitions: []wire.ProducePartition{{Partition: partition, Records: payload}},
-		}},
+
+	unresolved := batches
+	for attempt := 0; len(unresolved) > 0 && attempt <= p.c.cfg.MaxRetries; attempt++ {
+		if attempt > 0 {
+			time.Sleep(p.c.cfg.RetryBackoff)
+			p.c.InvalidateMetadata()
+		}
+		byLeader := make(map[int32][]*partitionBatch)
+		for _, b := range unresolved {
+			leader, err := p.c.LeaderFor(b.topic, b.partition)
+			if err != nil {
+				b.err = err
+				continue
+			}
+			byLeader[leader] = append(byLeader[leader], b)
+		}
+		var wg sync.WaitGroup
+		for leader, bs := range byLeader {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.sendToLeader(leader, bs)
+			}()
+		}
+		wg.Wait()
+		var still []*partitionBatch
+		for _, b := range unresolved {
+			if !b.resolved {
+				still = append(still, b)
+			}
+		}
+		unresolved = still
 	}
-	if p.cfg.Acks == AcksNone {
-		// Fire-and-forget: no response frame exists.
-		leader, err := p.c.LeaderFor(topic, partition)
-		if err != nil {
-			return -1, err
-		}
-		conn, err := p.c.ConnTo(leader)
-		if err != nil {
-			return -1, err
-		}
-		if err := conn.SendOnly(wire.APIProduce, req); err != nil {
-			p.c.dropConn(leader)
-			return -1, err
-		}
-		return -1, nil
+	for _, b := range unresolved {
+		b.err = fmt.Errorf("client: retries exhausted for %s/%d: %w", b.topic, b.partition, b.err)
 	}
-	var base int64 = -1
-	err := p.c.withLeaderRetry(topic, partition, func(conn *Conn) (wire.ErrorCode, error) {
-		var resp wire.ProduceResponse
-		if err := conn.RoundTrip(wire.APIProduce, req, &resp); err != nil {
-			return wire.ErrNone, err
-		}
-		p.noteThrottle(resp.ThrottleTimeMs)
-		if len(resp.Topics) != 1 || len(resp.Topics[0].Partitions) != 1 {
-			return wire.ErrNone, errors.New("client: malformed produce response")
-		}
-		pr := resp.Topics[0].Partitions[0]
-		base = pr.BaseOffset
-		if pr.Err == wire.ErrDuplicateSequence {
-			// A retry the broker deduplicated: the records are in the log
-			// exactly once, at the base offset this response carries.
-			return wire.ErrNone, nil
-		}
-		return pr.Err, nil
-	})
-	if idem {
-		if err == nil {
-			p.seqs[topic][partition] += int64(len(recs))
-		} else {
+
+	if !idem {
+		return // fire-and-forget: nothing was confirmed, nothing to account
+	}
+	for _, b := range batches {
+		if b.err != nil {
 			p.pidOK = false
+			continue
+		}
+		p.seqs[tpKey(b.topic, b.partition)] += int64(len(b.recs))
+		// Acked-record accounting happens exactly here — the single point
+		// where an acked produce resolves successfully — so the counter
+		// equals the number of records the application saw confirmed (the
+		// chaos suite's conservation invariant depends on that equality).
+		if p.c.met != nil {
+			p.c.met.produceAcked.With(b.topic).Add(int64(len(b.recs)))
 		}
 	}
-	// Acked-record accounting happens exactly here — the single point
-	// where an acked produce resolves successfully — so the counter equals
-	// the number of records the application saw confirmed (the chaos
-	// suite's conservation invariant depends on that equality).
-	if err == nil && p.c.met != nil {
-		p.c.met.produceAcked.With(topic).Add(int64(len(recs)))
+}
+
+// sendToLeader is the one place produce requests go on the wire: a single
+// request carrying every given batch to the broker leading their
+// partitions, resolved per partition from the response (which answers the
+// request's partitions in request order). A connection-level failure leaves
+// all of them unresolved for produce's next attempt.
+func (p *Producer) sendToLeader(leader int32, batches []*partitionBatch) {
+	req := &wire.ProduceRequest{RequiredAcks: effectiveAcks(p.cfg.Acks), TimeoutMs: p.cfg.TimeoutMs}
+	for _, b := range batches {
+		if n := len(req.Topics); n == 0 || req.Topics[n-1].Name != b.topic {
+			req.Topics = append(req.Topics, wire.ProduceTopic{Name: b.topic})
+		}
+		t := &req.Topics[len(req.Topics)-1]
+		t.Partitions = append(t.Partitions, wire.ProducePartition{Partition: b.partition, Records: b.payload})
 	}
-	return base, err
+	var answers []wire.ProduceRespPartition
+	conn, err := p.c.ConnTo(leader)
+	switch {
+	case err != nil: // no connection: every batch stays unresolved below
+	case p.cfg.Acks == AcksNone:
+		// Fire-and-forget: no response frame exists, so whatever happened
+		// to the write is the outcome.
+		if err = conn.SendOnly(wire.APIProduce, req); err != nil {
+			p.c.dropConn(leader)
+		}
+		for _, b := range batches {
+			b.resolved, b.err = true, err
+		}
+		return
+	default:
+		var resp wire.ProduceResponse
+		if err = conn.RoundTrip(wire.APIProduce, req, &resp); err == nil {
+			p.noteThrottle(resp.ThrottleTimeMs)
+			for _, t := range resp.Topics {
+				answers = append(answers, t.Partitions...)
+			}
+			if len(answers) != len(batches) {
+				err = errors.New("client: malformed produce response")
+			}
+		}
+		if err != nil {
+			p.c.dropConn(leader)
+		}
+	}
+	for i, b := range batches {
+		switch {
+		case err != nil:
+			b.err = err
+		case answers[i].Err == wire.ErrNone, answers[i].Err == wire.ErrDuplicateSequence:
+			// ErrDuplicateSequence is a retry the broker deduplicated: the
+			// records are in the log exactly once, at the base offset this
+			// response carries.
+			b.resolved, b.base, b.err = true, answers[i].BaseOffset, nil
+		default:
+			b.resolved, b.err = !answers[i].Err.Retriable(), answers[i].Err.Err()
+		}
+	}
 }
 
 // Close flushes outstanding messages and stops the producer.

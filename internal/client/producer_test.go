@@ -1,11 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/storage/record"
 	"repro/internal/wire"
 )
 
@@ -22,6 +25,12 @@ type fakeBroker struct {
 	releaseProduce chan struct{} // closed to let produce responses flow
 	produced       atomic.Int64  // records acked so far
 	failProduces   atomic.Int32  // produce attempts to fail with not-leader
+
+	// partitions is how many partitions topic "t" reports (0 means 1).
+	// answer, when set, scripts produce responses instead of the hold-open
+	// behaviour above; it sees every produce request in arrival order.
+	partitions int32
+	answer     func(req *wire.ProduceRequest) *wire.ProduceResponse
 }
 
 func startFakeBroker(t *testing.T) *fakeBroker {
@@ -64,19 +73,23 @@ func (f *fakeBroker) serve(conn net.Conn) {
 		var resp wire.Message
 		switch hdr.API {
 		case wire.APIMetadata:
+			topic := wire.TopicMeta{Name: "t"}
+			for id := int32(0); id < max(f.partitions, 1); id++ {
+				topic.Partitions = append(topic.Partitions,
+					wire.PartitionMeta{ID: id, Leader: 1, Replicas: []int32{1}, ISR: []int32{1}})
+			}
 			resp = &wire.MetadataResponse{
 				Brokers:      []wire.BrokerMeta{{ID: 1, Host: "127.0.0.1", Port: port}},
 				ControllerID: 1,
-				Topics: []wire.TopicMeta{{
-					Name: "t",
-					Partitions: []wire.PartitionMeta{
-						{ID: 0, Leader: 1, Replicas: []int32{1}, ISR: []int32{1}},
-					},
-				}},
+				Topics:       []wire.TopicMeta{topic},
 			}
 		case wire.APIProduce:
 			var req wire.ProduceRequest
 			req.Decode(r)
+			if f.answer != nil {
+				resp = f.answer(&req)
+				break
+			}
 			f.produceStarted <- struct{}{}
 			if f.failProduces.Load() > 0 {
 				// A failed attempt answers immediately (no hold): the
@@ -84,17 +97,7 @@ func (f *fakeBroker) serve(conn net.Conn) {
 				// on releaseProduce — that is how the retry/Flush test
 				// freezes a delivery mid-retry.
 				f.failProduces.Add(-1)
-				pr := &wire.ProduceResponse{}
-				for _, t := range req.Topics {
-					rt := wire.ProduceRespTopic{Name: t.Name}
-					for _, p := range t.Partitions {
-						rt.Partitions = append(rt.Partitions, wire.ProduceRespPartition{
-							Partition: p.Partition, Err: wire.ErrNotLeaderForPartition, BaseOffset: -1,
-						})
-					}
-					pr.Topics = append(pr.Topics, rt)
-				}
-				resp = pr
+				resp = produceAnswer(&req, func(int32) wire.ErrorCode { return wire.ErrNotLeaderForPartition })
 				break
 			}
 			<-f.releaseProduce
@@ -306,5 +309,146 @@ func TestProducerHonorsThrottle(t *testing.T) {
 	// Delay records the wall-clock wait actually honored.
 	if st := p.Throttled(); st.Delay < 45*time.Millisecond {
 		t.Fatalf("Throttled() = %+v, want Delay >= ~50ms", st)
+	}
+}
+
+// produceAnswer builds a produce response answering every partition of req
+// with code(partition) at base offset 0.
+func produceAnswer(req *wire.ProduceRequest, code func(partition int32) wire.ErrorCode) *wire.ProduceResponse {
+	resp := &wire.ProduceResponse{}
+	for _, t := range req.Topics {
+		rt := wire.ProduceRespTopic{Name: t.Name}
+		for _, p := range t.Partitions {
+			rt.Partitions = append(rt.Partitions, wire.ProduceRespPartition{Partition: p.Partition, Err: code(p.Partition)})
+		}
+		resp.Topics = append(resp.Topics, rt)
+	}
+	return resp
+}
+
+// TestFlushRetriesOnlyUnresolvedPartitions scripts the partial response a
+// leadership move produces: one request carries two partitions, the broker
+// acks one and answers not-leader for the other. The retry must carry only
+// the unresolved partition, as the identical stamped bytes (that is what
+// lets a broker dedup it), and afterwards each partition's sequence must
+// have advanced by exactly its own records.
+func TestFlushRetriesOnlyUnresolvedPartitions(t *testing.T) {
+	f := startFakeBroker(t)
+	f.partitions = 2
+	var mu sync.Mutex
+	var seen [][]wire.ProducePartition // per request, payloads copied out of the frame
+	f.answer = func(req *wire.ProduceRequest) *wire.ProduceResponse {
+		mu.Lock()
+		defer mu.Unlock()
+		var parts []wire.ProducePartition
+		for _, p := range req.Topics[0].Partitions {
+			parts = append(parts, wire.ProducePartition{Partition: p.Partition, Records: bytes.Clone(p.Records)})
+		}
+		seen = append(seen, parts)
+		switch len(seen) {
+		case 1: // partition 1's leadership "moved"
+			return produceAnswer(req, func(p int32) wire.ErrorCode {
+				if p == 1 {
+					return wire.ErrNotLeaderForPartition
+				}
+				return wire.ErrNone
+			})
+		case 2: // the retry: the first attempt had landed after all
+			return produceAnswer(req, func(int32) wire.ErrorCode { return wire.ErrDuplicateSequence })
+		}
+		return produceAnswer(req, func(int32) wire.ErrorCode { return wire.ErrNone })
+	}
+	c, err := New(Config{Bootstrap: []string{f.addr}, MetadataTTL: time.Hour, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := NewProducer(c, ProducerConfig{Linger: time.Hour, OnError: func(m Message, err error) {
+		t.Errorf("OnError(%s/%d): %v", m.Topic, m.Partition, err)
+	}})
+	defer p.Close()
+	send := func(partition int32, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := p.SendExplicit(Message{Topic: "t", Partition: partition, Value: []byte("v")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(0, 2)
+	send(1, 3)
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	send(0, 1)
+	send(1, 1)
+	if err := p.Flush(); err != nil {
+		t.Fatalf("second Flush: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 3 {
+		t.Fatalf("broker saw %d produce requests, want 3 (flush, retry, flush)", len(seen))
+	}
+	if len(seen[0]) != 2 {
+		t.Fatalf("first request carries %d partitions, want both in one request", len(seen[0]))
+	}
+	var first []byte
+	for _, sp := range seen[0] {
+		if sp.Partition == 1 {
+			first = sp.Records
+		}
+	}
+	if len(seen[1]) != 1 || seen[1][0].Partition != 1 {
+		t.Fatalf("retry carries %+v, want only the unresolved partition 1", seen[1])
+	}
+	if !bytes.Equal(seen[1][0].Records, first) {
+		t.Fatal("retry did not resend the identical stamped bytes")
+	}
+	wantSeq := map[int32]int64{0: 2, 1: 3}
+	for _, sp := range seen[2] {
+		info, err := record.PeekBatchInfo(sp.Records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.BaseSequence != wantSeq[sp.Partition] {
+			t.Fatalf("partition %d: next batch has base sequence %d, want %d", sp.Partition, info.BaseSequence, wantSeq[sp.Partition])
+		}
+	}
+}
+
+// TestOnErrorCarriesHeaders: a record reported to OnError is the record the
+// application sent, headers included.
+func TestOnErrorCarriesHeaders(t *testing.T) {
+	f := startFakeBroker(t)
+	f.answer = func(req *wire.ProduceRequest) *wire.ProduceResponse {
+		return produceAnswer(req, func(int32) wire.ErrorCode { return wire.ErrNotLeaderForPartition })
+	}
+	c, err := New(Config{Bootstrap: []string{f.addr}, MetadataTTL: time.Hour, MaxRetries: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var failed []Message
+	p := NewProducer(c, ProducerConfig{Linger: time.Hour, OnError: func(m Message, _ error) { failed = append(failed, m) }})
+	defer p.Close()
+	sent := Message{Topic: "t", Key: []byte("k"), Value: []byte("v"), Timestamp: 42,
+		Headers: []record.Header{{Key: "trace", Value: []byte("abc")}}}
+	if err := p.Send(sent); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err == nil {
+		t.Fatal("Flush succeeded against a broker that never leads")
+	}
+	if len(failed) != 1 {
+		t.Fatalf("OnError saw %d messages, want 1", len(failed))
+	}
+	got := failed[0]
+	if len(got.Headers) != 1 || got.Headers[0].Key != "trace" || string(got.Headers[0].Value) != "abc" {
+		t.Fatalf("OnError message lost its headers: %+v", got.Headers)
+	}
+	if string(got.Key) != "k" || string(got.Value) != "v" || got.Timestamp != 42 {
+		t.Fatalf("OnError message = %+v, want the record sent", got)
 	}
 }

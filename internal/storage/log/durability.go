@@ -27,10 +27,12 @@ const (
 	// durability, one fdatasync per batch.
 	SyncBatch
 	// SyncGroup batches many in-flight appends behind one fdatasync: the
-	// first append after a sync opens a commit window (GroupWindow long,
-	// cut short when GroupBytes accumulate); everything appended inside it
-	// is covered by a single fdatasync, and SyncWait lets producers defer
-	// their acks until that sync lands.
+	// first SyncWait parked behind unsynced appends opens a commit window
+	// (GroupWindow long, cut short when GroupBytes accumulate); everything
+	// appended inside it is covered by a single fdatasync, and the parked
+	// producers' acks are released the moment that sync lands. Appends
+	// nobody waits on (follower replicas, acks=0 traffic) open no window:
+	// they are synced on the Interval cadence, like SyncInterval.
 	SyncGroup
 )
 
@@ -62,12 +64,13 @@ const (
 type Durability struct {
 	// Policy selects the sync discipline; see SyncPolicy.
 	Policy SyncPolicy
-	// Interval is the background sync period for SyncInterval (default
-	// DefaultSyncInterval). SyncGroup also runs no timer beyond its
-	// window, so Interval is ignored there.
+	// Interval is the background sync period for SyncInterval, and under
+	// SyncGroup the longest a dirty log with no parked SyncWait stays
+	// unsynced (default DefaultSyncInterval).
 	Interval time.Duration
-	// GroupWindow is how long a group commit waits for more appends to
-	// pile in behind the pending fdatasync (default DefaultGroupWindow).
+	// GroupWindow is how long a group commit waits, from the first parked
+	// SyncWait, for more appends to pile in behind the pending fdatasync
+	// (default DefaultGroupWindow).
 	GroupWindow time.Duration
 	// GroupBytes cuts a commit window short once this many unsynced bytes
 	// accumulate (default DefaultGroupBytes).
@@ -79,7 +82,8 @@ type Durability struct {
 	Syncer func(*os.File) error
 	// CheckpointHook, when set, runs before each checkpoint file write; a
 	// non-nil error skips the write. Crash tests use it to simulate dying
-	// between the fdatasync and the checkpoint update.
+	// between the fdatasync and the checkpoint update, and to count
+	// checkpoint writes.
 	CheckpointHook func() error
 }
 
@@ -156,30 +160,35 @@ func (l *Log) SyncWait(next int64) <-chan error {
 	}
 	ch := make(chan error, 1)
 	l.syncWaiters = append(l.syncWaiters, syncWaiter{next: next, ch: ch})
+	signal(l.syncKick) // somebody waits now: open the commit window
 	return ch
 }
 
-// noteDirtyLocked records n freshly appended unsynced bytes and, under
-// SyncGroup, kicks the committer (urgently once GroupBytes accumulate).
-func (l *Log) noteDirtyLocked(n int64) {
-	if !l.dirty {
-		// Clean→dirty transition: start the durability-lag clock health
-		// checks read (how long the oldest unsynced append has waited).
-		l.dirtySinceNano.Store(time.Now().UnixNano())
+// signal wakes the group committer through one of its one-slot channels; a
+// signal already pending serves this sender too.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
+}
+
+// noteDirtyLocked records n freshly appended unsynced bytes and, under
+// SyncGroup, tells the committer: the clean→dirty transition starts the
+// Interval cadence (nobody waits yet — a SyncWait shortens it to the commit
+// window), and GroupBytes of accumulated bytes make the sync urgent.
+func (l *Log) noteDirtyLocked(n int64) {
+	wasDirty := l.dirty
 	l.dirty = true
 	l.unsyncedBytes += n
-	if l.cfg.Durability.Policy == SyncGroup {
-		select {
-		case l.syncKick <- struct{}{}:
-		default:
-		}
-		if l.unsyncedBytes >= l.cfg.Durability.GroupBytes {
-			select {
-			case l.syncUrgent <- struct{}{}:
-			default:
-			}
-		}
+	if !wasDirty {
+		// Start the durability-lag clock health checks read (how long the
+		// oldest unsynced append has waited).
+		l.dirtySinceNano.Store(time.Now().UnixNano())
+		signal(l.syncDirty)
+	}
+	if l.unsyncedBytes >= l.cfg.Durability.GroupBytes {
+		signal(l.syncUrgent)
 	}
 }
 
@@ -229,28 +238,40 @@ func (l *Log) stopCommitter() {
 	l.syncWG.Wait()
 }
 
-// groupLoop is the SyncGroup committer: each kick (first unsynced append)
-// opens a commit window; the window closes after GroupWindow or as soon as
-// GroupBytes accumulate, and one fdatasync then covers every append that
-// landed inside it.
+// groupLoop is the SyncGroup committer. One timer holds the time of the
+// pending sync: the first unsynced append sets it Interval away, a parked
+// SyncWait pulls it in to GroupWindow from now, and GroupBytes of unsynced
+// data fire it at once. One fdatasync then covers every append that landed
+// before it. A signal left over from before a sync only arms a timer whose
+// syncNow finds the log clean.
 func (l *Log) groupLoop() {
 	defer l.syncWG.Done()
-	window := l.cfg.Durability.GroupWindow
+	d := l.cfg.Durability
+	t := time.NewTimer(d.Interval)
+	t.Stop()
+	defer t.Stop()
+	var due time.Time // when the pending sync fires; zero when none is pending
+	arm := func(wait time.Duration) {
+		if at := time.Now().Add(wait); due.IsZero() || at.Before(due) {
+			due = at
+			t.Reset(wait)
+		}
+	}
 	for {
 		select {
 		case <-l.stopSync:
 			return
+		case <-l.syncDirty:
+			arm(d.Interval)
+			continue
 		case <-l.syncKick:
-		}
-		t := time.NewTimer(window)
-		select {
-		case <-l.stopSync:
-			t.Stop()
-			return
+			arm(d.GroupWindow)
+			continue
 		case <-l.syncUrgent:
 			t.Stop()
 		case <-t.C:
 		}
+		due = time.Time{}
 		l.syncNow()
 	}
 }
@@ -270,13 +291,32 @@ func (l *Log) intervalLoop() {
 	}
 }
 
-// syncNow makes everything appended so far durable: one fdatasync of the
-// active segment covers every batch since the last sync (rolled segments are
-// synced at roll time), then the checkpoint records the new frontier so
-// recovery scans only bytes written after it. The fsync itself runs outside
-// l.mu — appends proceed concurrently; anything they add is simply not
-// covered until the next sync.
-func (l *Log) syncNow() error {
+// checkpointInterval is how often a committer refreshes the recovery
+// accelerators (checkpoint file and producer snapshot). Recovery after a
+// crash CRC-scans and header-walks at most this much appended data beyond
+// them, plus whatever was never synced.
+const checkpointInterval = time.Second
+
+// syncNow is the committers' group commit: when the log is dirty, exactly one
+// file sync — the fdatasync of the active segment, which covers every batch
+// since the last sync (rolled segments are synced at roll time) — stands
+// between taking the frontier and releasing the acks parked behind it. The
+// sync runs outside l.mu: appends proceed concurrently, and anything they add
+// is simply not covered until the next sync.
+func (l *Log) syncNow() error { return l.commit(false) }
+
+// Flush fsyncs the active segment, advances the durability frontier and —
+// under an explicit sync policy — writes the checkpoint and producer
+// snapshot now instead of on their interval.
+func (l *Log) Flush() error { return l.commit(true) }
+
+// commit syncs the active segment and releases the sync waiters it covers.
+// The checkpoint and the producer snapshot are recovery accelerators, not
+// part of the ack: they are written after the waiters are released, and only
+// when forced, after a segment roll, or once per checkpointInterval — so the
+// producer table is encoded only when it is about to be written. A stale
+// checkpoint or snapshot costs recovery a longer scanned tail, never data.
+func (l *Log) commit(force bool) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
@@ -284,16 +324,22 @@ func (l *Log) syncNow() error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if !l.dirty {
+	if !l.dirty && !force {
 		l.mu.Unlock()
 		return nil
 	}
 	a := l.active()
 	f := a.file
 	cp := checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}
-	psnap := l.snapshotProducersLocked()
 	gen := l.truncGen
 	batched := l.unsyncedBytes
+	checkpointing := l.cfg.Durability.Policy != SyncNone && (force || l.checkpointDue ||
+		time.Since(time.Unix(0, l.checkpointNano.Load())) >= checkpointInterval)
+	var psnap []byte
+	if checkpointing {
+		psnap = l.snapshotProducersLocked()
+		l.checkpointDue = false
+	}
 	l.dirty = false
 	l.dirtySinceNano.Store(0)
 	l.unsyncedBytes = 0
@@ -304,56 +350,58 @@ func (l *Log) syncNow() error {
 		l.met.groupBytes.Observe(batched)
 	}
 
-	if err := l.syncFile(f); err != nil {
-		l.mu.Lock()
-		if l.truncGen == gen {
-			// A sync raced by segment surgery (truncate closed the file
-			// under us) is stale, not failed; otherwise surface the error
-			// to every parked ack and retry on the next kick.
-			l.dirty = true
-			l.dirtySinceNano.CompareAndSwap(0, time.Now().UnixNano())
-			l.failSyncWaitersLocked(err)
-		}
+	err := l.syncFile(f)
+	l.mu.Lock()
+	switch {
+	case l.truncGen != gen:
+		// Segment surgery raced the sync (truncate may have closed the file
+		// under us): the capture is stale, not failed, and not a frontier.
+		l.mu.Unlock()
+		return err
+	case err != nil:
+		// Surface the error to every parked ack and retry on the Interval
+		// cadence.
+		l.dirty = true
+		l.dirtySinceNano.CompareAndSwap(0, time.Now().UnixNano())
+		l.failSyncWaitersLocked(err)
+		signal(l.syncDirty)
 		l.mu.Unlock()
 		return err
 	}
-	l.persistCheckpoint(cp, gen)
-	// The producer snapshot rides alongside the checkpoint: it describes
-	// the same synced prefix, so recovery can seed the dedup table and
-	// rescan only the tail the checkpoint does not cover.
-	l.persistProducerSnapshot(psnap, gen)
-	l.mu.Lock()
-	if l.truncGen == gen {
-		l.advanceSyncedLocked(cp.next)
-	}
+	l.advanceSyncedLocked(cp.next)
 	l.mu.Unlock()
-	l.lastSyncNano.Store(time.Now().UnixNano())
+	if checkpointing {
+		l.persistCheckpoint(cp, gen)
+		// The producer snapshot describes the same synced prefix, so
+		// recovery can seed the dedup table and rescan only the tail
+		// beyond it.
+		l.persistProducerSnapshot(psnap, gen)
+	}
 	return nil
 }
 
-// LastSyncTime returns when the log last made its contents durable (sync +
-// checkpoint, or recovery at open). The zero time means never.
-func (l *Log) LastSyncTime() time.Time {
-	n := l.lastSyncNano.Load()
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n)
+// CheckpointAge reports how long ago the on-disk checkpoint was written;
+// ok is false when there is none (SyncNone, or a truncation removed it and
+// the next periodic write has not happened yet).
+func (l *Log) CheckpointAge(now time.Time) (age time.Duration, ok bool) {
+	n := l.checkpointNano.Load()
+	return ageSince(n, now), n != 0
 }
 
 // DurabilityLag reports how long the oldest unsynced append has been waiting
 // for an fsync: 0 when everything appended is durable. Health checks alarm
 // on this exceeding the configured sync cadence by a wide margin.
 func (l *Log) DurabilityLag(now time.Time) time.Duration {
-	n := l.dirtySinceNano.Load()
-	if n == 0 {
-		return 0
+	return ageSince(l.dirtySinceNano.Load(), now)
+}
+
+// ageSince is now minus a recorded instant, 0 when none was recorded (or the
+// caller's clock runs behind the one that recorded it).
+func ageSince(nano int64, now time.Time) time.Duration {
+	if d := now.Sub(time.Unix(0, nano)); nano != 0 && d > 0 {
+		return d
 	}
-	d := now.Sub(time.Unix(0, n))
-	if d < 0 {
-		return 0
-	}
-	return d
+	return 0
 }
 
 // Checkpoint file: the persisted durability frontier. Format is a single
@@ -427,7 +475,11 @@ func (l *Log) persistCheckpoint(cp checkpoint, gen uint64) error {
 	if stale {
 		return nil
 	}
-	return writeCheckpointFile(l.dir, cp)
+	if err := writeCheckpointFile(l.dir, cp); err != nil {
+		return err
+	}
+	l.checkpointNano.Store(time.Now().UnixNano())
+	return nil
 }
 
 // CheckpointInfo is the persisted durability frontier of a log directory.

@@ -215,9 +215,13 @@ func TestCheckpointTrustedPrefixSkipsScan(t *testing.T) {
 		ends = append(ends, l.Segments()[0].Size)
 	}
 	waitDurable(t, l, 3)
+	// Checkpoints are periodic, off the ack path; force one at the frontier.
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	cp, ok := ReadCheckpoint(dir)
 	if !ok {
-		t.Fatal("no checkpoint after group commit")
+		t.Fatal("no checkpoint after Flush")
 	}
 	if cp.SyncedNext != 3 || cp.SyncedBytes != ends[2] {
 		t.Fatalf("checkpoint = %+v, want next=3 bytes=%d", cp, ends[2])
@@ -271,12 +275,15 @@ func TestCheckpointTrustedPrefixSkipsScan(t *testing.T) {
 
 // TestCrashRecoveryUnsyncedTailTruncated models the real crash: group-commit
 // acks some batches, more arrive unsynced, the process dies and the page
-// cache is lost (file surgery truncates back to the checkpointed frontier
-// and leaves torn garbage). Recovery must keep every acked batch, truncate
-// exactly the unsynced torn tail, and never duplicate offsets.
+// cache is lost (file surgery truncates back to the synced frontier and
+// leaves torn garbage). Recovery must keep every acked batch, truncate
+// exactly the unsynced torn tail, and never duplicate offsets. The
+// checkpoint is the one Open wrote — acks do not wait for a newer one — so
+// the whole acked region is recovered by the CRC scan.
 func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Durability: Durability{Policy: SyncGroup, GroupWindow: 2 * time.Millisecond}}
+	// Interval far out: the unacked tail below must stay unsynced.
+	cfg := Config{Durability: Durability{Policy: SyncGroup, GroupWindow: 2 * time.Millisecond, Interval: time.Hour}}
 	l, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +295,10 @@ func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 		}
 	}
 	waitDurable(t, l, int64(len(acked))) // acked: durable by contract
+	syncedNext, syncedBytes := l.SyncedNext(), l.Segments()[0].Size
+	if syncedNext != int64(len(acked)) {
+		t.Fatalf("SyncedNext = %d after the acks, want %d", syncedNext, len(acked))
+	}
 	// Unacked appends the crash may lose.
 	for i := 0; i < 2; i++ {
 		if _, err := l.Append([]record.Record{rec("", fmt.Sprintf("u%d", i))}); err != nil {
@@ -298,17 +309,10 @@ func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp, ok := ReadCheckpoint(dir)
-	if !ok {
-		t.Fatal("no checkpoint")
-	}
-	if cp.SyncedNext < int64(len(acked)) {
-		t.Fatalf("checkpoint next %d below acked %d: ack released before checkpoint", cp.SyncedNext, len(acked))
-	}
 	// The crash: unsynced page-cache bytes vanish, and the last in-flight
 	// write tears.
-	seg := segmentPath(dir, cp.SegmentBase)
-	if err := os.Truncate(seg, cp.SyncedBytes); err != nil {
+	seg := segmentPath(dir, 0)
+	if err := os.Truncate(seg, syncedBytes); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -325,10 +329,10 @@ func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if got := l.NextOffset(); got != cp.SyncedNext {
-		t.Fatalf("recovered NextOffset = %d, want %d (exactly the synced frontier)", got, cp.SyncedNext)
+	if got := l.NextOffset(); got != syncedNext {
+		t.Fatalf("recovered NextOffset = %d, want %d (exactly the synced frontier)", got, syncedNext)
 	}
-	assertRecords(t, l, acked[:cp.SyncedNext])
+	assertRecords(t, l, acked)
 }
 
 // TestCrashBetweenFsyncAndCheckpoint kills the checkpoint write (via the
@@ -355,7 +359,9 @@ func TestCrashBetweenFsyncAndCheckpoint(t *testing.T) {
 	if _, err := l.Append([]record.Record{rec("", "early")}); err != nil {
 		t.Fatal(err)
 	}
-	waitDurable(t, l, 1) // checkpoint now covers offset 1
+	if err := l.Flush(); err != nil { // checkpoint now covers offset 1
+		t.Fatal(err)
+	}
 	dropCheckpoints.Store(true)
 	late := []string{"late0", "late1", "late2"}
 	for _, v := range late {
@@ -364,6 +370,9 @@ func TestCrashBetweenFsyncAndCheckpoint(t *testing.T) {
 		}
 	}
 	// The fdatasync lands (acks release) but the checkpoint write "crashes".
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	waitDurable(t, l, 4)
 	if err := l.CrashClose(); err != nil {
 		t.Fatal(err)
@@ -528,4 +537,210 @@ func TestRecoveryIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// --- group commit off the checkpoint path ----------------------------------
+
+// TestGroupCommitIsOneSyncAndAcksBeforeCheckpoint pins what is and is not on
+// the ack path: every group commit is exactly one segment sync, the ack is
+// released while the checkpoint write is still blocked, and N commits inside
+// one checkpoint interval write the checkpoint and the producer snapshot at
+// most once.
+func TestGroupCommitIsOneSyncAndAcksBeforeCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cs := &countingSyncer{}
+	var checkpoints atomic.Int64
+	hookEntered := make(chan struct{}, 16) // one slot per commit; never blocks the hook
+	releaseHook := make(chan struct{})
+	l, err := Open(dir, Config{Durability: Durability{
+		Policy: SyncGroup, GroupWindow: time.Millisecond, Interval: time.Hour, Syncer: cs.sync,
+		CheckpointHook: func() error {
+			checkpoints.Add(1)
+			hookEntered <- struct{}{}
+			<-releaseHook
+			return nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	open := cs.count()
+	snapshot := func() string {
+		b, _ := os.ReadFile(filepath.Join(dir, producerSnapshotFile))
+		return string(b)
+	}
+	// Open just wrote a checkpoint, so none is due for an interval; a roll
+	// is what makes one due sooner. Stand in for it.
+	l.mu.Lock()
+	l.checkpointDue = true
+	l.mu.Unlock()
+
+	const commits = 6
+	snapshots := map[string]bool{snapshot(): true}
+	for i := 0; i < commits; i++ {
+		if _, err := sendStamped(l, stampedBatch(t, 9, 0, int64(i), fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		waitDurable(t, l, int64(i+1)) // the ack: must not need the checkpoint
+		if i == 0 {
+			select {
+			case <-hookEntered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("first commit never reached the checkpoint write")
+			}
+			if _, ok := ReadCheckpoint(dir); !ok {
+				t.Fatal("Open's checkpoint missing")
+			}
+			if cp, _ := ReadCheckpoint(dir); cp.SyncedNext != 0 {
+				t.Fatalf("checkpoint = %+v while its hook is blocked, want Open's (next=0)", cp)
+			}
+			close(releaseHook)
+		}
+		// Wait out the commit's tail (checkpoint + snapshot writes follow the ack).
+		l.syncMu.Lock()
+		l.syncMu.Unlock()
+		snapshots[snapshot()] = true
+	}
+	if n := cs.count() - open; n != commits {
+		t.Fatalf("%d group commits performed %d segment syncs, want exactly %d", commits, n, commits)
+	}
+	if n := checkpoints.Load(); n != 1 {
+		t.Fatalf("%d checkpoint writes for %d commits inside one interval, want 1", n, commits)
+	}
+	if n := len(snapshots) - 1; n != 1 {
+		t.Fatalf("producer snapshot rewritten %d times for %d commits inside one interval, want 1", n, commits)
+	}
+	if cp, ok := ReadCheckpoint(dir); !ok || cp.SyncedNext != 1 {
+		t.Fatalf("checkpoint = %+v ok=%v, want the first commit's frontier (next=1)", cp, ok)
+	}
+}
+
+// TestCrashRecoveryStaleCheckpointAndSnapshot is the recovery half of taking
+// the checkpoint off the ack path: the crash image holds a checkpoint and a
+// producer snapshot that are one interval stale (they cover only the first
+// batch), a synced acked region beyond them, and a torn unsynced tail.
+// Recovery must keep every acked record and the whole dedup table — a
+// retried acked sequence is still answered DupSequenceError — and drop
+// exactly the tail.
+func TestCrashRecoveryStaleCheckpointAndSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Durability: Durability{Policy: SyncGroup, GroupWindow: time.Millisecond, Interval: time.Hour}}
+	l, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0 := stampedBatch(t, 21, 0, 0, "a", "b")
+	b1 := stampedBatch(t, 21, 0, 2, "c")
+	b2 := stampedBatch(t, 21, 0, 3, "d", "e")
+	lost := stampedBatch(t, 21, 0, 5, "f")
+	if _, err := sendStamped(l, b0); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil { // checkpoint + snapshot cover b0 only
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{b1, b2} {
+		if _, err := sendStamped(l, b); err != nil {
+			t.Fatal(err)
+		}
+		waitDurable(t, l, l.NextOffset()) // acked, inside the checkpoint interval
+	}
+	syncedBytes := l.Segments()[0].Size
+	if _, err := sendStamped(l, lost); err != nil { // never acked, never synced
+		t.Fatal(err)
+	}
+	if err := l.CrashClose(); err != nil {
+		t.Fatal(err)
+	}
+	if cp, ok := ReadCheckpoint(dir); !ok || cp.SyncedNext != 2 {
+		t.Fatalf("checkpoint = %+v ok=%v, want stale next=2", cp, ok)
+	}
+	if _, next, ok := readProducerSnapshotFile(dir); !ok || next != 2 {
+		t.Fatalf("producer snapshot covers %d ok=%v, want stale next=2", next, ok)
+	}
+	seg := segmentPath(dir, 0)
+	if err := os.Truncate(seg, syncedBytes); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("torn-garbage-torn-garbage")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	l, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	assertRecords(t, l, []string{"a", "b", "c", "d", "e"})
+	_, err = sendStamped(l, b0)
+	mustDup(t, err, 0, 1)
+	_, err = sendStamped(l, b1)
+	mustDup(t, err, 2, 2)
+	_, err = sendStamped(l, b2)
+	mustDup(t, err, 3, 4)
+	// The unacked batch is gone from log and table alike: its retry appends.
+	if base, err := sendStamped(l, lost); err != nil || base != 5 {
+		t.Fatalf("resend of the lost tail: base=%d err=%v, want a fresh append at 5", base, err)
+	}
+}
+
+// TestGroupSyncsWaiterlessLogOnInterval: under SyncGroup a dirty log nobody
+// waits on (a follower replica, acks=0 traffic) is synced once per Interval,
+// not once per append, and a SyncWait arriving late starts the commit window
+// at once instead of waiting the Interval out.
+func TestGroupSyncsWaiterlessLogOnInterval(t *testing.T) {
+	t.Run("one sync per interval", func(t *testing.T) {
+		cs := &countingSyncer{}
+		l := openTestLog(t, Config{Durability: Durability{
+			Policy: SyncGroup, GroupWindow: time.Millisecond, Interval: 150 * time.Millisecond, Syncer: cs.sync,
+		}})
+		open := cs.count()
+		const appends = 20
+		for i := 0; i < appends; i++ {
+			if _, err := l.Append([]record.Record{rec("", fmt.Sprintf("v%d", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(20 * time.Millisecond) // ten commit windows; no waiter, so none opens
+		if n := cs.count() - open; n != 0 {
+			t.Fatalf("%d syncs for appends nobody waits on, before the interval elapsed", n)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for l.SyncedNext() < appends && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := l.SyncedNext(); got != appends {
+			t.Fatalf("interval cadence never synced the waiter-less log (SyncedNext=%d)", got)
+		}
+		if n := cs.count() - open; n != 1 {
+			t.Fatalf("%d syncs for %d waiter-less appends inside one interval, want 1", n, appends)
+		}
+	})
+
+	t.Run("late waiter opens the window", func(t *testing.T) {
+		cs := &countingSyncer{}
+		const interval = 30 * time.Second
+		l := openTestLog(t, Config{Durability: Durability{
+			Policy: SyncGroup, GroupWindow: 2 * time.Millisecond, Interval: interval, Syncer: cs.sync,
+		}})
+		open := cs.count()
+		if _, err := l.Append([]record.Record{rec("", "v")}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := cs.count() - open; n != 0 {
+			t.Fatalf("%d syncs before anybody waited", n)
+		}
+		start := time.Now()
+		waitDurable(t, l, 1)
+		if d := time.Since(start); d > interval/10 {
+			t.Fatalf("late SyncWait answered after %v: it waited out the interval, not the commit window", d)
+		}
+	})
 }

@@ -117,13 +117,15 @@ type Log struct {
 	producers *producerState
 
 	// Durability state (guarded by mu unless noted).
-	syncedNext    int64        // offsets below this are durable
-	dirty         bool         // active segment has unsynced appends
-	unsyncedBytes int64        // bytes appended since the last sync
-	syncWaiters   []syncWaiter // acks parked behind the frontier (SyncGroup)
-	truncGen      uint64       // bumped by segment surgery; stales checkpoints
-	syncKick      chan struct{}
-	syncUrgent    chan struct{}
+	syncedNext    int64         // offsets below this are durable
+	dirty         bool          // active segment has unsynced appends
+	unsyncedBytes int64         // bytes appended since the last sync
+	syncWaiters   []syncWaiter  // acks parked behind the frontier (SyncGroup)
+	truncGen      uint64        // bumped by segment surgery; stales checkpoints
+	checkpointDue bool          // a segment rolled: the next sync checkpoints
+	syncDirty     chan struct{} // group committer: the log turned dirty
+	syncKick      chan struct{} // group committer: a SyncWait parked
+	syncUrgent    chan struct{} // group committer: GroupBytes are unsynced
 	stopSync      chan struct{}
 	stopOnce      sync.Once
 	syncWG        sync.WaitGroup
@@ -131,10 +133,11 @@ type Log struct {
 	cpMu          sync.Mutex // serialises checkpoint file writes/removal
 
 	// met holds pre-resolved durability metrics (nil when Config.Metrics is
-	// unset). lastSyncNano/dirtySinceNano track checkpoint freshness for
-	// health checks; they are atomics so readers never take l.mu.
+	// unset). checkpointNano is when the on-disk checkpoint was written (0:
+	// there is none) and dirtySinceNano when the oldest unsynced append
+	// landed (0: clean); atomics, so health checks never take l.mu.
 	met            *logMetrics
-	lastSyncNano   atomic.Int64
+	checkpointNano atomic.Int64
 	dirtySinceNano atomic.Int64
 }
 
@@ -162,6 +165,7 @@ func Open(dir string, cfg Config) (*Log, error) {
 		dir:        dir,
 		cfg:        cfg,
 		producers:  newProducerState(),
+		syncDirty:  make(chan struct{}, 1),
 		syncKick:   make(chan struct{}, 1),
 		syncUrgent: make(chan struct{}, 1),
 		stopSync:   make(chan struct{}),
@@ -223,11 +227,9 @@ func Open(dir string, cfg Config) (*Log, error) {
 		if err := writeCheckpointFile(dir, checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}); err != nil {
 			return nil, fmt.Errorf("log: write checkpoint: %w", err)
 		}
+		l.checkpointNano.Store(time.Now().UnixNano())
 	}
 	l.syncedNext = l.active().nextOffset
-	// Everything recovered is durable (or freshly re-synced above): the
-	// checkpoint-freshness clock starts now.
-	l.lastSyncNano.Store(time.Now().UnixNano())
 	// Rebuild the producer table. A valid snapshot (written alongside the
 	// checkpoint) seeds the state it covered; batch headers beyond its
 	// coverage — the recovered unsynced tail — are rescanned. Without a
@@ -524,10 +526,12 @@ func (l *Log) AppendBatch(batch []byte) error {
 
 // appendLocked rolls the active segment if needed and writes the batch,
 // then applies the durability policy: SyncBatch syncs inline, SyncGroup
-// kicks the group committer, the rest leave the bytes for the background
-// sync (or the OS). Rolling always syncs the sealed segment first — that is
-// what lets checkpointed recovery trust whole segments below the
-// checkpointed one without rescanning them.
+// tells the group committer the log is dirty, the rest leave the bytes for
+// the background sync (or the OS). Rolling always syncs the sealed segment
+// first — that is what lets checkpointed recovery trust whole segments below
+// the checkpointed one without rescanning them — and makes the next sync
+// move the checkpoint into the new segment, so a stale checkpoint never
+// costs recovery more than one segment's scan.
 func (l *Log) appendLocked(batch []byte) error {
 	info, err := record.PeekBatchInfo(batch)
 	if err != nil {
@@ -543,6 +547,7 @@ func (l *Log) appendLocked(batch []byte) error {
 			return err
 		}
 		l.segments = append(l.segments, ns)
+		l.checkpointDue = true
 		a = ns
 	}
 	if err := a.append(batch, info, l.cfg.IndexIntervalBytes, l.cfg.Tracker); err != nil {
@@ -561,7 +566,6 @@ func (l *Log) appendLocked(batch []byte) error {
 		l.dirtySinceNano.Store(0)
 		l.unsyncedBytes = 0
 		l.advanceSyncedLocked(a.nextOffset)
-		l.lastSyncNano.Store(time.Now().UnixNano())
 	}
 	l.appendsSinceFlush++
 	if l.cfg.FlushMessages > 0 && l.appendsSinceFlush >= l.cfg.FlushMessages {
@@ -644,11 +648,12 @@ func (l *Log) Truncate(offset int64) error {
 	l.mu.Unlock()
 	// Remove the now-stale checkpoint outside l.mu (cpMu orders before
 	// l.mu everywhere else). A concurrent syncNow either saw the gen bump
-	// and skipped its write, or wrote first and is deleted here — the next
-	// sync rewrites it.
+	// and skipped its write, or wrote first and is deleted here — with no
+	// checkpoint on record, the next sync rewrites it.
 	l.cpMu.Lock()
 	os.Remove(filepath.Join(l.dir, checkpointFile))
 	os.Remove(filepath.Join(l.dir, producerSnapshotFile))
+	l.checkpointNano.Store(0)
 	l.cpMu.Unlock()
 	return err
 }
@@ -712,39 +717,6 @@ func (l *Log) EnforceRetention(now time.Time) (int, error) {
 		}
 	}
 	return deleted, nil
-}
-
-// Flush fsyncs the active segment, advances the durability frontier, and —
-// under an explicit sync policy — persists a checkpoint.
-func (l *Log) Flush() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	a := l.active()
-	f := a.file
-	cp := checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}
-	psnap := l.snapshotProducersLocked()
-	gen := l.truncGen
-	l.dirty = false
-	l.dirtySinceNano.Store(0)
-	l.unsyncedBytes = 0
-	l.mu.Unlock()
-	if err := l.syncFile(f); err != nil {
-		return err
-	}
-	if l.cfg.Durability.Policy != SyncNone {
-		l.persistCheckpoint(cp, gen)
-		l.persistProducerSnapshot(psnap, gen)
-	}
-	l.mu.Lock()
-	if l.truncGen == gen {
-		l.advanceSyncedLocked(cp.next)
-	}
-	l.mu.Unlock()
-	l.lastSyncNano.Store(time.Now().UnixNano())
-	return nil
 }
 
 // Close flushes and closes all segments, stopping the background committer
