@@ -117,13 +117,17 @@ func TestConsumerResetOnRetention(t *testing.T) {
 	}
 	p := client.NewProducer(c, client.ProducerConfig{})
 	defer p.Close()
+	// Several flushes: the leader stores each flushed batch whole, and it
+	// takes more than one batch to fill more than one 2 KiB segment.
 	for i := 0; i < 200; i++ {
 		if err := p.Send(client.Message{Topic: "aging", Value: []byte(fmt.Sprintf("event-%04d", i))}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+		if i%20 == 19 {
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	// Wait for the retention tick to delete old segments.
 	deadline := time.Now().Add(15 * time.Second)

@@ -364,6 +364,11 @@ func TestConsumerGroupQueueAndPubSubSemantics(t *testing.T) {
 			SessionTimeout:    3 * time.Second,
 			RebalanceTimeout:  5 * time.Second,
 			HeartbeatInterval: 100 * time.Millisecond,
+			// g1a owns all four partitions until g1b's join rebalances the
+			// group. Exactly-once across that hand-over needs g1a's positions
+			// committed; without AutoCommit what it polled first is
+			// legitimately redelivered to g1b.
+			AutoCommit: true,
 		}
 	}
 	g1a, err := client.NewGroupConsumer(c, client.ConsumerConfig{}, groupCfg("g1"))

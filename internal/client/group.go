@@ -27,7 +27,12 @@ type GroupConfig struct {
 	RebalanceTimeout time.Duration
 	// HeartbeatInterval is the background heartbeat period.
 	HeartbeatInterval time.Duration
-	// AutoCommit commits positions after each Poll and on rebalance.
+	// AutoCommit commits positions after each Poll and on rebalance, so a
+	// partition changes hands at the position its previous owner reached.
+	// Without it delivery across a rebalance is at-least-once: the new
+	// owner resumes from the last explicit Commit (or StartFrom when there
+	// is none), and everything the previous owner polled since then is
+	// delivered again.
 	AutoCommit bool
 	// StartFrom applies when no committed offset exists.
 	StartFrom int64 // StartEarliest or StartLatest

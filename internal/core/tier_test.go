@@ -42,9 +42,12 @@ func tieredSpec(name string, rf int16) wire.TopicSpec {
 	}
 }
 
-// produceN publishes sequenced records [from, to) and flushes. acks=all so
-// the records survive any later forced failover (the failover test kills
-// the leader; acked-but-unreplicated data carries no survival promise).
+// produceN publishes sequenced records [from, to), flushing every 50 (~2 KiB)
+// so the log holds many batches smaller than the topic's 4 KiB segments: the
+// leader stores a flushed batch whole, and one batch never spans segments.
+// acks=all so the records survive any later forced failover (the failover
+// test kills the leader; acked-but-unreplicated data carries no survival
+// promise).
 func produceN(t *testing.T, s *Stack, topic string, from, to int) {
 	t.Helper()
 	p := s.NewProducer(client.ProducerConfig{Acks: client.AcksAll})
@@ -56,6 +59,11 @@ func produceN(t *testing.T, s *Stack, topic string, from, to int) {
 			Value: []byte(fmt.Sprintf("v-%06d", i)),
 		}); err != nil {
 			t.Fatal(err)
+		}
+		if (i-from)%50 == 49 {
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := p.Flush(); err != nil {

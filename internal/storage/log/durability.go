@@ -16,9 +16,11 @@ import (
 type SyncPolicy int8
 
 const (
-	// SyncNone leaves flushing to the OS page cache (plus the legacy
-	// FlushMessages counter and segment-roll syncs). Acks never wait for
-	// durability. This is the zero value and the paper's default (§4.1).
+	// SyncNone leaves flushing to the OS page cache: no append and no
+	// segment roll syncs anything, only Flush and a clean Close do. Acks
+	// never wait for durability, no checkpoint is kept, and recovery
+	// CRC-scans every segment. This is the zero value and the paper's
+	// default (§4.1).
 	SyncNone SyncPolicy = iota
 	// SyncInterval fsyncs from a background goroutine every Interval.
 	// Acks do not wait; a crash loses at most one interval of appends.
@@ -129,6 +131,29 @@ func (l *Log) syncFile(f *os.File) error {
 		l.met.fsyncNs.ObserveSince(start)
 	}
 	return err
+}
+
+// unsyncedFilesLocked returns the files of the segments holding offsets at or
+// above the durability frontier, the active one first: what a sync has to
+// visit before the frontier may reach the log end. Beyond the active segment
+// these are the segments sealed since the last sync (or since one failed).
+func (l *Log) unsyncedFilesLocked() []*os.File {
+	files := []*os.File{l.active().file}
+	for i := len(l.segments) - 2; i >= 0 && l.segments[i].nextOffset > l.syncedNext; i-- {
+		files = append(files, l.segments[i].file)
+	}
+	return files
+}
+
+// syncFiles syncs what unsyncedFilesLocked returned, oldest segment first,
+// stopping at the first failure.
+func (l *Log) syncFiles(files []*os.File) error {
+	for i := len(files) - 1; i >= 0; i-- {
+		if err := l.syncFile(files[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SyncedNext returns the durability frontier: every offset below it has been
@@ -297,25 +322,29 @@ func (l *Log) intervalLoop() {
 // them, plus whatever was never synced.
 const checkpointInterval = time.Second
 
-// syncNow is the committers' group commit: when the log is dirty, exactly one
-// file sync — the fdatasync of the active segment, which covers every batch
-// since the last sync (rolled segments are synced at roll time) — stands
-// between taking the frontier and releasing the acks parked behind it. The
-// sync runs outside l.mu: appends proceed concurrently, and anything they add
-// is simply not covered until the next sync.
+// syncNow is the committers' group commit: when the log is dirty, one file
+// sync — the fdatasync of the active segment, which covers every batch since
+// the last sync — stands between taking the frontier and releasing the acks
+// parked behind it, plus one per segment sealed since the last commit (a roll
+// leaves the sealed file's sync to here). The syncs run outside l.mu: appends
+// and rolls proceed concurrently, and anything they add is simply not covered
+// until the next sync.
 func (l *Log) syncNow() error { return l.commit(false) }
 
-// Flush fsyncs the active segment, advances the durability frontier and —
-// under an explicit sync policy — writes the checkpoint and producer
-// snapshot now instead of on their interval.
+// Flush fsyncs every segment holding unsynced appends, advances the
+// durability frontier and — under an explicit sync policy — writes the
+// checkpoint and producer snapshot now instead of on their interval.
 func (l *Log) Flush() error { return l.commit(true) }
 
-// commit syncs the active segment and releases the sync waiters it covers.
-// The checkpoint and the producer snapshot are recovery accelerators, not
-// part of the ack: they are written after the waiters are released, and only
-// when forced, after a segment roll, or once per checkpointInterval — so the
-// producer table is encoded only when it is about to be written. A stale
-// checkpoint or snapshot costs recovery a longer scanned tail, never data.
+// commit syncs the segments that hold offsets at or above the durability
+// frontier — the sealed ones a roll left behind first, the active one last —
+// and only then releases the sync waiters it covers: no frontier moves and no
+// checkpoint names a segment while an older one is unsynced. The checkpoint
+// and the producer snapshot are recovery accelerators, not part of the ack:
+// they are written after the waiters are released, and only when forced,
+// after a segment roll, or once per checkpointInterval — so the producer
+// table is encoded only when it is about to be written. A stale checkpoint
+// or snapshot costs recovery a longer scanned tail, never data.
 func (l *Log) commit(force bool) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -329,7 +358,7 @@ func (l *Log) commit(force bool) error {
 		return nil
 	}
 	a := l.active()
-	f := a.file
+	files := l.unsyncedFilesLocked()
 	cp := checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}
 	gen := l.truncGen
 	batched := l.unsyncedBytes
@@ -345,25 +374,23 @@ func (l *Log) commit(force bool) error {
 	l.unsyncedBytes = 0
 	l.mu.Unlock()
 	if l.met != nil && batched > 0 {
-		// One fdatasync covers this many appended bytes: the group-commit
+		// One commit covers this many appended bytes: the group-commit
 		// batch size distribution.
 		l.met.groupBytes.Observe(batched)
 	}
 
-	err := l.syncFile(f)
+	err := l.syncFiles(files)
 	l.mu.Lock()
-	switch {
-	case l.truncGen != gen:
-		// Segment surgery raced the sync (truncate may have closed the file
-		// under us): the capture is stale, not failed, and not a frontier.
-		l.mu.Unlock()
-		return err
-	case err != nil:
-		// Surface the error to every parked ack and retry on the Interval
-		// cadence.
+	if stale := l.truncGen != gen; stale || err != nil {
+		// A failed sync, or segment surgery racing it (a truncate may have
+		// closed a file under us): nothing captured above is a frontier. The
+		// data is still owed a sync — retry on the Interval cadence — and
+		// only a real failure is surfaced to the parked acks.
 		l.dirty = true
 		l.dirtySinceNano.CompareAndSwap(0, time.Now().UnixNano())
-		l.failSyncWaitersLocked(err)
+		if !stale {
+			l.failSyncWaitersLocked(err)
+		}
 		signal(l.syncDirty)
 		l.mu.Unlock()
 		return err

@@ -89,8 +89,7 @@ func waitDurable(t *testing.T, l *Log, next int64) {
 // --- fsync-policy matrix ---------------------------------------------------
 
 // TestSyncPolicyMatrix asserts, for each durability policy, the observable
-// sync behaviour through an injected syncer — the assertion that
-// TestFlushMessagesPolicy historically could not make portably.
+// sync behaviour through an injected syncer.
 func TestSyncPolicyMatrix(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		cs := &countingSyncer{}
@@ -743,4 +742,457 @@ func TestGroupSyncsWaiterlessLogOnInterval(t *testing.T) {
 			t.Fatalf("late SyncWait answered after %v: it waited out the interval, not the commit window", d)
 		}
 	})
+}
+
+// --- the roll's sync, moved to the commit ------------------------------------
+
+// nameFailingSyncer counts syncs and fails those on the file named by fail
+// (a segment path; "" fails none).
+type nameFailingSyncer struct {
+	countingSyncer
+	fail atomic.Value // string
+}
+
+func (s *nameFailingSyncer) sync(f *os.File) error {
+	if name, _ := s.fail.Load().(string); name != "" && f.Name() == name {
+		atomic.AddInt64(&s.n, 1)
+		return errors.New("injected fdatasync failure")
+	}
+	return s.countingSyncer.sync(f)
+}
+
+// appendThroughRoll appends ~300-byte records until the log has rolled once
+// more and the new active segment holds a record, returning the values.
+func appendThroughRoll(t *testing.T, l *Log, tag string) []string {
+	t.Helper()
+	var vals []string
+	for segs := l.SegmentCount(); l.SegmentCount() == segs; {
+		v := fmt.Sprintf("%s-%d-%0300d", tag, len(vals), 0)
+		if _, err := l.Append([]record.Record{rec("", v)}); err != nil {
+			t.Fatal(err)
+		}
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// idleCommitter configures a policy whose committer never fires on its own
+// within a test, so every commit is an explicit Flush or a parked SyncWait.
+func idleCommitter(policy SyncPolicy, syncer func(*os.File) error) Config {
+	return Config{SegmentBytes: 1024, RetentionMs: -1, Durability: Durability{
+		Policy: policy, Interval: time.Hour, GroupWindow: time.Millisecond, Syncer: syncer,
+	}}
+}
+
+// TestRollSyncCounts counts syncs across segment rolls: none under SyncNone
+// until Flush visits every segment, and under interval/group exactly one per
+// sealed segment on top of the commit's own, performed by the commit and not
+// by the roll.
+func TestRollSyncCounts(t *testing.T) {
+	const rolls = 4
+	t.Run("none", func(t *testing.T) {
+		cs := &countingSyncer{}
+		l := openTestLog(t, idleCommitter(SyncNone, cs.sync))
+		for i := 0; i < rolls; i++ {
+			appendThroughRoll(t, l, "n")
+		}
+		if n := cs.count(); n != 0 {
+			t.Fatalf("SyncNone performed %d syncs across %d rolls, want 0", n, rolls)
+		}
+		if got := l.SyncedNext(); got != 0 {
+			t.Fatalf("SyncedNext = %d with nothing synced", got)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := cs.count(); n != rolls+1 {
+			t.Fatalf("Flush performed %d syncs over %d unsynced segments, want one each", n, rolls+1)
+		}
+		if got, want := l.SyncedNext(), l.NextOffset(); got != want {
+			t.Fatalf("SyncedNext = %d after Flush, want %d", got, want)
+		}
+	})
+	for _, policy := range []SyncPolicy{SyncInterval, SyncGroup} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cs := &countingSyncer{}
+			l := openTestLog(t, idleCommitter(policy, cs.sync))
+			for i := 0; i < rolls; i++ {
+				before := cs.count()
+				appendThroughRoll(t, l, "r")
+				if n := cs.count() - before; n != 0 {
+					t.Fatalf("roll %d synced %d times inside the append", i, n)
+				}
+				if err := l.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n := cs.count() - before; n != 2 {
+					t.Fatalf("commit after roll %d performed %d syncs, want 2 (sealed + active)", i, n)
+				}
+				if got, want := l.SyncedNext(), l.NextOffset(); got != want {
+					t.Fatalf("SyncedNext = %d after commit, want %d", got, want)
+				}
+				// No roll since: the commit is one sync again.
+				if _, err := l.Append([]record.Record{rec("", "x")}); err != nil {
+					t.Fatal(err)
+				}
+				before = cs.count()
+				if err := l.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n := cs.count() - before; n != 1 {
+					t.Fatalf("commit without a roll performed %d syncs, want 1", n)
+				}
+			}
+			// Two rolls between commits: both sealed segments, then the active.
+			before := cs.count()
+			appendThroughRoll(t, l, "a")
+			appendThroughRoll(t, l, "b")
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if n := cs.count() - before; n != 3 {
+				t.Fatalf("commit after two rolls performed %d syncs, want 3", n)
+			}
+		})
+	}
+}
+
+// TestCrashAfterRollBeforeCommit crashes with a sealed segment whose tail no
+// sync has covered and a younger active segment. Killed as a process, nothing
+// is lost. Killed with the page cache — the sealed tail tears, or is cut off
+// clean, while the younger file survives — recovery keeps every offset below
+// the frontier, finds the damage by CRC-scanning the sealed segment beyond the
+// checkpoint, and ends the log there instead of resuming past a hole.
+func TestCrashAfterRollBeforeCommit(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncInterval, SyncGroup} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := idleCommitter(policy, nil)
+			l, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			synced := []string{"s0", "s1"}
+			for _, v := range synced {
+				if _, err := l.Append([]record.Record{rec("", v)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Flush(); err != nil { // frontier 2, checkpointed inside segment 0
+				t.Fatal(err)
+			}
+			syncedBytes := l.Segments()[0].Size
+			unsynced := appendThroughRoll(t, l, "u") // tail of segment 0, head of segment 1
+			segs := l.Segments()
+			if len(segs) != 2 || l.SyncedNext() != 2 {
+				t.Fatalf("setup: %d segments, frontier %d; want 2 and 2", len(segs), l.SyncedNext())
+			}
+			if err := l.CrashClose(); err != nil {
+				t.Fatal(err)
+			}
+			if cp, ok := ReadCheckpoint(dir); !ok || cp.SegmentBase != 0 || cp.SyncedBytes != syncedBytes {
+				t.Fatalf("checkpoint = %+v ok=%v, want segment 0 at %d bytes", cp, ok, syncedBytes)
+			}
+
+			reopen := func(t *testing.T, dir string, want []string) {
+				t.Helper()
+				rl, err := Open(dir, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rl.Close()
+				assertRecords(t, rl, want)
+				if got := rl.NextOffset(); got != int64(len(want)) {
+					t.Fatalf("NextOffset = %d, want %d", got, len(want))
+				}
+				if got := rl.SyncedNext(); got != int64(len(want)) {
+					t.Fatalf("SyncedNext = %d after recovery, want %d", got, len(want))
+				}
+				if base, err := rl.Append([]record.Record{rec("", "after")}); err != nil || base != int64(len(want)) {
+					t.Fatalf("append after recovery: base=%d err=%v", base, err)
+				}
+			}
+			all := append(append([]string{}, synced...), unsynced...)
+
+			t.Run("process kill", func(t *testing.T) {
+				reopen(t, copyLogDir(t, dir), all)
+			})
+			t.Run("sealed tail torn", func(t *testing.T) {
+				cdir := copyLogDir(t, dir)
+				seg := segmentPath(cdir, 0)
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)-1] ^= 0xFF // last unsynced batch of the sealed segment
+				if err := os.WriteFile(seg, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				sealedRecs := int(segs[0].NextOffset)
+				reopen(t, cdir, all[:sealedRecs-1])
+				if _, err := os.Stat(segmentPath(cdir, segs[1].BaseOffset)); !os.IsNotExist(err) {
+					t.Fatalf("segment beyond the torn one survived recovery (stat err %v)", err)
+				}
+			})
+			t.Run("sealed tail cut clean", func(t *testing.T) {
+				cdir := copyLogDir(t, dir)
+				if err := os.Truncate(segmentPath(cdir, 0), syncedBytes); err != nil {
+					t.Fatal(err)
+				}
+				reopen(t, cdir, synced)
+			})
+		})
+	}
+}
+
+// TestSealedSegmentSyncFailure fails the fdatasync of a sealed segment: the
+// commit releases no waiter and moves no frontier past the data behind it,
+// never checkpoints into the younger segment, and a crash in that state
+// recovers like any other unsynced tail. Once the disk heals, the next commit
+// syncs the sealed segment first and everything proceeds.
+func TestSealedSegmentSyncFailure(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncInterval, SyncGroup} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			fs := &nameFailingSyncer{}
+			cfg := idleCommitter(policy, fs.sync)
+			l, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append([]record.Record{rec("", "s0")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			syncedBytes := l.Segments()[0].Size
+			unsynced := appendThroughRoll(t, l, "u")
+			fs.fail.Store(segmentPath(dir, 0))
+			end := l.NextOffset()
+
+			if policy == SyncGroup {
+				// A parked ack is answered with the failure, not released.
+				select {
+				case err := <-l.SyncWait(end):
+					if err == nil {
+						t.Fatal("SyncWait released behind a failed sealed-segment sync")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("SyncWait neither released nor failed")
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if err := l.Flush(); err == nil {
+					t.Fatal("commit succeeded although the sealed segment's sync failed")
+				}
+				if got := l.SyncedNext(); got != 1 {
+					t.Fatalf("frontier moved to %d behind a failed sync, want 1", got)
+				}
+				if cp, ok := ReadCheckpoint(dir); !ok || cp.SegmentBase != 0 || cp.SyncedNext != 1 {
+					t.Fatalf("checkpoint = %+v ok=%v, want segment 0 next 1: it must not name a segment above an unsynced one", cp, ok)
+				}
+			}
+
+			// Crash now, losing what was never synced of the sealed segment.
+			crash := copyLogDir(t, dir)
+			if err := os.Truncate(segmentPath(crash, 0), syncedBytes); err != nil {
+				t.Fatal(err)
+			}
+			rl, err := Open(crash, idleCommitter(policy, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRecords(t, rl, []string{"s0"})
+			rl.Close()
+
+			// The disk heals: sealed first, then active, then the frontier.
+			fs.fail.Store("")
+			before := fs.count()
+			if ch := l.SyncWait(end); ch != nil {
+				if err := <-ch; err != nil {
+					t.Fatal(err)
+				}
+			} else if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if n := fs.count() - before; n != 3 {
+				t.Fatalf("%d syncs after the disk healed, want 3 (sealed + active, then the forced commit)", n)
+			}
+			if got := l.SyncedNext(); got != end {
+				t.Fatalf("SyncedNext = %d, want %d", got, end)
+			}
+			if cp, ok := ReadCheckpoint(dir); !ok || cp.SegmentBase != l.Segments()[1].BaseOffset || cp.SyncedNext != end {
+				t.Fatalf("checkpoint = %+v ok=%v, want the active segment at %d", cp, ok, end)
+			}
+			if err := l.CrashClose(); err != nil {
+				t.Fatal(err)
+			}
+			rl, err = Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rl.Close()
+			assertRecords(t, rl, append([]string{"s0"}, unsynced...))
+		})
+	}
+}
+
+// TestPendingSealedSegmentRemoved: retention or a truncation deleting a sealed
+// segment that still awaits its sync drops it from what the next commit
+// syncs; the commit does not fail on the closed file.
+func TestPendingSealedSegmentRemoved(t *testing.T) {
+	t.Run("retention", func(t *testing.T) {
+		cs := &countingSyncer{}
+		cfg := idleCommitter(SyncGroup, cs.sync)
+		cfg.RetentionBytes = 512
+		l := openTestLog(t, cfg)
+		appendThroughRoll(t, l, "a")
+		appendThroughRoll(t, l, "b") // two sealed unsynced segments
+		if n, err := l.EnforceRetention(time.Now()); err != nil || n != 2 {
+			t.Fatalf("EnforceRetention = %d, %v; want both sealed segments deleted", n, err)
+		}
+		before := cs.count()
+		waitDurable(t, l, l.NextOffset())
+		if n := cs.count() - before; n != 1 {
+			t.Fatalf("commit performed %d syncs, want 1 (the deleted segments are owed none)", n)
+		}
+	})
+	t.Run("truncate", func(t *testing.T) {
+		cs := &countingSyncer{}
+		l := openTestLog(t, idleCommitter(SyncInterval, cs.sync))
+		if _, err := l.Append([]record.Record{rec("", "keep")}); err != nil {
+			t.Fatal(err)
+		}
+		appendThroughRoll(t, l, "a")
+		appendThroughRoll(t, l, "b")
+		if err := l.Truncate(1); err != nil { // back into segment 0, now active again
+			t.Fatal(err)
+		}
+		before := cs.count()
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := cs.count() - before; n != 1 {
+			t.Fatalf("commit performed %d syncs after the truncation, want 1", n)
+		}
+		if got := l.SyncedNext(); got != 1 {
+			t.Fatalf("SyncedNext = %d, want 1", got)
+		}
+		assertRecords(t, l, []string{"keep"})
+	})
+}
+
+// TestCommitConcurrentWithRollsAndRetention runs group commits against
+// appenders that roll every few records and a retention pass that keeps
+// deleting sealed segments, some before their sync: no ack fails, none is
+// released ahead of the frontier, and the frontier reaches the log end.
+func TestCommitConcurrentWithRollsAndRetention(t *testing.T) {
+	// A slow disk: room for retention to act between a commit capturing a
+	// sealed segment's file and syncing it.
+	cfg := idleCommitter(SyncGroup, func(f *os.File) error {
+		time.Sleep(200 * time.Microsecond)
+		return f.Sync()
+	})
+	cfg.RetentionBytes = 1 // every sealed segment is deletable at once
+	l := openTestLog(t, cfg)
+	const producers, rounds = 4, 60
+	stop := make(chan struct{})
+	var retention sync.WaitGroup
+	retention.Add(1)
+	go func() {
+		defer retention.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := l.EnforceRetention(time.Now()); err != nil {
+				t.Errorf("EnforceRetention: %v", err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				base, err := l.Append([]record.Record{rec("", fmt.Sprintf("p%d-%d-%0200d", p, i, 0))})
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				if ch := l.SyncWait(base + 1); ch != nil {
+					if err := <-ch; err != nil {
+						t.Errorf("SyncWait(%d): %v", base+1, err)
+						return
+					}
+				}
+				if got := l.SyncedNext(); got <= base {
+					t.Errorf("ack for offset %d released at frontier %d", base, got)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	retention.Wait()
+	if got, want := l.SyncedNext(), int64(producers*rounds); got != want {
+		t.Fatalf("SyncedNext = %d, want %d", got, want)
+	}
+}
+
+// TestBatchPolicySyncsSealedSegmentAfterFailedSync: under SyncBatch a roll
+// syncs nothing either. Normally the sealed file is clean; when the inline
+// sync of its last append failed, the next append's sync visits it before the
+// new active segment, and only then moves the frontier.
+func TestBatchPolicySyncsSealedSegmentAfterFailedSync(t *testing.T) {
+	dir := t.TempDir()
+	fs := &nameFailingSyncer{}
+	l, err := Open(dir, idleCommitter(SyncBatch, fs.sync))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	big := func(tag string) []record.Record { return []record.Record{rec("", fmt.Sprintf("%s-%0300d", tag, 0))} }
+	if _, err := l.Append(big("a")); err != nil {
+		t.Fatal(err)
+	}
+	fs.fail.Store(segmentPath(dir, 0))
+	if _, err := l.Append(big("b")); err == nil {
+		t.Fatal("append succeeded although its inline sync failed")
+	}
+	if got := l.SyncedNext(); got != 1 {
+		t.Fatalf("frontier = %d behind a failed sync, want 1", got)
+	}
+	fs.fail.Store("")
+	before := fs.count()
+	if _, err := l.Append(big("c")); err != nil { // rolls: 3 × ~370 B > 1 KiB
+		t.Fatal(err)
+	}
+	if n := l.SegmentCount(); n != 2 {
+		t.Fatalf("%d segments, want 2", n)
+	}
+	if n := fs.count() - before; n != 2 {
+		t.Fatalf("append after the roll performed %d syncs, want 2 (sealed, then active)", n)
+	}
+	if got := l.SyncedNext(); got != 3 {
+		t.Fatalf("frontier = %d, want 3", got)
+	}
+	for l.SegmentCount() == 2 { // on through the next roll: the sealed file is clean
+		before = fs.count()
+		if _, err := l.Append(big("d")); err != nil {
+			t.Fatal(err)
+		}
+		if n := fs.count() - before; n != 1 {
+			t.Fatalf("append with nothing owed performed %d syncs, want 1", n)
+		}
+	}
 }

@@ -30,13 +30,11 @@ type Config struct {
 	// RetentionBytes bounds total log size; oldest segments are deleted
 	// while the log exceeds it. -1 disables size retention.
 	RetentionBytes int64
-	// FlushMessages forces an fsync every N appended batches; 0 leaves
-	// flushing to the OS (the paper's default behaviour, §4.1).
-	FlushMessages int64
-	// MaxBatchBytes splits large appends into multiple batches of at
-	// most this encoded size, so batches stay well below the segment
-	// size and segments can roll (a single record larger than the limit
-	// still becomes one oversized batch).
+	// MaxBatchBytes bounds the batches the record-level Append encodes (a
+	// single record larger than the limit still becomes one oversized
+	// batch). It bounds nothing else: AppendSealed and AppendBatch store
+	// the batch they are handed whatever its size, and Append's one
+	// non-test caller is internal/bench.
 	MaxBatchBytes int64
 	// Compacted marks the log for key-based compaction instead of
 	// deletion-based retention.
@@ -86,8 +84,8 @@ func (c Config) withDefaults() Config {
 		c.MaxBatchBytes = DefaultMaxBatchBytes
 	}
 	c.Durability = c.Durability.withDefaults()
-	// Batches must stay well below the segment size or segments never
-	// roll (and retention/compaction never find inactive segments).
+	// Append's batches stay well below the segment size, so a log fed
+	// records rolls at about SegmentBytes.
 	if quarter := c.SegmentBytes / 4; c.MaxBatchBytes > quarter {
 		c.MaxBatchBytes = quarter
 		if c.MaxBatchBytes < 1024 {
@@ -110,15 +108,13 @@ type Log struct {
 	offloadedTo int64      // tiered logs: offsets below this are durably tiered
 	closed      bool
 
-	appendsSinceFlush int64
-
 	// producers is the idempotent-produce dedup table, maintained from the
 	// producer stamps on appended batches (guarded by mu).
 	producers *producerState
 
 	// Durability state (guarded by mu unless noted).
 	syncedNext    int64         // offsets below this are durable
-	dirty         bool          // active segment has unsynced appends
+	dirty         bool          // appends landed that no sync has covered
 	unsyncedBytes int64         // bytes appended since the last sync
 	syncWaiters   []syncWaiter  // acks parked behind the frontier (SyncGroup)
 	truncGen      uint64        // bumped by segment surgery; stales checkpoints
@@ -129,7 +125,7 @@ type Log struct {
 	stopSync      chan struct{}
 	stopOnce      sync.Once
 	syncWG        sync.WaitGroup
-	syncMu        sync.Mutex // serialises syncNow
+	syncMu        sync.Mutex // serialises commits, and retention against them
 	cpMu          sync.Mutex // serialises checkpoint file writes/removal
 
 	// met holds pre-resolved durability metrics (nil when Config.Metrics is
@@ -151,11 +147,14 @@ type logMetrics struct {
 
 // Open opens or creates the log in dir. When a valid durability checkpoint
 // exists, recovery trusts the synced prefix it describes (segments sealed
-// before the checkpointed one were synced at roll time; the checkpointed
-// segment is synced up to the recorded byte position) and CRC-scans only the
-// unsynced tail beyond it, truncating torn writes. Without a checkpoint —
-// or on compacted logs, whose segment bytes are rewritten in place — every
-// batch is CRC-verified.
+// before the checkpointed one were synced before it was written; the
+// checkpointed segment is synced up to the recorded byte position) and
+// CRC-scans only the tail beyond it — the rest of that segment and every
+// later one — truncating torn writes. Without a checkpoint — or on compacted
+// logs, whose segment bytes are rewritten in place — every batch is
+// CRC-verified. The log ends where a segment lost its tail: the segments
+// after it are removed, since nothing synced can lie beyond unsynced bytes
+// and a log must not resume past a hole.
 func Open(dir string, cfg Config) (*Log, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -186,18 +185,30 @@ func Open(dir string, cfg Config) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, base := range bases {
+	torn := false
+	for i, base := range bases {
+		if n := len(l.segments); n > 0 && (torn || !cfg.Compacted && base != l.segments[n-1].nextOffset) {
+			// The previous segment lost its tail — torn, or cut clean so that
+			// this one no longer continues it (only compaction leaves offset
+			// gaps between segments).
+			for _, later := range bases[i:] {
+				if err := os.Remove(segmentPath(dir, later)); err != nil {
+					return nil, fmt.Errorf("log: drop segment beyond a lost tail: %w", err)
+				}
+			}
+			break
+		}
 		trusted := int64(0)
 		if cpOK {
 			switch {
 			case base < cp.base:
-				trusted = math.MaxInt64 // sealed before the checkpoint: synced at roll
+				trusted = math.MaxInt64 // sealed and synced before the checkpoint
 			case base == cp.base:
 				trusted = cp.pos
 			}
 		}
-		s, err := openSegment(dir, base, cfg.IndexIntervalBytes, trusted)
-		if err != nil {
+		var s *segment
+		if s, torn, err = openSegment(dir, base, cfg.IndexIntervalBytes, trusted); err != nil {
 			return nil, err
 		}
 		l.segments = append(l.segments, s)
@@ -218,12 +229,18 @@ func Open(dir string, cfg Config) (*Log, error) {
 	if cfg.Durability.Policy != SyncNone {
 		// Make the recovered state durable before serving: the tail beyond
 		// the old checkpoint survived the crash, but nothing proves it was
-		// ever synced — one fsync plus a fresh checkpoint re-establishes
-		// the invariant that everything on disk is the frontier.
-		a := l.active()
-		if err := l.syncFile(a.file); err != nil {
-			return nil, fmt.Errorf("log: sync recovered state: %w", err)
+		// ever synced — syncing every segment the checkpoint did not vouch
+		// for, plus a fresh checkpoint, re-establishes the invariant that
+		// everything on disk is the frontier.
+		for _, s := range l.segments {
+			if cpOK && s.baseOffset < cp.base {
+				continue
+			}
+			if err := l.syncFile(s.file); err != nil {
+				return nil, fmt.Errorf("log: sync recovered state: %w", err)
+			}
 		}
+		a := l.active()
 		if err := writeCheckpointFile(dir, checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}); err != nil {
 			return nil, fmt.Errorf("log: write checkpoint: %w", err)
 		}
@@ -367,9 +384,9 @@ func putEncBuf(bp *[]byte) {
 }
 
 // Append assigns consecutive offsets to records, stamps zero timestamps
-// with now (log-append time), encodes them as batches of at most
-// MaxBatchBytes, and appends them. It returns the base offset assigned to
-// the first record.
+// with now (log-append time), encodes them (through a pooled buffer) as
+// batches of at most MaxBatchBytes, and appends them. It returns the base
+// offset assigned to the first record.
 func (l *Log) Append(records []record.Record) (int64, error) {
 	if len(records) == 0 {
 		return 0, fmt.Errorf("log: empty append")
@@ -385,22 +402,6 @@ func (l *Log) Append(records []record.Record) (int64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	return l.appendRecordsLocked(records)
-}
-
-// appendRecordsLocked encodes records into batches of at most MaxBatchBytes
-// (through a pooled buffer) and appends them, assigning offsets from the
-// log end.
-func (l *Log) appendRecordsLocked(records []record.Record) (int64, error) {
-	return l.appendRecordsStampedLocked(records, record.NoProducerID, record.NoProducerEpoch, record.NoSequence)
-}
-
-// appendRecordsStampedLocked is appendRecordsLocked with an optional
-// producer identity: when pid is a real id each sub-batch is stamped with
-// it, sequences advancing record-by-record from baseSeq, so a split
-// oversized batch leaves the same dedup trail its unsplit original would
-// have (check() matches a retry against the contiguous span of entries).
-func (l *Log) appendRecordsStampedLocked(records []record.Record, pid int64, epoch int32, baseSeq int64) (int64, error) {
 	bp := encBufPool.Get().(*[]byte)
 	defer putEncBuf(bp)
 	base := l.active().nextOffset
@@ -417,13 +418,12 @@ func (l *Log) appendRecordsStampedLocked(records []record.Record, pid int64, epo
 			end++
 		}
 		batch := record.EncodeBatchInto((*bp)[:0], next, records[start:end])
-		if pid >= 0 {
-			if err := record.StampProducer(batch, pid, epoch, baseSeq+int64(start)); err != nil {
-				return 0, err
-			}
-		}
 		*bp = batch[:0] // retain grown capacity for the next iteration
-		if err := l.appendLocked(batch); err != nil {
+		info, err := record.PeekBatchInfo(batch)
+		if err != nil {
+			return 0, err
+		}
+		if err := l.appendLocked(batch, info); err != nil {
 			return 0, err
 		}
 		next += int64(end - start)
@@ -435,24 +435,16 @@ func (l *Log) appendRecordsStampedLocked(records []record.Record, pid int64, epo
 // AppendSealed appends an already-encoded batch as the partition leader:
 // the batch's base offset is restamped in place to the current log end
 // offset (record offsets inside are deltas and shift with it) and the bytes
-// are stored verbatim — compressed batches are never inflated or re-encoded
-// here, which is what lets the broker serve the producer's exact bytes to
-// followers, consumers and the archiver. The caller is expected to have
-// validated the batch (record.ValidateBatch); offsets and timestamps inside
-// are the producer's. It returns the assigned base offset.
-//
-// One exception keeps segment rolling honest: an UNCOMPRESSED batch larger
-// than MaxBatchBytes is decoded and re-batched exactly as Append would,
-// because storing it as a single oversized blob would defeat the per-topic
-// segment sizing that retention and compaction depend on. Compressed
-// batches are exempt — they are opaque by contract (their inflated size is
-// bounded by the producer's flush size anyway) and always land verbatim.
+// are stored verbatim, whatever their size and codec — never inflated, split
+// or re-encoded here, which is what lets the broker serve the producer's
+// exact bytes to followers, consumers and the archiver, and keeps one
+// producer batch one entry of the dedup table. Segment roll, not batch size,
+// bounds segment size: a batch larger than SegmentBytes gets a segment to
+// itself. The caller is expected to have validated the batch
+// (record.ValidateBatch); offsets and timestamps inside are the producer's.
+// It returns the assigned base offset.
 func (l *Log) AppendSealed(batch []byte) (int64, error) {
 	info, err := record.PeekBatchInfo(batch)
-	if err != nil {
-		return 0, err
-	}
-	codec, err := record.PeekCodec(batch)
 	if err != nil {
 		return 0, err
 	}
@@ -473,23 +465,13 @@ func (l *Log) AppendSealed(batch []byte) (int64, error) {
 			return 0, dup
 		}
 	}
-	// Idempotent oversized batches are re-batched too, with the producer
-	// stamps carried onto every sub-batch: sequences advance with the
-	// records, so the dedup table records the same sequence span the unsplit
-	// original would have, and a retry of the whole batch still matches (the
-	// check above walks the contiguous split entries).
-	if codec == record.CodecNone && int64(info.Length) > l.cfg.MaxBatchBytes && info.RecordCount > 1 {
-		decoded, _, err := record.DecodeBatch(batch)
-		if err != nil {
-			return 0, err
-		}
-		return l.appendRecordsStampedLocked(decoded.Records, info.ProducerID, info.ProducerEpoch, info.BaseSequence)
-	}
 	base := l.active().nextOffset
 	if err := record.RestampBase(batch, base); err != nil {
 		return 0, err
 	}
-	if err := l.appendLocked(batch); err != nil {
+	info.LastOffset += base - info.BaseOffset
+	info.BaseOffset = base
+	if err := l.appendLocked(batch, info); err != nil {
 		return 0, err
 	}
 	return base, nil
@@ -521,27 +503,25 @@ func (l *Log) AppendBatch(batch []byte) error {
 	if info.BaseOffset < l.active().nextOffset {
 		return fmt.Errorf("%w: batch base %d below log end %d", ErrNonMonotonic, info.BaseOffset, l.active().nextOffset)
 	}
-	return l.appendLocked(batch)
+	return l.appendLocked(batch, info)
 }
 
-// appendLocked rolls the active segment if needed and writes the batch,
-// then applies the durability policy: SyncBatch syncs inline, SyncGroup
-// tells the group committer the log is dirty, the rest leave the bytes for
-// the background sync (or the OS). Rolling always syncs the sealed segment
-// first — that is what lets checkpointed recovery trust whole segments below
-// the checkpointed one without rescanning them — and makes the next sync
-// move the checkpoint into the new segment, so a stale checkpoint never
-// costs recovery more than one segment's scan.
-func (l *Log) appendLocked(batch []byte) error {
-	info, err := record.PeekBatchInfo(batch)
-	if err != nil {
-		return err
-	}
+// appendLocked rolls the active segment if needed and writes the batch (info
+// is its parsed header), then applies the durability policy: SyncBatch syncs
+// inline, SyncGroup tells the group committer the log is dirty, the rest
+// leave the bytes for the background sync (or the OS). A roll never syncs:
+// the sealed segment holds offsets at or above the durability frontier
+// exactly when a sync still owes it bytes, and that is how the next sync
+// finds it (unsyncedFilesLocked) — a commit visits every such segment, oldest
+// first, outside l.mu, before the frontier moves or a checkpoint is written,
+// so checkpointed recovery may still trust whole segments below the
+// checkpointed one. Under SyncNone nobody owes anything and the OS flushes
+// sealed segments like the active one. A roll makes the next sync move the
+// checkpoint into the new segment, so a stale checkpoint never costs
+// recovery more than one segment's scan.
+func (l *Log) appendLocked(batch []byte, info record.BatchInfo) error {
 	a := l.active()
 	if a.size > 0 && a.size+int64(len(batch)) > l.cfg.SegmentBytes {
-		if err := l.syncFile(a.file); err != nil {
-			return err
-		}
 		ns, err := createSegment(l.dir, a.nextOffset)
 		if err != nil {
 			return err
@@ -559,18 +539,13 @@ func (l *Log) appendLocked(batch []byte) error {
 	l.producers.note(info)
 	l.noteDirtyLocked(int64(len(batch)))
 	if l.cfg.Durability.Policy == SyncBatch {
-		if err := l.syncFile(a.file); err != nil {
+		if err := l.syncFiles(l.unsyncedFilesLocked()); err != nil {
 			return err
 		}
 		l.dirty = false
 		l.dirtySinceNano.Store(0)
 		l.unsyncedBytes = 0
 		l.advanceSyncedLocked(a.nextOffset)
-	}
-	l.appendsSinceFlush++
-	if l.cfg.FlushMessages > 0 && l.appendsSinceFlush >= l.cfg.FlushMessages {
-		l.appendsSinceFlush = 0
-		return a.flush()
 	}
 	return nil
 }
@@ -675,6 +650,10 @@ func (l *Log) truncateLocked(offset int64) error {
 // segments. It returns the number of segments deleted. now is injectable
 // for tests.
 func (l *Log) EnforceRetention(now time.Time) (int, error) {
+	// Not while a commit is syncing: it may hold the file of a sealed
+	// segment this pass deletes, and that must cost the commit nothing.
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -855,7 +834,7 @@ func (l *Log) ReplaceSegments(oldBases []int64, newSegments [][]byte) error {
 			return err
 		}
 		s := &segment{baseOffset: base, path: tmp, file: f}
-		if err := s.recover(l.cfg.IndexIntervalBytes, 0); err != nil {
+		if _, err := s.recover(l.cfg.IndexIntervalBytes, 0); err != nil {
 			cleanup()
 			return err
 		}

@@ -469,21 +469,6 @@ func TestLargeBatchExceedingMaxBytesStillReadable(t *testing.T) {
 	}
 }
 
-func TestFlushMessagesPolicy(t *testing.T) {
-	l := openTestLog(t, Config{FlushMessages: 2})
-	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]record.Record{rec("k", "v")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The legacy FlushMessages path must not error; the actual fsync
-	// behaviour of every durability policy is asserted through the
-	// injectable syncer in TestSyncPolicyMatrix (durability_test.go).
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickAppendReadConsistency property-checks that for arbitrary record
 // contents, appending then reading returns identical payloads in order.
 func TestQuickAppendReadConsistency(t *testing.T) {

@@ -105,27 +105,17 @@ func (p *producerState) check(info record.BatchInfo) (*DupSequenceError, error) 
 	if info.BaseSequence == last.lastSeq+1 {
 		return nil, nil // the expected next batch
 	}
-	for i := range e.recent {
-		if e.recent[i].baseSeq == info.BaseSequence {
-			// Walk contiguous entries until the retry's range is covered: an
-			// oversized uncompressed batch is split into stamped sub-batches
-			// on append (see AppendSealed), so one producer-side batch may
-			// span several table entries.
-			last := info.LastSequence()
-			for j := i; j < len(e.recent); j++ {
-				if j > i && e.recent[j].baseSeq != e.recent[j-1].lastSeq+1 {
-					break
-				}
-				if e.recent[j].lastSeq == last {
-					return &DupSequenceError{BaseOffset: e.recent[i].baseOffset, LastOffset: e.recent[j].lastOffset}, nil
-				}
-				if e.recent[j].lastSeq > last {
-					break
-				}
-			}
-			return nil, fmt.Errorf("%w: sequence %d resent with %d records, which does not match the appended batch boundaries",
-				ErrOutOfOrderSequence, info.BaseSequence, last-info.BaseSequence+1)
+	for _, b := range e.recent {
+		if b.baseSeq != info.BaseSequence {
+			continue
 		}
+		// Sealed batches are stored whole, so a retry matches one entry or
+		// none of what was appended.
+		if b.lastSeq == info.LastSequence() {
+			return &DupSequenceError{BaseOffset: b.baseOffset, LastOffset: b.lastOffset}, nil
+		}
+		return nil, fmt.Errorf("%w: sequence %d resent with %d records, appended with %d",
+			ErrOutOfOrderSequence, info.BaseSequence, info.LastSequence()-info.BaseSequence+1, b.lastSeq-b.baseSeq+1)
 	}
 	return nil, fmt.Errorf("%w: batch sequence %d, expected %d", ErrOutOfOrderSequence, info.BaseSequence, last.lastSeq+1)
 }

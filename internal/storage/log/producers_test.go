@@ -102,54 +102,69 @@ func TestIdempotentDedupFencingAndSequencing(t *testing.T) {
 	}
 }
 
-// TestIdempotentDedupSpansSplitBatches: an oversized uncompressed idempotent
-// batch is split into stamped sub-batches on append (segment sizing must
-// keep working), and a retry of the WHOLE original batch still dedups — the
-// check matches its sequence range against the contiguous split entries.
-func TestIdempotentDedupSpansSplitBatches(t *testing.T) {
-	l := openTestLog(t, Config{MaxBatchBytes: 600})
-
+// TestIdempotentDedupOversizedBatchIsOneEntry: an oversized uncompressed
+// idempotent batch is stored as the one stamped batch it was sent as, so it
+// is one producer-table entry, and a retry of it dedups onto the original
+// offsets — before and after the table is rebuilt from the log.
+func TestIdempotentDedupOversizedBatchIsOneEntry(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{MaxBatchBytes: 600, SegmentBytes: 1024}
+	l, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base, err := sendStamped(l, stampedBatch(t, 3, 0, 0, "head")); err != nil || base != 0 {
+		t.Fatalf("append: base=%d err=%v", base, err)
+	}
 	vals := make([]string, 8)
 	for i := range vals {
 		vals[i] = string(bytes.Repeat([]byte{byte('a' + i)}, 192))
 	}
-	big := stampedBatch(t, 3, 0, 0, vals...)
-	if int64(len(big)) <= 600 {
+	big := stampedBatch(t, 3, 0, 1, vals...)
+	if int64(len(big)) <= cfg.SegmentBytes {
 		t.Fatalf("test batch too small: %dB", len(big))
 	}
-	if base, err := sendStamped(l, big); err != nil || base != 0 {
+	if base, err := sendStamped(l, big); err != nil || base != 1 {
 		t.Fatalf("append: base=%d err=%v", base, err)
 	}
-	if l.NextOffset() != 8 {
-		t.Fatalf("NextOffset = %d, want 8", l.NextOffset())
+	if l.NextOffset() != 9 {
+		t.Fatalf("NextOffset = %d, want 9", l.NextOffset())
 	}
-	data, err := l.Read(0, 1<<20)
+	data, err := l.Read(1, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbatches := 0
-	for off := 0; off < len(data); {
-		info, err := record.PeekBatchInfo(data[off:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		nbatches++
-		if !info.Idempotent() {
-			t.Fatalf("split sub-batch at %d lost its producer stamps", info.BaseOffset)
-		}
-		off += info.Length
+	info, err := record.PeekBatchInfo(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if nbatches < 2 {
-		t.Fatalf("stored as %d batch(es), want a split", nbatches)
+	if info.Length != len(data) || info.RecordCount != 8 || info.ProducerID != 3 || info.BaseSequence != 1 {
+		t.Fatalf("stored as %+v in %dB, want the one stamped 8-record batch", info, len(data))
 	}
-
-	// The retry resends the original oversized batch; its range [0,7]
-	// spans every split entry and must dedup onto the whole span.
+	if n := len(l.producers.byID[3].recent); n != 2 {
+		t.Fatalf("producer table holds %d entries for 2 produced batches", n)
+	}
 	_, err = sendStamped(l, big)
-	mustDup(t, err, 0, 7)
-	if l.NextOffset() != 8 {
-		t.Fatalf("NextOffset = %d after dedup, want 8", l.NextOffset())
+	mustDup(t, err, 1, 8)
+	// A resend of the same sequence with other boundaries is not a retry.
+	if _, err := sendStamped(l, stampedBatch(t, 3, 0, 1, vals[:4]...)); !errors.Is(err, ErrOutOfOrderSequence) {
+		t.Fatalf("partial resend: got %v, want ErrOutOfOrderSequence", err)
 	}
+	if l.NextOffset() != 9 {
+		t.Fatalf("NextOffset = %d after dedup, want 9", l.NextOffset())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(filepath.Join(dir, producerSnapshotFile))
+
+	l, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	_, err = sendStamped(l, big)
+	mustDup(t, err, 1, 8)
 }
 
 // TestProducerStateRebuiltFromScan: with no snapshot on disk the table is

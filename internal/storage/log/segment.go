@@ -82,36 +82,37 @@ func createSegment(dir string, baseOffset int64) (*segment, error) {
 
 // openSegment opens an existing segment file and rebuilds its in-memory
 // index by scanning. A torn or corrupt tail (e.g. from a crash mid-write) is
-// truncated away; everything before it is kept. trustedBytes is the synced
-// prefix the durability checkpoint vouches for (0 = verify everything).
-func openSegment(dir string, baseOffset int64, indexInterval int64, trustedBytes int64) (*segment, error) {
+// truncated away — torn reports that — and everything before it is kept.
+// trustedBytes is the synced prefix the durability checkpoint vouches for
+// (0 = verify everything).
+func openSegment(dir string, baseOffset int64, indexInterval int64, trustedBytes int64) (s *segment, torn bool, err error) {
 	path := segmentPath(dir, baseOffset)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("log: open segment: %w", err)
+		return nil, false, fmt.Errorf("log: open segment: %w", err)
 	}
-	s := &segment{
+	s = &segment{
 		baseOffset: baseOffset,
 		path:       path,
 		file:       f,
 		nextOffset: baseOffset,
 	}
-	if err := s.recover(indexInterval, trustedBytes); err != nil {
+	if torn, err = s.recover(indexInterval, trustedBytes); err != nil {
 		f.Close()
-		return nil, err
+		return nil, false, err
 	}
-	return s, nil
+	return s, torn, nil
 }
 
 // recover scans the file, rebuilding the index and truncating at the first
 // corruption. Batches entirely inside the trusted prefix (fsynced before the
 // checkpoint was written) are header-walked without CRC verification; the
 // tail beyond it — the only bytes a crash can tear — is CRC-checked batch by
-// batch.
-func (s *segment) recover(indexInterval int64, trustedBytes int64) error {
+// batch. torn reports that a tail was cut.
+func (s *segment) recover(indexInterval int64, trustedBytes int64) (torn bool, err error) {
 	data, err := io.ReadAll(s.file)
 	if err != nil {
-		return fmt.Errorf("log: recover %s: %w", s.path, err)
+		return false, fmt.Errorf("log: recover %s: %w", s.path, err)
 	}
 	var pos int64
 	valid := int64(0)
@@ -140,16 +141,15 @@ func (s *segment) recover(indexInterval int64, trustedBytes int64) error {
 		pos = end
 		valid = pos
 	}
-	if valid < int64(len(data)) {
+	torn = valid < int64(len(data))
+	if torn {
 		if err := s.file.Truncate(valid); err != nil {
-			return fmt.Errorf("log: truncate torn tail of %s: %w", s.path, err)
+			return false, fmt.Errorf("log: truncate torn tail of %s: %w", s.path, err)
 		}
 	}
 	s.size = valid
-	if _, err := s.file.Seek(valid, io.SeekStart); err != nil {
-		return err
-	}
-	return nil
+	_, err = s.file.Seek(valid, io.SeekStart)
+	return torn, err
 }
 
 // noteAppend updates segment bookkeeping for a batch appended (or
@@ -236,9 +236,6 @@ func (s *segment) truncateTo(offset int64, indexInterval int64) error {
 	_, err := s.file.Seek(cut, io.SeekStart)
 	return err
 }
-
-// flush fsyncs the segment file.
-func (s *segment) flush() error { return s.file.Sync() }
 
 // close closes the segment file.
 func (s *segment) close() error { return s.file.Close() }
