@@ -221,7 +221,11 @@ func (c *Consumer) Poll(maxWait time.Duration) ([]Message, error) {
 		if r.err != nil && firstErr == nil {
 			firstErr = r.err
 		}
-		out = append(out, r.msgs...)
+		if len(out) == 0 {
+			out = r.msgs // a single leader's slice passes through uncopied
+		} else {
+			out = append(out, r.msgs...)
+		}
 	}
 	if len(out) > 0 {
 		return out, nil // data trumps partial errors
@@ -308,7 +312,15 @@ func (c *Consumer) fetchFrom(leader int32, parts []*consumerTP, maxWait time.Dur
 		return nil, err
 	}
 	c.throttle.note(leader, resp.ThrottleTimeMs)
-	var out []Message
+	// Size the result once per fetch, from every partition's batch headers.
+	total := 0
+	for _, t := range resp.Topics {
+		for _, p := range t.Partitions {
+			n, _ := record.CountRecords(p.Records) // an error is decodeFetched's to report
+			total += n
+		}
+	}
+	out := make([]Message, 0, total)
 	for i := range resp.Topics {
 		t := &resp.Topics[i]
 		for j := range t.Partitions {
@@ -317,10 +329,12 @@ func (c *Consumer) fetchFrom(leader int32, parts []*consumerTP, maxWait time.Dur
 			want := pos[key]
 			switch p.Err {
 			case wire.ErrNone:
-				msgs, next, err := decodeFetched(t.Name, p.Partition, p.Records, want)
-				if err != nil {
+				first := len(out)
+				var next int64
+				if out, next, err = decodeFetched(out, t.Name, p.Partition, p.Records, want); err != nil {
 					return out, err
 				}
+				msgs := out[first:]
 				if next > want {
 					c.advance(key, next)
 				}
@@ -342,7 +356,6 @@ func (c *Consumer) fetchFrom(leader int32, parts []*consumerTP, maxWait time.Dur
 						}
 					}
 				}
-				out = append(out, msgs...)
 			case wire.ErrOffsetOutOfRange:
 				if err := c.handleReset(t.Name, p.Partition, p.LogStartOffset); err != nil {
 					return out, err
@@ -388,10 +401,10 @@ func (c *Consumer) handleReset(topic string, partition int32, earliest int64) er
 	}
 }
 
-// decodeFetched converts a fetch payload into messages at or after want,
-// returning the next fetch position.
-func decodeFetched(topic string, partition int32, data []byte, want int64) ([]Message, int64, error) {
-	var out []Message
+// decodeFetched appends the messages at or after want in a fetch payload to
+// out and returns the next fetch position; on error out comes back unchanged.
+func decodeFetched(out []Message, topic string, partition int32, data []byte, want int64) ([]Message, int64, error) {
+	first := len(out)
 	next := want
 	err := record.ScanRecords(data, func(r record.Record) error {
 		if r.Offset < want {
@@ -410,7 +423,7 @@ func decodeFetched(topic string, partition int32, data []byte, want int64) ([]Me
 		return nil
 	})
 	if err != nil {
-		return nil, want, err
+		return out[:first], want, err
 	}
 	return out, next, nil
 }

@@ -14,7 +14,10 @@ import (
 // ErrProducerClosed reports sends on a closed producer.
 var ErrProducerClosed = errors.New("client: producer closed")
 
-// Message is a produced or consumed message.
+// Message is a produced or consumed message. A consumed message's Key, Value
+// and header values are the caller's to keep, across polls too; they share
+// their batch's decode arena (record.DecodeBatch), so a long-lived holder of
+// a few messages clones them rather than pin whole batches.
 type Message struct {
 	Topic     string
 	Partition int32 // assigned by the partitioner when producing

@@ -31,6 +31,8 @@ type fakeBroker struct {
 	// behaviour above; it sees every produce request in arrival order.
 	partitions int32
 	answer     func(req *wire.ProduceRequest) *wire.ProduceResponse
+	// fetch, when set, scripts fetch responses.
+	fetch func(req *wire.FetchRequest) *wire.FetchResponse
 }
 
 func startFakeBroker(t *testing.T) *fakeBroker {
@@ -117,6 +119,10 @@ func (f *fakeBroker) serve(conn net.Conn) {
 			resp = pr
 		case wire.APIInitProducer:
 			resp = &wire.InitProducerResponse{ProducerID: 1, Epoch: 0}
+		case wire.APIFetch:
+			var req wire.FetchRequest
+			req.Decode(r)
+			resp = f.fetch(&req)
 		default:
 			resp = &wire.ProduceResponse{}
 		}

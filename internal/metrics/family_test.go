@@ -283,3 +283,43 @@ func TestFamilyConcurrent(t *testing.T) {
 		t.Fatalf("concurrent family total = %d, want 8000", total)
 	}
 }
+
+// A scrape that races observers must still be a valid exposition: cumulative
+// buckets never decrease, +Inf included. Loading the count separately from
+// the buckets broke this (an Observe completing between the two loads put the
+// finite buckets above +Inf), which is what /metrics lint reported as
+// "cumulative buckets decrease" under TestChaosSmokeOpsFailover.
+func TestCumulativeMonotoneUnderConcurrentObserve(t *testing.T) {
+	var h Histogram
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for v := int64(1); ; v = v*3%(1<<20) + 1 {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(v << uint(g))
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 20000; i++ {
+		var prev int64
+		for _, b := range h.Cumulative() {
+			if b.Count < prev {
+				t.Errorf("scrape %d: cumulative bucket le=%d has %d, below the previous bucket's %d", i, b.Upper, b.Count, prev)
+			}
+			prev = b.Count
+		}
+		if t.Failed() {
+			break
+		}
+	}
+	close(stop)
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+}

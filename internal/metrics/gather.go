@@ -45,11 +45,15 @@ func (d *HistData) Cumulative() []CumBucket {
 }
 
 // data copies the histogram's state. Concurrent observers may land between
-// the field loads; the copy is still a valid histogram.
+// the field loads, so Count is the sum of the bucket loads, not a load of
+// h.count: an Observe that completes between the two would otherwise leave
+// the finite cumulative buckets above +Inf/_count. Sum and Max may be an
+// observation ahead of or behind the buckets.
 func (h *Histogram) data() HistData {
-	d := HistData{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
+	d := HistData{Sum: h.sum.Load(), Max: h.max.Load()}
 	for i := range h.buckets {
 		d.Buckets[i] = h.buckets[i].Load()
+		d.Count += d.Buckets[i]
 	}
 	return d
 }

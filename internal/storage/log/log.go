@@ -562,18 +562,12 @@ func (l *Log) OffsetForTimestamp(ts int64) (int64, error) {
 		if s.maxTS < ts || s.size == 0 {
 			continue
 		}
-		// Scan this segment's records for the first qualifying one.
+		// Look in this segment for the first qualifying record.
 		data := make([]byte, s.size)
 		if _, err := s.file.ReadAt(data, 0); err != nil {
 			return 0, err
 		}
-		found := int64(-1)
-		err := record.ScanRecords(data, func(r record.Record) error {
-			if r.Timestamp >= ts && found == -1 {
-				found = r.Offset
-			}
-			return nil
-		})
+		found, err := record.OffsetForTimestamp(data, ts)
 		if err != nil {
 			return 0, err
 		}

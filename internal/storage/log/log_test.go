@@ -378,6 +378,44 @@ func TestOffsetForTimestamp(t *testing.T) {
 	}
 }
 
+// The lookup walks batch headers and decodes only a batch that can hold the
+// answer: with compressed and uncompressed multi-record batches straddling
+// ts across several segments it must agree with a scan of every record.
+func TestOffsetForTimestampMixedCodecs(t *testing.T) {
+	l := openTestLog(t, Config{SegmentBytes: 512})
+	var stamps []int64 // stamps[offset] = timestamp
+	for b := 0; b < 24; b++ {
+		recs := make([]record.Record, 4)
+		for i := range recs {
+			ts := int64(1000 + 10*len(stamps))
+			stamps = append(stamps, ts)
+			recs[i] = record.Record{Timestamp: ts, Key: []byte("k"), Value: []byte(fmt.Sprintf("value-%d-%d", b, i))}
+		}
+		sealed, err := record.Compress(record.EncodeBatch(0, recs), []record.Codec{record.CodecNone, record.CodecFlate, record.CodecGzip}[b%3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendSealed(sealed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(l.Segments()); n < 3 {
+		t.Fatalf("want the batches spread over several segments, got %d", n)
+	}
+	for ts := int64(990); ts <= stamps[len(stamps)-1]+10; ts++ {
+		want := int64(len(stamps)) // none qualifies: the log end
+		for off, s := range stamps {
+			if s >= ts {
+				want = int64(off)
+				break
+			}
+		}
+		if got, err := l.OffsetForTimestamp(ts); err != nil || got != want {
+			t.Fatalf("OffsetForTimestamp(%d) = %d, %v; want %d", ts, got, err, want)
+		}
+	}
+}
+
 func TestAppendBatchPreservesOffsets(t *testing.T) {
 	l := openTestLog(t, Config{})
 	batch := record.EncodeBatch(0, []record.Record{rec("a", "1"), rec("b", "2")})

@@ -89,8 +89,10 @@ var flateWriters = sync.Pool{
 	},
 }
 
-// compressBody compresses a batch's record region with the given codec.
-func compressBody(codec Codec, body []byte) ([]byte, error) {
+// CompressRaw compresses a batch's record region with the given codec. Other
+// layers (the archive's segment files) use it on arbitrary regions, so the
+// whole pipeline shares one compression vocabulary and its pooled compressors.
+func CompressRaw(codec Codec, body []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(len(body)/4 + 64)
 	switch codec {
@@ -130,72 +132,85 @@ func compressBody(codec Codec, body []byte) ([]byte, error) {
 // reported corrupt.
 const maxInflatedBody = 64 << 20
 
-// Decompressor pools mirror the writer pools: flate and gzip readers carry
-// sliding-window state that is expensive to construct, and the consumer
-// side inflates one batch per stored batch.
-var gzipReaders sync.Pool
-
-var flateReaders = sync.Pool{
-	New: func() any { return flate.NewReader(bytes.NewReader(nil)) },
+// inflater is everything one inflation needs, pooled as a unit so that a
+// steady-state inflate allocates nothing of its own: the source reader, the
+// flate and gzip decompressors and the scratch the region inflates into. A
+// caller that only looks at the inflated bytes (ValidateBatch) walks the
+// scratch; one that keeps them copies out a single exact-size buffer.
+type inflater struct {
+	src   bytes.Reader
+	flate io.ReadCloser
+	gzip  gzip.Reader
+	buf   []byte
 }
 
-// decompressBody inflates a compressed record region. Errors are wrapped in
-// ErrCorrupt: a batch that passed its CRC but fails to inflate was built
-// wrong, and readers treat both identically.
-func decompressBody(codec Codec, body []byte) ([]byte, error) {
-	var r io.Reader
-	var release func()
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.flate = flate.NewReader(&in.src)
+	return in
+}}
+
+// maxPooledScratch is the largest scratch an inflater reuses, so one huge
+// batch does not pin its scratch for the life of the process.
+const maxPooledScratch = 4 << 20
+
+// inflate decompresses a record region into the scratch, valid until the
+// inflater goes back to the pool. Errors are wrapped in ErrCorrupt: a batch
+// that passed its CRC but fails to inflate was built wrong, and readers treat
+// both identically.
+func (in *inflater) inflate(codec Codec, body []byte) ([]byte, error) {
+	in.src.Reset(body)
+	var r io.Reader = in.flate
+	var err error
 	switch codec {
 	case CodecGzip:
-		var gr *gzip.Reader
-		if v := gzipReaders.Get(); v != nil {
-			gr = v.(*gzip.Reader)
-			if err := gr.Reset(bytes.NewReader(body)); err != nil {
-				gzipReaders.Put(gr)
-				return nil, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-			}
-		} else {
-			var err error
-			if gr, err = gzip.NewReader(bytes.NewReader(body)); err != nil {
-				return nil, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-			}
-		}
-		r = gr
-		release = func() { gzipReaders.Put(gr) }
+		r, err = &in.gzip, in.gzip.Reset(&in.src)
 	case CodecFlate:
-		fr := flateReaders.Get().(io.ReadCloser)
-		if err := fr.(flate.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
-			flateReaders.Put(fr)
-			return nil, fmt.Errorf("%w: flate: %v", ErrCorrupt, err)
-		}
-		r = fr
-		release = func() { flateReaders.Put(fr) }
+		err = in.flate.(flate.Resetter).Reset(&in.src, nil)
 	default:
 		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
 	}
-	out, err := io.ReadAll(io.LimitReader(r, maxInflatedBody+1))
-	release()
-	if err != nil {
+	if err != nil { // io.EOF included: an empty gzip stream is not an empty region
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, codec, err)
 	}
-	if len(out) > maxInflatedBody {
+	if cap(in.buf) > maxPooledScratch {
+		in.buf = nil
+	}
+	buf := in.buf[:0]
+	for err == nil && len(buf) <= maxInflatedBody {
+		if len(buf) == cap(buf) {
+			// Double, from one default producer batch to at most one byte
+			// past the bound: the byte that tells a bomb from a region of
+			// exactly the bound.
+			in.buf = make([]byte, len(buf), min(max(2*cap(buf), 64<<10), maxInflatedBody+1))
+			copy(in.buf, buf)
+			buf = in.buf
+		}
+		var n int
+		n, err = r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+	}
+	if len(buf) > maxInflatedBody {
 		return nil, fmt.Errorf("%w: %s: inflates beyond %d bytes", ErrCorrupt, codec, maxInflatedBody)
 	}
-	return out, nil
+	if err != io.EOF {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, codec, err)
+	}
+	return buf, nil
 }
 
-// CompressRaw compresses an arbitrary byte region with the given codec,
-// using the same pooled compressors as batch sealing. Other layers (the
-// archive's segment files) reuse it so the whole pipeline shares one
-// compression vocabulary.
-func CompressRaw(codec Codec, body []byte) ([]byte, error) {
-	return compressBody(codec, body)
-}
-
-// DecompressRaw inflates a region produced by CompressRaw. Errors wrap
-// ErrCorrupt.
+// DecompressRaw inflates a region produced by CompressRaw into a buffer of
+// exactly its inflated size, owned by the caller. Errors wrap ErrCorrupt.
 func DecompressRaw(codec Codec, body []byte) ([]byte, error) {
-	return decompressBody(codec, body)
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	scratch, err := in.inflate(codec, body)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(scratch))
+	copy(out, scratch)
+	return out, nil
 }
 
 // Compress seals an uncompressed batch with the given codec: the record
@@ -215,19 +230,25 @@ func Compress(batch []byte, codec Codec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	compressed, err := compressBody(codec, batch[batchHeaderLen:total])
+	compressed, err := CompressRaw(codec, batch[batchHeaderLen:total])
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, batchHeaderLen+len(compressed))
+	return reseal(batch, compressed, codec), nil
+}
+
+// reseal returns a new batch with batch's header and the given record
+// region, rewriting the length, the codec bits and the CRC.
+func reseal(batch, body []byte, codec Codec) []byte {
+	out := make([]byte, batchHeaderLen+len(body))
 	copy(out, batch[:batchHeaderLen])
-	copy(out[batchHeaderLen:], compressed)
+	copy(out[batchHeaderLen:], body)
 	binary.BigEndian.PutUint32(out[8:], uint32(len(out)-12))
 	attrs := binary.BigEndian.Uint16(out[attrsOffset:])
 	attrs = attrs&^codecMask | uint16(codec)&codecMask
 	binary.BigEndian.PutUint16(out[attrsOffset:], attrs)
 	binary.BigEndian.PutUint32(out[crcOffset:], crc32.Checksum(out[crcDataOffset:], castagnoli))
-	return out, nil
+	return out
 }
 
 // Decompress rewrites a compressed batch into its equivalent uncompressed
@@ -240,25 +261,17 @@ func Decompress(batch []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, err := PeekCodec(batch)
-	if err != nil {
-		return nil, err
-	}
+	codec, _ := PeekCodec(batch)
 	if codec == CodecNone {
 		return batch, nil
 	}
-	body, err := decompressBody(codec, batch[batchHeaderLen:total])
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	body, err := in.inflate(codec, batch[batchHeaderLen:total])
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, batchHeaderLen+len(body))
-	copy(out, batch[:batchHeaderLen])
-	copy(out[batchHeaderLen:], body)
-	binary.BigEndian.PutUint32(out[8:], uint32(len(out)-12))
-	attrs := binary.BigEndian.Uint16(out[attrsOffset:]) &^ codecMask
-	binary.BigEndian.PutUint16(out[attrsOffset:], attrs)
-	binary.BigEndian.PutUint32(out[crcOffset:], crc32.Checksum(out[crcDataOffset:], castagnoli))
-	return out, nil
+	return reseal(batch, body, CodecNone), nil
 }
 
 // CheckBatch verifies the structural integrity of the sealed batch at the
@@ -287,11 +300,11 @@ func CheckBatch(buf []byte) (BatchInfo, error) {
 
 // ValidateBatch is the broker's produce-path validation: CheckBatch plus a
 // full structural walk of the record region (inflating compressed batches
-// into a transient buffer — the stored bytes remain the producer's,
-// verbatim). The walk allocates nothing and confirms that exactly
-// RecordCount records parse and consume the whole region, so a CRC-valid
-// but structurally corrupt batch is rejected at produce time instead of
-// being stored and wedging every reader of the partition.
+// into pooled scratch — the stored bytes remain the producer's, verbatim).
+// Neither the inflate nor the walk allocates, and the walk confirms that
+// exactly RecordCount records parse and consume the whole region, so a
+// CRC-valid but structurally corrupt batch is rejected at produce time
+// instead of being stored and wedging every reader of the partition.
 func ValidateBatch(buf []byte) (BatchInfo, error) {
 	info, err := CheckBatch(buf)
 	if err != nil {
@@ -300,7 +313,9 @@ func ValidateBatch(buf []byte) (BatchInfo, error) {
 	codec, _ := PeekCodec(buf)
 	body := buf[batchHeaderLen:info.Length]
 	if codec != CodecNone {
-		if body, err = decompressBody(codec, body); err != nil {
+		in := inflaters.Get().(*inflater)
+		defer inflaters.Put(in)
+		if body, err = in.inflate(codec, body); err != nil {
 			return BatchInfo{}, err
 		}
 	}

@@ -120,3 +120,30 @@ func EncodeBatchKeepOffsets(records []Record) []byte {
 	binary.BigEndian.PutUint32(buf[crcOffset:], crc)
 	return buf
 }
+
+// OffsetForTimestamp returns the offset of the first record in buf whose
+// timestamp is at or after ts, or -1 when there is none. It decodes only a
+// batch whose header MaxTimestamp reaches ts; the ones it skips are neither
+// CRC-checked nor inflated. A trailing partial batch is tolerated as in Scan.
+func OffsetForTimestamp(buf []byte, ts int64) (int64, error) {
+	for len(buf) > 0 {
+		if info, err := PeekBatchInfo(buf); err == nil && info.Length <= len(buf) && info.MaxTimestamp < ts {
+			buf = buf[info.Length:]
+			continue
+		}
+		b, n, err := DecodeBatch(buf) // which also reports what PeekBatchInfo would not pass
+		if err == ErrShort {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		for i := range b.Records {
+			if b.Records[i].Timestamp >= ts {
+				return b.Records[i].Offset, nil
+			}
+		}
+		buf = buf[n:]
+	}
+	return -1, nil
+}

@@ -37,7 +37,8 @@ type Header struct {
 
 // Record is a single message. Offset and Timestamp are assigned by the
 // broker on append (log-append time) unless the producer supplied a
-// timestamp.
+// timestamp. The byte fields of a decoded Record are the receiver's to keep
+// and share their batch's arena: see DecodeBatch for the ownership rule.
 type Record struct {
 	Offset    int64 // absolute offset within the partition
 	Timestamp int64 // milliseconds since the Unix epoch
@@ -266,6 +267,13 @@ func StampProducer(buf []byte, id int64, epoch int32, baseSeq int64) error {
 // returning the batch and the number of bytes consumed. Compressed batches
 // (see Codec) are inflated transparently: the CRC is verified over the
 // sealed bytes first, so corruption is detected before inflation.
+//
+// Ownership: each batch gets one private arena — its inflated body, or one
+// copy of an uncompressed body — and every decoded Key, Value and header
+// Value is a capacity-clipped sub-slice of it. Decoded records never alias
+// buf (wire frames, segment reads and pooled buffers stay reusable); a
+// retained record pins at most its own batch, so a long-lived structure
+// clones what it keeps; appending to one field cannot reach its neighbour.
 func DecodeBatch(buf []byte) (Batch, int, error) {
 	total, err := PeekBatchLen(buf)
 	if err != nil {
@@ -282,35 +290,34 @@ func DecodeBatch(buf []byte) (Batch, int, error) {
 	if count < 0 {
 		return Batch{}, 0, ErrCorrupt
 	}
-	codec := Codec(int16(binary.BigEndian.Uint16(b[attrsOffset:])) & codecMask)
-	body := b[batchHeaderLen:]
-	if codec != CodecNone {
-		body, err = decompressBody(codec, body)
-		if err != nil {
+	var arena []byte
+	if codec := Codec(int16(binary.BigEndian.Uint16(b[attrsOffset:])) & codecMask); codec != CodecNone {
+		if arena, err = DecompressRaw(codec, b[batchHeaderLen:]); err != nil {
 			return Batch{}, 0, err
 		}
+	} else {
+		arena = make([]byte, total-batchHeaderLen)
+		copy(arena, b[batchHeaderLen:])
 	}
 
-	// The count is header data, not yet proven against the body: cap the
-	// preallocation by what the region could possibly hold (a record is at
-	// least 24 bytes) so a corrupt count fails the bounds checks below
-	// instead of attempting a huge allocation.
-	capHint := count
-	if most := len(body)/24 + 1; capHint > most {
-		capHint = most
+	// The count is header data, not yet proven against the body: one the
+	// region could not possibly hold is corrupt, not a huge allocation.
+	if count > len(arena)/minRecordLen {
+		return Batch{}, 0, ErrCorrupt
 	}
-	records := make([]Record, 0, capHint)
+	records := make([]Record, count)
 	pos := 0
-	for i := 0; i < count; i++ {
-		var r Record
-		pos, err = decodeRecord(body, pos, baseOffset, baseTS, &r)
-		if err != nil {
+	for i := range records {
+		if pos, err = decodeRecord(arena, pos, baseOffset, baseTS, &records[i]); err != nil {
 			return Batch{}, 0, err
 		}
-		records = append(records, r)
 	}
 	return Batch{BaseOffset: baseOffset, Records: records}, total, nil
 }
+
+// minRecordLen is the encoded size of a record with a nil key, a nil value
+// and no headers: what bounds the records a region of known size can hold.
+const minRecordLen = 4 + 8 + 4 + 4 + 4
 
 func decodeRecord(b []byte, pos int, baseOffset, baseTS int64, r *Record) (int, error) {
 	if pos+12 > len(b) {
@@ -357,6 +364,8 @@ func decodeRecord(b []byte, pos int, baseOffset, baseTS int64, r *Record) (int, 
 	return pos, nil
 }
 
+// getBytes returns the length-prefixed field at pos as a capacity-clipped
+// sub-slice of b (nil for the -1 length), and the position after it.
 func getBytes(b []byte, pos int) ([]byte, int, error) {
 	if pos+4 > len(b) {
 		return nil, 0, ErrCorrupt
@@ -366,12 +375,11 @@ func getBytes(b []byte, pos int) ([]byte, int, error) {
 	if n == -1 {
 		return nil, pos, nil
 	}
-	if n < 0 || pos+int(n) > len(b) {
+	end := pos + int(n)
+	if n < 0 || end > len(b) {
 		return nil, 0, ErrCorrupt
 	}
-	out := make([]byte, n)
-	copy(out, b[pos:pos+int(n)])
-	return out, pos + int(n), nil
+	return b[pos:end:end], end, nil
 }
 
 // Scan iterates over consecutive batches in buf, invoking fn for each. It
@@ -407,15 +415,28 @@ func ScanRecords(buf []byte, fn func(Record) error) error {
 	})
 }
 
-// CountRecords returns the number of records across all complete batches in
-// buf, without allocating decoded records for the caller.
+// CountRecords returns the number of records in the complete batches in buf
+// from their CRC-verified headers alone, nothing inflated or decoded, so a
+// reader can size its output once per fetch. Each header's claim is clipped
+// to what the batch could hold; a trailing partial batch is tolerated.
 func CountRecords(buf []byte) (int, error) {
 	n := 0
-	err := Scan(buf, func(b Batch) error {
-		n += len(b.Records)
-		return nil
-	})
-	return n, err
+	for len(buf) > 0 {
+		info, err := CheckBatch(buf)
+		if err == ErrShort {
+			break
+		}
+		if err != nil {
+			return n, err
+		}
+		body := info.Length - batchHeaderLen
+		if codec, _ := PeekCodec(buf); codec != CodecNone {
+			body = maxInflatedBody
+		}
+		n += min(info.RecordCount, body/minRecordLen)
+		buf = buf[info.Length:]
+	}
+	return n, nil
 }
 
 // String implements fmt.Stringer for debugging.

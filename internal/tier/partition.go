@@ -364,14 +364,7 @@ func (p *Partition) OffsetForTimestamp(ts int64) (int64, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		// Scan the hydrated batches for the first qualifying record.
-		found := int64(-1)
-		err = record.ScanRecords(r.data, func(rec record.Record) error {
-			if rec.Timestamp >= ts && found == -1 {
-				found = rec.Offset
-			}
-			return nil
-		})
+		found, err := record.OffsetForTimestamp(r.data, ts)
 		if err != nil {
 			return 0, false, err
 		}
