@@ -37,7 +37,7 @@ func main() {
 	rate := flag.Int("rate", 0, "backfill rate cap in records/sec (0 = unlimited)")
 	segBytes := flag.Int64("segment-bytes", 4<<20, "segment roll size")
 	flushEvery := flag.Duration("flush-interval", 2*time.Second, "max age of an open segment buffer")
-	codecName := flag.String("codec", "none", "segment compression on the DFS: none, gzip, or flate")
+	codecName := flag.String("codec", "none", "segment compression on the DFS: none or flate")
 	flag.Parse()
 	mode := flag.Arg(0)
 	codec, err := liquid.ParseCodec(*codecName)

@@ -1,19 +1,13 @@
-// Command liquid-bench runs the experiment suite that reproduces the
-// paper's claims (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for recorded results). Each experiment prints a table;
-// absolute numbers are machine-dependent, the shapes are the reproduction
-// target.
-//
-// Every experiment also writes a machine-readable BENCH_<exp>.json file
-// (identity, structured results, rendered rows) so the performance
-// trajectory can be tracked across changes; -json "" disables it.
+// Command liquid-bench runs the paper-reproduction experiments of
+// internal/bench and prints one table each. Absolute numbers are
+// machine-dependent; the shapes are the reproduction target. Numbers
+// tracked across changes come from the standing benchmark (benchmark/run.sh).
 //
 // Usage:
 //
 //	liquid-bench              # run everything at full scale
 //	liquid-bench -quick       # CI-sized runs
-//	liquid-bench -run E16     # one experiment
-//	liquid-bench -json out/   # write BENCH_<exp>.json files into out/
+//	liquid-bench -run E2,E18  # selected experiments
 package main
 
 import (
@@ -29,21 +23,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced sizes (seconds per experiment)")
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	jsonDir := flag.String("json", ".", "directory for BENCH_<exp>.json results (empty disables)")
 	flag.Parse()
-
-	// Quick runs don't overwrite committed full-scale baselines unless the
-	// caller asked for JSON explicitly (the files record their scale either
-	// way).
-	jsonExplicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "json" {
-			jsonExplicit = true
-		}
-	})
-	if *quick && !jsonExplicit {
-		*jsonDir = ""
-	}
 
 	scale := bench.Scale{Quick: *quick}
 	start := time.Now()
@@ -54,21 +34,13 @@ func main() {
 		for _, id := range strings.Split(*run, ",") {
 			f, ok := bench.ByID(strings.TrimSpace(id))
 			if !ok {
-				log.Fatalf("liquid-bench: unknown experiment %q (E1..E20, E22, E25)", id)
+				log.Fatalf("liquid-bench: unknown experiment %q (known: %s)", id, strings.Join(bench.IDs(), ", "))
 			}
 			tables = append(tables, f(scale))
 		}
 	}
 	for _, t := range tables {
 		fmt.Println(t.Render())
-		if *jsonDir != "" {
-			path, err := bench.WriteJSON(*jsonDir, t, scale)
-			if err != nil {
-				log.Printf("liquid-bench: write json for %s: %v", t.ID, err)
-			} else {
-				fmt.Printf("wrote %s\n\n", path)
-			}
-		}
 	}
 	fmt.Printf("total: %s\n", time.Since(start).Round(time.Second))
 }

@@ -23,7 +23,7 @@ func main() {
 	bootstrap := flag.String("bootstrap", "127.0.0.1:9092", "comma-separated broker addresses")
 	topic := flag.String("topic", "", "topic to produce to")
 	acks := flag.Int("acks", 1, "durability: 0 fire-and-forget, 1 leader, -1 all in-sync replicas")
-	codecName := flag.String("codec", "none", "batch compression: none, gzip, or flate")
+	codecName := flag.String("codec", "none", "batch compression: none or flate")
 	flag.Parse()
 	if *topic == "" {
 		log.Fatal("liquid-producer: -topic is required")

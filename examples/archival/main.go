@@ -5,10 +5,10 @@
 // messaging layer could have long expired (paper §1, §3: the log layer as
 // the single source of truth for nearline AND offline consumers).
 //
-// Paper experiments: archive export throughput is E14 and the
-// nearline-vs-offline scan comparison is E15. Archived segments may be
-// codec-compressed on the DFS (liquid.ArchiverConfig.Codec), reusing the
-// messaging layer's batch codecs (E16).
+// The standing benchmark's pipeline workload measures the same archive and
+// MapReduce legs (benchmark/run.sh). Archived segments may be compressed
+// with flate on the DFS (liquid.ArchiverConfig.Codec), the messaging
+// layer's batch codec.
 package main
 
 import (

@@ -2,10 +2,9 @@
 // run a small produce/consume workload, then scrape each broker's
 // /metrics endpoint like a monitoring system would — lint the exposition,
 // print the headline request-path series, and show the consumer-lag
-// gauges a dashboard alert would key on.
-//
-// Paper experiment: the cost of this instrumentation is quantified by E25
-// (go run ./cmd/liquid-bench -run E25).
+// gauges a dashboard alert would key on. The instrumentation is always on:
+// the standing benchmark (benchmark/run.sh) measures its cost as part of
+// every workload's cpu_us_per_rec.
 package main
 
 import (

@@ -30,11 +30,10 @@ type ArchiverConfig struct {
 	// FlushInterval rolls a non-empty buffer after this much time even if
 	// undersized, bounding archive staleness (default 2s).
 	FlushInterval time.Duration
-	// Codec compresses segment files on the DFS (record.CodecNone,
-	// CodecGzip or CodecFlate) — the same codec vocabulary the messaging
-	// layer uses for batches. Readers (MRInput, Backfill) decompress
-	// transparently, and old and new segment formats may coexist under
-	// one manifest.
+	// Codec compresses segment files on the DFS (record.CodecNone or
+	// record.CodecFlate, the messaging layer's batch codecs). Readers
+	// (MRInput, Backfill) decompress transparently, and old and new
+	// segment formats may coexist under one manifest.
 	Codec record.Codec
 	// PollWait is the fetch long-poll bound (default 250ms).
 	PollWait time.Duration

@@ -46,9 +46,8 @@ func E17Availability(scale Scale) Table {
 
 	n := scale.pick(150, 600)
 	var acked []string
-	producePhase := func(phase string) (durations, time.Duration) {
+	producePhase := func(phase string) durations {
 		var lat durations
-		start := time.Now()
 		for i := 0; i < n; i++ {
 			v := fmt.Sprintf("%s-%06d", phase, i)
 			t0 := time.Now()
@@ -57,10 +56,10 @@ func E17Availability(scale Scale) Table {
 				acked = append(acked, v)
 			}
 		}
-		return lat, time.Since(start)
+		return lat
 	}
 
-	healthy, healthyDur := producePhase("healthy")
+	healthy := producePhase("healthy")
 
 	// Force the failover: crash the leader, then hammer produces until one
 	// succeeds — that first success marks recovery (§4.3's hand-over is
@@ -88,7 +87,7 @@ func E17Availability(scale Scale) Table {
 		}
 	}
 
-	recovered, recoveredDur := producePhase("post-failover")
+	recovered := producePhase("post-failover")
 
 	// The §4.3 invariant: every acknowledged record survives the failover.
 	lost := countLost(s, topic, acked)
@@ -96,32 +95,6 @@ func E17Availability(scale Scale) Table {
 	t.Rows = append(t.Rows,
 		[]string{"healthy (acks=all)", fmt.Sprint(len(healthy)), ms(healthy.p(0.5)), ms(healthy.p(0.99))},
 		[]string{"post-failover", fmt.Sprint(len(recovered)), ms(recovered.p(0.5)), ms(recovered.p(0.99))},
-	)
-	t.Results = append(t.Results,
-		Result{
-			Name:          "healthy",
-			RecordsPerSec: float64(len(healthy)) / healthyDur.Seconds(),
-			P50Ms:         float64(healthy.p(0.5)) / float64(time.Millisecond),
-			P99Ms:         float64(healthy.p(0.99)) / float64(time.Millisecond),
-		},
-		Result{
-			Name:          "post-failover",
-			RecordsPerSec: float64(len(recovered)) / recoveredDur.Seconds(),
-			P50Ms:         float64(recovered.p(0.5)) / float64(time.Millisecond),
-			P99Ms:         float64(recovered.p(0.99)) / float64(time.Millisecond),
-		},
-		Result{
-			Name: "failover",
-			Extra: map[string]string{
-				"time_to_recover_ms": fmt.Sprintf("%.1f", float64(ttr)/float64(time.Millisecond)),
-				"session_timeout_ms": fmt.Sprintf("%.0f", float64(sessionTimeout)/float64(time.Millisecond)),
-				"failed_attempts":    fmt.Sprint(failedAttempts),
-				"acked_records":      fmt.Sprint(len(acked)),
-				"acked_records_lost": fmt.Sprint(lost),
-				"killed_leader":      fmt.Sprint(leader),
-				"chaos_network_seed": fmt.Sprint(net.Seed()),
-			},
-		},
 	)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("time-to-recover %s after leader kill (session timeout %s, %d failed attempts); %d/%d acked records survived",

@@ -1,11 +1,11 @@
-// Package bench implements the experiment harness: one function per
-// experiment (E1–E16), each reproducing a claim of the paper as a
-// measurable table and as machine-readable Results (WriteJSON emits
-// BENCH_<exp>.json so the performance trajectory is tracked across PRs).
-// cmd/liquid-bench runs them from the command line; bench_test.go wraps
-// them as testing.B benchmarks. Absolute numbers depend on the machine;
-// the reproduction target is the shape — who wins, by what magnitude,
-// where the crossovers fall.
+// Package bench holds the frozen paper-reproduction experiments: one
+// function per experiment, each reproducing a claim of the paper as a
+// printed table. The registry below lists them in run order;
+// cmd/liquid-bench runs them from the command line and bench_test.go at
+// the repository root wraps them as testing.B benchmarks. Absolute numbers
+// depend on the machine; the reproduction target is the shape — who wins,
+// by what magnitude, where the crossovers fall. Numbers tracked across
+// changes come from the standing benchmark under benchmark/, not from here.
 package bench
 
 import (
@@ -28,13 +28,9 @@ type Table struct {
 	Headers []string
 	Rows    [][]string
 	Notes   []string
-	// Results are the machine-readable measurements behind the rows; see
-	// WriteJSON. Experiments populate them where the numbers are tracked
-	// across PRs.
-	Results []Result
 }
 
-// Render formats the table for terminals and EXPERIMENTS.md.
+// Render formats the table for terminals.
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
@@ -75,7 +71,7 @@ func (t *Table) Render() string {
 }
 
 // Scale selects experiment sizing: Quick keeps every experiment under a
-// few seconds for CI; Full uses the sizes recorded in EXPERIMENTS.md.
+// few seconds for CI; the zero value runs the full sizes.
 type Scale struct {
 	Quick bool
 }
@@ -192,60 +188,53 @@ func mbPerSec(bytes int64, d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(bytes)/d.Seconds()/(1<<20))
 }
 
-// All runs every experiment at the given scale.
-func All(scale Scale) []Table {
-	return []Table{
-		E1PipelineLatency(scale),
-		E2ThroughputVsLogSize(scale),
-		E3AntiCaching(scale),
-		E4Compaction(scale),
-		E5Incremental(scale),
-		E6Failover(scale),
-		E7AcksTradeoff(scale),
-		E8Isolation(scale),
-		E9ConsumerGroups(scale),
-		E10Decoupling(scale),
-		E11ManyTopics(scale),
-		E12UseCases(scale),
-		E13StateRecovery(scale),
-		E14ArchiveExport(scale),
-		E15ArchiveScan(scale),
-		E16Compression(scale),
-		E17Availability(scale),
-		E18RewindScan(scale),
-		E19NoisyNeighbor(scale),
-		E20Durability(scale),
-		E22TableReads(scale),
-		E25ObservabilityOverhead(scale),
-	}
+// experiments is the one registry: All runs it in order, ByID and IDs
+// read it.
+var experiments = []struct {
+	id  string
+	run func(Scale) Table
+}{
+	{"E1", E1PipelineLatency},
+	{"E2", E2ThroughputVsLogSize},
+	{"E4", E4Compaction},
+	{"E5", E5Incremental},
+	{"E6", E6Failover},
+	{"E7", E7AcksTradeoff},
+	{"E8", E8Isolation},
+	{"E9", E9ConsumerGroups},
+	{"E10", E10Decoupling},
+	{"E11", E11ManyTopics},
+	{"E12", E12UseCases},
+	{"E13", E13StateRecovery},
+	{"E17", E17Availability},
+	{"E18", E18RewindScan},
+	{"E22", E22TableReads},
 }
 
-// ByID returns the experiment runner for an id like "E7".
-func ByID(id string) (func(Scale) Table, bool) {
-	m := map[string]func(Scale) Table{
-		"E1":  E1PipelineLatency,
-		"E2":  E2ThroughputVsLogSize,
-		"E3":  E3AntiCaching,
-		"E4":  E4Compaction,
-		"E5":  E5Incremental,
-		"E6":  E6Failover,
-		"E7":  E7AcksTradeoff,
-		"E8":  E8Isolation,
-		"E9":  E9ConsumerGroups,
-		"E10": E10Decoupling,
-		"E11": E11ManyTopics,
-		"E12": E12UseCases,
-		"E13": E13StateRecovery,
-		"E14": E14ArchiveExport,
-		"E15": E15ArchiveScan,
-		"E16": E16Compression,
-		"E17": E17Availability,
-		"E18": E18RewindScan,
-		"E19": E19NoisyNeighbor,
-		"E20": E20Durability,
-		"E22": E22TableReads,
-		"E25": E25ObservabilityOverhead,
+// All runs every experiment at the given scale.
+func All(scale Scale) []Table {
+	tables := make([]Table, 0, len(experiments))
+	for _, e := range experiments {
+		tables = append(tables, e.run(scale))
 	}
-	f, ok := m[strings.ToUpper(id)]
-	return f, ok
+	return tables
+}
+
+// ByID returns the experiment runner for an id like "E7" (any case).
+func ByID(id string) (func(Scale) Table, bool) {
+	for _, e := range experiments {
+		if strings.EqualFold(e.id, id) {
+			return e.run, true
+		}
+	}
+	return nil, false
+}
+
+// IDs lists the experiment ids in run order.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -28,7 +28,11 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestByIDKnowsAllExperiments(t *testing.T) {
-	for _, id := range []string{"E1", "e2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E22", "E25"} {
+	want := "E1 E2 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E17 E18 E22"
+	if got := strings.Join(IDs(), " "); got != want {
+		t.Fatalf("IDs() = %s, want %s", got, want)
+	}
+	for _, id := range append(IDs(), "e2") {
 		if _, ok := ByID(id); !ok {
 			t.Fatalf("ByID(%s) unknown", id)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/storage/cache"
 	"repro/internal/storage/compact"
 	"repro/internal/storage/log"
 	"repro/internal/storage/record"
@@ -108,134 +107,6 @@ func lastBatchLen(data []byte) int {
 		pos += n
 	}
 	return last
-}
-
-// E3AntiCaching validates §4.1's anti-caching design: reads near the head
-// of the log are served from resident pages, cold random reads from the
-// tail pay the disk penalty.
-func E3AntiCaching(scale Scale) Table {
-	t := Table{
-		ID:      "E3",
-		Title:   "anti-caching: head reads vs cold random reads",
-		Claim:   "§4.1: head of the log stays in RAM; historical reads pay disk latency",
-		Headers: []string{"access pattern", "hit ratio", "p50 read ms", "p99 read ms"},
-	}
-	logMB := scale.pick(16, 128)
-	cacheMB := logMB / 4
-	pc := cache.New(cache.Config{
-		PageSize:           4096,
-		CapacityBytes:      int64(cacheMB) << 20,
-		DiskPenaltyPerPage: 50 * time.Microsecond,
-		FlushDelay:         10 * time.Millisecond,
-	})
-	dir, err := os.MkdirTemp("", "e3-")
-	if err != nil {
-		t.Notes = append(t.Notes, "failed: "+err.Error())
-		return t
-	}
-	defer os.RemoveAll(dir)
-	l, err := log.Open(dir, log.Config{
-		SegmentBytes: 8 << 20, RetentionMs: -1, RetentionBytes: -1, Tracker: pc,
-	})
-	if err != nil {
-		t.Notes = append(t.Notes, "failed: "+err.Error())
-		return t
-	}
-	defer l.Close()
-
-	const recordBytes = 1024
-	value := make([]byte, recordBytes)
-	total := int64(logMB) << 20
-	batch := make([]record.Record, 64)
-	var written int64
-	for written < total {
-		for i := range batch {
-			batch[i] = record.Record{Timestamp: 1, Value: value}
-		}
-		l.Append(batch)
-		written += int64(len(batch) * recordBytes)
-	}
-	end := l.NextOffset()
-	reads := scale.pick(200, 1000)
-
-	measure := func(offsetFn func(i int) int64) (cache.Stats, durations) {
-		pc.Reset()
-		var lat durations
-		for i := 0; i < reads; i++ {
-			off := offsetFn(i)
-			start := time.Now()
-			if _, err := l.Read(off, 64<<10); err != nil {
-				break
-			}
-			lat = append(lat, time.Since(start))
-		}
-		return pc.Stats(), lat
-	}
-
-	// Nearline consumers read the head (most recent cache-sized window).
-	headSpan := int64(cacheMB) << 19 / recordBytes // half the cache, in records
-	headStats, headLat := measure(func(i int) int64 {
-		return end - 1 - int64(i)%headSpan
-	})
-	// Historical backfill reads uniformly over the whole log.
-	step := end / int64(reads)
-	if step == 0 {
-		step = 1
-	}
-	coldStats, coldLat := measure(func(i int) int64 {
-		return (int64(i) * step * 7919) % end // pseudo-random stride
-	})
-
-	t.Rows = append(t.Rows, []string{
-		"head of log (nearline)",
-		fmt.Sprintf("%.2f", headStats.HitRatio()),
-		ms(headLat.p(0.5)), ms(headLat.p(0.99)),
-	})
-	t.Rows = append(t.Rows, []string{
-		"uniform random (historical)",
-		fmt.Sprintf("%.2f", coldStats.HitRatio()),
-		ms(coldLat.p(0.5)), ms(coldLat.p(0.99)),
-	})
-
-	// Ablation: sweep the cache capacity for the random workload. More
-	// RAM helps historical scans sub-linearly — the cost-effectiveness
-	// argument of §4.5 for NOT keeping everything in memory.
-	for _, frac := range []int{8, 2, 1} {
-		sweepMB := logMB / frac
-		sc := cache.New(cache.Config{
-			PageSize:           4096,
-			CapacityBytes:      int64(sweepMB) << 20,
-			DiskPenaltyPerPage: 50 * time.Microsecond,
-			FlushDelay:         10 * time.Millisecond,
-		})
-		sl, err := log.Open(dir, log.Config{
-			SegmentBytes: 8 << 20, RetentionMs: -1, RetentionBytes: -1, Tracker: sc,
-		})
-		if err != nil {
-			break
-		}
-		var lat durations
-		for i := 0; i < reads; i++ {
-			off := (int64(i) * step * 7919) % end
-			s0 := time.Now()
-			if _, err := sl.Read(off, 64<<10); err != nil {
-				break
-			}
-			lat = append(lat, time.Since(s0))
-		}
-		stats := sc.Stats()
-		sl.Close()
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("random, cache=%dMB (ablation)", sweepMB),
-			fmt.Sprintf("%.2f", stats.HitRatio()),
-			ms(lat.p(0.5)), ms(lat.p(0.99)),
-		})
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("log %dMB, page-cache model %dMB, disk penalty 50µs/page", logMB, cacheMB),
-		"expected shape: head hit ratio near 1 with sub-ms reads; random reads miss and pay the penalty",
-		"ablation shape: random-read hit ratio grows with cache size but needs RAM ~ log size to win (§4.5)")
-	return t
 }
 
 // E4Compaction validates §4.1's log compaction: keyed changelogs shrink to

@@ -78,17 +78,11 @@ func E18RewindScan(scale Scale) Table {
 	logicalBytes := int64(records) * valueBytes
 	coldShare := float64(st.TieredNextOffset) / float64(records)
 	addRow := func(phase string, n int, d time.Duration) {
-		bytes := int64(n) * valueBytes
 		t.Rows = append(t.Rows, []string{
 			phase,
 			fmt.Sprint(n),
 			fmt.Sprintf("%.0f", float64(n)/d.Seconds()),
-			mbPerSec(bytes, d),
-		})
-		t.Results = append(t.Results, Result{
-			Name:          phase,
-			RecordsPerSec: float64(n) / d.Seconds(),
-			MBPerSec:      float64(bytes) / d.Seconds() / (1 << 20),
+			mbPerSec(int64(n)*valueBytes, d),
 		})
 	}
 	addRow("offload (produce→fully tiered)", int(st.TieredNextOffset), offloadDur)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/storage/cache"
 	"repro/internal/storage/compact"
 	"repro/internal/storage/log"
 	"repro/internal/storage/record"
@@ -67,12 +66,6 @@ type Config struct {
 	// the covering fdatasync lands. The zero value keeps the legacy
 	// OS-buffered flushing.
 	Durability log.Durability
-	// PageCache, when non-nil, attaches an OS page-cache model to every
-	// partition log (one cache instance per partition, sized by
-	// PageCache.CapacityBytes): reads of non-resident pages pay the
-	// modeled disk penalty, reproducing the anti-caching behaviour of
-	// paper §4.1 inside the full stack. Nil (the default) costs nothing.
-	PageCache *cache.Config
 	// TierFS is the DFS handle tiered topics offload to (internal/tier).
 	// Nil disables tiering on this broker: tiered topics still work, but
 	// this broker never offloads and never deletes local segments of
@@ -123,11 +116,6 @@ type Config struct {
 	// is advertised in cluster metadata so admin tools can find it.
 	// Empty disables the server.
 	OpsAddr string
-	// DisableInstrumentation turns off the per-request metric families,
-	// the slow log, WAL metrics and the gauge-exporter tick. It exists for
-	// one purpose: the E25 benchmark's baseline, which measures the cost
-	// of the instrumentation itself.
-	DisableInstrumentation bool
 }
 
 func (c Config) withDefaults() Config {
@@ -207,7 +195,7 @@ type Broker struct {
 
 	tierCache *tier.Cache // shared cold-reader LRU (nil without TierFS)
 
-	met *brokerMetrics // request-path families + slow log (nil when disabled)
+	met *brokerMetrics // request-path families + slow log
 	ops *obs.Server    // ops HTTP endpoint (nil without OpsAddr)
 
 	stopCh      chan struct{}
@@ -250,21 +238,16 @@ func Start(store *coord.Store, cfg Config) (*Broker, error) {
 	if cfg.TierFS != nil {
 		b.tierCache = tier.NewCache(cfg.TierCacheBytes, cfg.Metrics)
 	}
-	if !cfg.DisableInstrumentation {
-		b.met = newBrokerMetrics(cfg.Metrics, cfg.ID, cfg.Now)
-	}
+	b.met = newBrokerMetrics(cfg.Metrics, cfg.ID, cfg.Now)
 	if cfg.OpsAddr != "" {
-		opsCfg := obs.Config{
+		srv, err := obs.Start(obs.Config{
 			Addr:     cfg.OpsAddr,
 			Registry: cfg.Metrics,
 			Health:   b.healthChecks(),
 			Status:   func() any { return b.statusReportNow() },
+			SlowLog:  b.met.slowlog,
 			Logger:   b.logger,
-		}
-		if b.met != nil {
-			opsCfg.SlowLog = b.met.slowlog
-		}
-		srv, err := obs.Start(opsCfg)
+		})
 		if err != nil {
 			ln.Close()
 			return nil, fmt.Errorf("broker: ops server: %w", err)
@@ -385,13 +368,8 @@ func (b *Broker) logConfigFor(tc cluster.TopicConfig) log.Config {
 	if cfg.RetentionBytes == 0 {
 		cfg.RetentionBytes = b.cfg.DefaultRetentionBytes
 	}
-	if b.cfg.PageCache != nil {
-		cfg.Tracker = cache.New(*b.cfg.PageCache)
-	}
 	cfg.Durability = b.cfg.Durability
-	if !b.cfg.DisableInstrumentation {
-		cfg.Metrics = b.cfg.Metrics
-	}
+	cfg.Metrics = b.cfg.Metrics
 	return cfg
 }
 
@@ -544,7 +522,7 @@ func (b *Broker) adoptTierLeadership(t tp, tc cluster.TopicConfig, r *replica) {
 		b.logger.Warn("tiered topic led by broker without TierFS; offload disabled", "tp", t.String())
 		return
 	}
-	p, err := tier.Open(b.cfg.TierFS, t.topic, t.partition, b.tierConfigFor(t, tc), b.tierCache, r.log.Config().Tracker, b.cfg.Metrics)
+	p, err := tier.Open(b.cfg.TierFS, t.topic, t.partition, b.tierConfigFor(t, tc), b.tierCache, b.cfg.Metrics)
 	if err != nil {
 		b.logger.Error("tier open failed", "tp", t.String(), "err", err)
 		return
@@ -652,12 +630,8 @@ func (b *Broker) housekeeping() {
 
 	// The gauge exporter walks every replica and checkpoint stream; 1s is
 	// frequent enough for dashboards and cheap enough to never matter.
-	var opsC <-chan time.Time
-	if b.met != nil {
-		t := newTicker(time.Second)
-		defer t.Stop()
-		opsC = t.C
-	}
+	gauges := newTicker(time.Second)
+	defer gauges.Stop()
 
 	var retentionC, compactionC <-chan time.Time
 	if b.cfg.RetentionInterval > 0 {
@@ -682,7 +656,7 @@ func (b *Broker) housekeeping() {
 			b.shrinkLaggingISRs()
 		case <-groups.C:
 			b.groups.tick(b.cfg.Now())
-		case <-opsC:
+		case <-gauges.C:
 			b.opsTick(b.cfg.Now())
 		case <-retentionC:
 			b.enforceRetention()
@@ -876,9 +850,7 @@ func (b *Broker) shutdown(graceful bool) {
 	b.wg.Wait()
 	// Past wg.Wait no opsTick can run again, so the purge of this broker's
 	// gauge tuples from the (possibly shared) registry is final.
-	if b.met != nil {
-		b.met.purge()
-	}
+	b.met.purge()
 	// Close materializers before their replicas so run loops see a clean
 	// stop instead of reads against closed logs.
 	b.detachAllTables()

@@ -98,7 +98,7 @@ func TestCompressedBatchStoredAndServedByteIdentical(t *testing.T) {
 	createTopic(t, c, "sealed", 1, 1)
 	conn := rawConn(t, c, "sealed")
 
-	b1 := sealedBatch(t, record.CodecGzip, 0, "alpha", "beta", "gamma")
+	b1 := sealedBatch(t, record.CodecFlate, 0, "alpha", "beta", "gamma")
 	b2 := sealedBatch(t, record.CodecFlate, 3, strings32())
 	if base, code := rawProduce(t, conn, "sealed", b1); base != 0 || code != wire.ErrNone {
 		t.Fatalf("produce b1: base=%d err=%v", base, code)
@@ -142,7 +142,7 @@ func TestCorruptCompressedProduceRejected(t *testing.T) {
 	createTopic(t, c, "corrupt", 1, 1)
 	conn := rawConn(t, c, "corrupt")
 
-	bad := sealedBatch(t, record.CodecGzip, 0, "payload-payload-payload")
+	bad := sealedBatch(t, record.CodecFlate, 0, "payload-payload-payload")
 	bad[len(bad)-2] ^= 0xFF
 	if _, code := rawProduce(t, conn, "corrupt", bad); code != wire.ErrCorruptMessage {
 		t.Fatalf("corrupt produce accepted: err=%v", code)
@@ -163,7 +163,7 @@ func TestCompressedReplicationByteIdentical(t *testing.T) {
 
 	p := client.NewProducer(c, client.ProducerConfig{
 		Acks:  client.AcksAll,
-		Codec: client.CodecGzip,
+		Codec: client.CodecFlate,
 	})
 	defer p.Close()
 	for i := 0; i < 20; i++ {
@@ -202,7 +202,7 @@ func TestCompressedReplicationByteIdentical(t *testing.T) {
 		if len(a) > 0 && bytes.Equal(a, b) {
 			// Both replicas hold compressed batches, verbatim.
 			codec, err := record.PeekCodec(a)
-			if err != nil || codec != record.CodecGzip {
+			if err != nil || codec != record.CodecFlate {
 				t.Fatalf("stored batch codec = %v, %v", codec, err)
 			}
 			return
@@ -214,7 +214,7 @@ func TestCompressedReplicationByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMixedCodecTopic interleaves uncompressed, gzip and flate batches on
+// TestMixedCodecTopic interleaves uncompressed and flate batches on
 // one partition — the shape of a topic whose producers enabled compression
 // at different times — and consumes them back in order.
 func TestMixedCodecTopic(t *testing.T) {
@@ -222,10 +222,10 @@ func TestMixedCodecTopic(t *testing.T) {
 	c := tc.newClient(t)
 	createTopic(t, c, "mixed", 1, 1)
 
-	codecs := []client.Codec{client.CodecNone, client.CodecGzip, client.CodecFlate}
+	codecs := []client.Codec{client.CodecNone, client.CodecFlate}
 	var want []string
 	for round := 0; round < 3; round++ {
-		p := client.NewProducer(c, client.ProducerConfig{Codec: codecs[round]})
+		p := client.NewProducer(c, client.ProducerConfig{Codec: codecs[round%len(codecs)]})
 		for i := 0; i < 10; i++ {
 			v := fmt.Sprintf("round-%d-msg-%d", round, i)
 			want = append(want, v)

@@ -22,6 +22,7 @@ func fetchShell(t *testing.T, n int, isr []int32, clockReads *atomic.Int64) *Bro
 		return clockBase
 	}}.withDefaults()
 	b := &Broker{cfg: cfg, logger: slog.Default(), replicas: make(map[tp]*replica)}
+	b.met = newBrokerMetrics(cfg.Metrics, 1, cfg.Now)
 	b.quotas = newQuotaManager(b, cfg.DefaultQuota)
 	b.quotas.tenants["fw-client"] = ungoverned // no registry behind this shell
 	for p := 0; p < n; p++ {

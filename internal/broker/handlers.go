@@ -75,17 +75,10 @@ func (b *Broker) serveConn(conn net.Conn) {
 			return
 		}
 		// Instrumentation wraps dispatch only: handler time including any
-		// long-poll wait, excluding frame I/O. The timestamp is taken lazily
-		// so the disabled path (E25 baseline) costs a nil check and nothing
-		// else.
-		var start time.Time
-		if b.met != nil {
-			start = b.now()
-		}
+		// long-poll wait, excluding frame I/O.
+		start := b.now()
 		resp, reply, delay := b.dispatch(hdr, body)
-		if b.met != nil {
-			b.met.noteRequest(hdr.API, hdr.ClientID, len(payload), resp, b.since(start))
-		}
+		b.met.noteRequest(hdr.API, hdr.ClientID, len(payload), resp, b.since(start))
 		if !reply {
 			// Fire-and-forget (acks=0) has no response frame to carry a
 			// ThrottleTimeMs verdict, so the quota penalty is applied as
@@ -451,13 +444,11 @@ func (b *Broker) collectFetch(req *wire.FetchRequest, view readView) (*wire.Fetc
 				rp.RecordsRange = res.rng
 				total += int(res.rng.Len())
 				b.cfg.Metrics.Counter("broker.fetch.splice.bytes").Add(res.rng.Len())
-				if b.met != nil {
-					b.met.fetchServed.With("splice").Inc()
-				}
+				b.met.fetchServed.With("splice").Inc()
 			} else {
 				rp.Records = res.cold
 				total += len(res.cold)
-				if b.met != nil && len(res.cold) > 0 {
+				if len(res.cold) > 0 {
 					b.met.fetchServed.With("buffered").Inc()
 				}
 			}

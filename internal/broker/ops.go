@@ -256,9 +256,6 @@ func respErrorCodes(resp wire.Message) []wire.ErrorCode {
 // deletion is scoped to this broker's own label so concurrent ticks from
 // other brokers sharing the registry never wipe each other's tuples.
 func (b *Broker) opsTick(now time.Time) {
-	if b.met == nil {
-		return
-	}
 	m := b.met
 
 	m.replicaLagOffsets.DeleteWhere("broker", m.id)
@@ -405,9 +402,7 @@ func (b *Broker) statusReportNow() statusReport {
 	for _, kind := range []string{"request", "produce", "fetch"} {
 		rep.Throttles[kind] = b.cfg.Metrics.Counter("broker.quota.throttles." + kind).Value()
 	}
-	if b.met != nil {
-		rep.SlowLogLen = b.met.slowlog.Len()
-	}
+	rep.SlowLogLen = b.met.slowlog.Len()
 
 	for _, r := range b.replicaSnapshot() {
 		r.mu.Lock()

@@ -55,7 +55,7 @@ func leaderReplica(t *testing.T, cfg log.Config) *replica {
 // reads cross segment boundaries, compressed bodies and mid-batch offsets.
 func appendBatches(t *testing.T, r *replica, n int) {
 	t.Helper()
-	codecs := []record.Codec{record.CodecNone, record.CodecGzip, record.CodecFlate}
+	codecs := []record.Codec{record.CodecNone, record.CodecFlate}
 	for i := 0; i < n; i++ {
 		b := sealedBatch(t, codecs[i%len(codecs)],
 			fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), fmt.Sprintf("c%d", i))
@@ -293,7 +293,7 @@ func TestReadColdThroughSameFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	p, err := tier.Open(fs, "rd", 0, tier.Config{}, nil, nil, nil)
+	p, err := tier.Open(fs, "rd", 0, tier.Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,6 @@ func NewNetwork(seed int64) *Network {
 	}
 }
 
-// Seed returns the network's seed, printed by failing tests so any run is
-// reproducible with -chaos.seed=N.
-func (n *Network) Seed() int64 { return n.seed }
-
 // Listen returns a listen hook that binds a real TCP listener and registers
 // its address as belonging to node. Matches broker.Config.Listen.
 func (n *Network) Listen(node string) func(host string, port int32) (net.Listener, error) {

@@ -77,15 +77,13 @@ type Codec = record.Codec
 const (
 	// CodecNone sends batches uncompressed.
 	CodecNone = record.CodecNone
-	// CodecGzip compresses batches with gzip.
-	CodecGzip = record.CodecGzip
-	// CodecFlate compresses batches with raw DEFLATE (smaller framing
-	// than gzip, same algorithm).
+	// CodecFlate compresses batches with raw DEFLATE.
 	CodecFlate = record.CodecFlate
 )
 
-// ParseCodec maps a configuration string ("none", "gzip", "flate") to a
-// Codec; CLIs use it for -codec flags.
+// ParseCodec maps a configuration string ("none", "flate", or empty for
+// none) to a Codec; CLIs use it for -codec flags. Any other name, the
+// retired "gzip" included, is an error.
 func ParseCodec(s string) (Codec, error) { return record.ParseCodec(s) }
 
 // ProducerConfig parameterises a Producer.
@@ -110,7 +108,7 @@ type ProducerConfig struct {
 	// TimeoutMs is the broker-side wait bound for acks=all.
 	TimeoutMs int32
 	// Codec compresses each flushed batch on the wire and in the log
-	// (CodecNone, CodecGzip or CodecFlate). Brokers store, replicate and
+	// (CodecNone or CodecFlate). Brokers store, replicate and
 	// serve the compressed batch verbatim; consumers decompress
 	// transparently. Compression is per sealed batch, so topics may mix
 	// codecs freely (paper §3.1: batches move through the brokers as

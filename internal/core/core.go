@@ -23,7 +23,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/metrics"
 	"repro/internal/processing"
-	"repro/internal/storage/cache"
 	"repro/internal/storage/log"
 	"repro/internal/table"
 	"repro/internal/wire"
@@ -82,21 +81,14 @@ type Config struct {
 	// fdatasync under SyncGroup. The zero value keeps legacy OS-buffered
 	// flushing.
 	Durability log.Durability
-	// PageCache, when non-nil, attaches the OS page-cache model of
-	// internal/storage/cache to every partition log on every broker
-	// (paper §4.1 anti-caching): reads of non-resident pages pay the
-	// modeled disk penalty. Experiments use it to reproduce disk-bound
-	// consume behaviour on real hardware that would otherwise hide in
-	// RAM.
-	PageCache *cache.Config
 	// TierInterval is how often partition leaders of tiered topics offload
 	// sealed segments to the DFS and enforce the total retention horizon
 	// (default 500ms; negative disables the loop). Tiered topics are
 	// created with TopicSpec.Tiered; their cold tier lives on a DFS under
 	// DataDir()/tier shared by every broker in the stack.
 	TierInterval time.Duration
-	// TierCacheBytes bounds each broker's cold-reader LRU (the §4.1
-	// page-cache model's cold-tier analogue); 0 uses the default.
+	// TierCacheBytes bounds each broker's cold-reader LRU; 0 uses the
+	// default.
 	TierCacheBytes int64
 	// TierUploadHook is a crash-injection hook for recovery tests: it runs
 	// on a partition leader after a cold segment upload and before its
@@ -131,11 +123,6 @@ type Config struct {
 	// addresses are read back with Stack.OpsAddrs. Empty disables the
 	// servers.
 	OpsAddr string
-	// DisableInstrumentation turns off request-path metric families, WAL
-	// metrics, client-side e2e latency tracking and the gauge-exporter
-	// tick on every broker and stack client. Exists for the E25
-	// benchmark's baseline.
-	DisableInstrumentation bool
 }
 
 func (c Config) withDefaults() Config {
@@ -217,29 +204,27 @@ func Start(cfg Config) (*Stack, error) {
 	for i := 0; i < cfg.Brokers; i++ {
 		id := int32(i + 1)
 		bcfg := broker.Config{
-			ID:                     id,
-			DataDir:                filepath.Join(dataRoot, fmt.Sprintf("broker-%d", id)),
-			SessionTimeout:         cfg.SessionTimeout,
-			ReplicaMaxLag:          cfg.ReplicaMaxLag,
-			RetentionInterval:      cfg.RetentionInterval,
-			CompactionInterval:     cfg.CompactionInterval,
-			OffsetsPartitions:      cfg.OffsetsPartitions,
-			OffsetsReplication:     cfg.OffsetsReplication,
-			DefaultSegmentBytes:    cfg.DefaultSegmentBytes,
-			DefaultRetentionMs:     cfg.DefaultRetentionMs,
-			DefaultRetentionBytes:  cfg.DefaultRetentionBytes,
-			Durability:             cfg.Durability,
-			PageCache:              cfg.PageCache,
-			DefaultQuota:           cfg.DefaultQuota,
-			TierFS:                 tierFS,
-			TierInterval:           cfg.TierInterval,
-			TierCacheBytes:         cfg.TierCacheBytes,
-			TierUploadHook:         cfg.TierUploadHook,
-			Now:                    cfg.Clock,
-			Logger:                 cfg.Logger,
-			Metrics:                cfg.Metrics,
-			OpsAddr:                cfg.OpsAddr,
-			DisableInstrumentation: cfg.DisableInstrumentation,
+			ID:                    id,
+			DataDir:               filepath.Join(dataRoot, fmt.Sprintf("broker-%d", id)),
+			SessionTimeout:        cfg.SessionTimeout,
+			ReplicaMaxLag:         cfg.ReplicaMaxLag,
+			RetentionInterval:     cfg.RetentionInterval,
+			CompactionInterval:    cfg.CompactionInterval,
+			OffsetsPartitions:     cfg.OffsetsPartitions,
+			OffsetsReplication:    cfg.OffsetsReplication,
+			DefaultSegmentBytes:   cfg.DefaultSegmentBytes,
+			DefaultRetentionMs:    cfg.DefaultRetentionMs,
+			DefaultRetentionBytes: cfg.DefaultRetentionBytes,
+			Durability:            cfg.Durability,
+			DefaultQuota:          cfg.DefaultQuota,
+			TierFS:                tierFS,
+			TierInterval:          cfg.TierInterval,
+			TierCacheBytes:        cfg.TierCacheBytes,
+			TierUploadHook:        cfg.TierUploadHook,
+			Now:                   cfg.Clock,
+			Logger:                cfg.Logger,
+			Metrics:               cfg.Metrics,
+			OpsAddr:               cfg.OpsAddr,
 		}
 		if cfg.Chaos != nil {
 			bcfg.Listen = cfg.Chaos.BrokerListen(id)
@@ -304,12 +289,10 @@ func (s *Stack) NewClient(id string) (*client.Client, error) {
 		MaxRetries:   40,
 		RetryBackoff: 25 * time.Millisecond,
 		MetadataTTL:  time.Second,
+		Metrics:      s.cfg.Metrics,
 	}
 	if s.cfg.Chaos != nil {
 		cfg.Dialer = s.cfg.Chaos.ClientDial()
-	}
-	if !s.cfg.DisableInstrumentation {
-		cfg.Metrics = s.cfg.Metrics
 	}
 	return client.New(cfg)
 }

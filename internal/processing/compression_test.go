@@ -27,7 +27,7 @@ func TestStatefulJobRestoresFromCompressedChangelog(t *testing.T) {
 		Factory:            func() processing.StreamTask { return countTask{} },
 		Stores:             []processing.StoreSpec{{Name: "counts"}},
 		CheckpointInterval: 100 * time.Millisecond,
-		ChangelogCodec:     client.CodecGzip,
+		ChangelogCodec:     client.CodecFlate,
 	}
 	job, err := s.RunJob(cfg)
 	if err != nil {
@@ -70,8 +70,8 @@ func TestStatefulJobRestoresFromCompressedChangelog(t *testing.T) {
 		t.Fatal("changelog is empty")
 	}
 	codec, err := record.PeekCodec(raw)
-	if err != nil || codec != record.CodecGzip {
-		t.Fatalf("changelog batch codec = %v, %v (want gzip)", codec, err)
+	if err != nil || codec != record.CodecFlate {
+		t.Fatalf("changelog batch codec = %v, %v (want flate)", codec, err)
 	}
 
 	// Restart: state must be rebuilt from the compressed changelog.

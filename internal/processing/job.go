@@ -45,9 +45,8 @@ type JobConfig struct {
 	// ChangelogReplication sets the changelog topics' replication factor.
 	ChangelogReplication int16
 	// ChangelogCodec compresses changelog batches on the wire and in the
-	// log (client.CodecNone/Gzip/Flate). Restore decompresses
-	// transparently, so it can be enabled or disabled at any point in a
-	// changelog's life.
+	// log (client.CodecNone or client.CodecFlate). Restore decompresses
+	// transparently, so it can be toggled at any point in a changelog's life.
 	ChangelogCodec client.Codec
 	// MaxTaskRestarts bounds automatic task restarts after processing
 	// errors before the task gives up (default 5).

@@ -33,8 +33,8 @@ type Config struct {
 	// MaxBatchBytes bounds the batches the record-level Append encodes (a
 	// single record larger than the limit still becomes one oversized
 	// batch). It bounds nothing else: AppendSealed and AppendBatch store
-	// the batch they are handed whatever its size, and Append's one
-	// non-test caller is internal/bench.
+	// the batch they are handed whatever its size, and Append's only
+	// non-test callers are experiments E2 and E4 in internal/bench.
 	MaxBatchBytes int64
 	// Compacted marks the log for key-based compaction instead of
 	// deletion-based retention.
@@ -46,8 +46,6 @@ type Config struct {
 	// deletion must never outrun the offloader, or records acked below the
 	// high watermark could vanish from both tiers.
 	Tiered bool
-	// Tracker optionally observes segment I/O for page-cache modelling.
-	Tracker PageTracker
 	// Durability is the WAL sync discipline: when appends are fsynced,
 	// whether acks wait for group commit, and checkpointed recovery. The
 	// zero value (SyncNone) keeps the legacy OS-buffered behaviour.
@@ -386,7 +384,9 @@ func putEncBuf(bp *[]byte) {
 // Append assigns consecutive offsets to records, stamps zero timestamps
 // with now (log-append time), encodes them (through a pooled buffer) as
 // batches of at most MaxBatchBytes, and appends them. It returns the base
-// offset assigned to the first record.
+// offset assigned to the first record. Brokers append sealed batches
+// (AppendSealed, AppendBatch); Append serves tests and experiments E2 and E4
+// in internal/bench.
 func (l *Log) Append(records []record.Record) (int64, error) {
 	if len(records) == 0 {
 		return 0, fmt.Errorf("log: empty append")
@@ -530,7 +530,7 @@ func (l *Log) appendLocked(batch []byte, info record.BatchInfo) error {
 		l.checkpointDue = true
 		a = ns
 	}
-	if err := a.append(batch, info, l.cfg.IndexIntervalBytes, l.cfg.Tracker); err != nil {
+	if err := a.append(batch, info, l.cfg.IndexIntervalBytes); err != nil {
 		return err
 	}
 	// Every successful append feeds the producer table, whatever the path —

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/storage/record"
 )
@@ -97,11 +96,6 @@ func (l *Log) resolve(offset int64, maxBytes int, limit int64) (s *segment, pos,
 		}
 		if pos < 0 {
 			continue // nothing at or beyond offset in this segment
-		}
-		if t := l.cfg.Tracker; t != nil && n > 0 {
-			if penalty := t.OnRead(seg.baseOffset, pos, n); penalty > 0 {
-				time.Sleep(penalty)
-			}
 		}
 		return seg, pos, n, nil
 	}

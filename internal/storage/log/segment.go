@@ -11,19 +11,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/storage/record"
 )
-
-// PageTracker observes segment file I/O. The cache package implements it to
-// model OS page-cache residency ("anti-caching", paper §4.1); a nil tracker
-// costs nothing on the hot path. OnRead returns a simulated disk penalty
-// that the reader sleeps for.
-type PageTracker interface {
-	OnWrite(segmentBase, pos, n int64)
-	OnRead(segmentBase, pos, n int64) time.Duration
-}
 
 // Errors returned by log operations.
 var (
@@ -173,12 +163,9 @@ func (s *segment) noteAppend(info record.BatchInfo, pos int64, indexInterval int
 }
 
 // append writes an encoded batch at the end of the segment.
-func (s *segment) append(batch []byte, info record.BatchInfo, indexInterval int64, tracker PageTracker) error {
+func (s *segment) append(batch []byte, info record.BatchInfo, indexInterval int64) error {
 	if _, err := s.file.Write(batch); err != nil {
 		return fmt.Errorf("log: append: %w", err)
-	}
-	if tracker != nil {
-		tracker.OnWrite(s.baseOffset, s.size, int64(len(batch)))
 	}
 	s.noteAppend(info, s.size, indexInterval)
 	s.size += int64(len(batch))

@@ -5,7 +5,6 @@ package record
 import (
 	"bytes"
 	"compress/flate"
-	"compress/gzip"
 	"io"
 	"testing"
 )
@@ -17,22 +16,15 @@ import (
 // compress/flate itself allocates per inflation of region (Huffman link
 // tables, for alphabets that need codes longer than 9 bits) when its reader,
 // its source and its destination are all reused.
-func stdlibInflateAllocs(t *testing.T, codec Codec, region []byte) float64 {
+func stdlibInflateAllocs(t *testing.T, region []byte) float64 {
 	var src bytes.Reader
 	fr := flate.NewReader(&src)
-	var gr gzip.Reader
 	dst := make([]byte, 1<<20)
 	return testing.AllocsPerRun(50, func() {
 		src.Reset(region)
-		var r io.Reader = fr
-		var err error
-		if codec == CodecGzip {
-			r, err = &gr, gr.Reset(&src)
-		} else {
-			err = fr.(flate.Resetter).Reset(&src, nil)
-		}
+		err := fr.(flate.Resetter).Reset(&src, nil)
 		for err == nil {
-			_, err = r.Read(dst)
+			_, err = fr.Read(dst)
 		}
 		if err != io.EOF {
 			t.Fatal(err)
@@ -49,7 +41,7 @@ func TestDecodeBatchAllocsIndependentOfRecordCount(t *testing.T) {
 			sealed := seal(t, EncodeBatch(0, benchCompressible(n, 100)), codec)
 			var floor float64
 			if codec != CodecNone {
-				floor = stdlibInflateAllocs(t, codec, sealed[batchHeaderLen:])
+				floor = stdlibInflateAllocs(t, sealed[batchHeaderLen:])
 			}
 			allocs := testing.AllocsPerRun(50, func() {
 				if b, _, err := DecodeBatch(sealed); err != nil || len(b.Records) != n {
@@ -67,16 +59,14 @@ func TestDecodeBatchAllocsIndependentOfRecordCount(t *testing.T) {
 // walks the pooled scratch and, once the pool is warm, allocates nothing of
 // its own.
 func TestValidateBatchCompressedAllocatesNothing(t *testing.T) {
-	for _, codec := range []Codec{CodecGzip, CodecFlate} {
-		sealed := seal(t, EncodeBatch(0, benchCompressible(1000, 100)), codec)
-		floor := stdlibInflateAllocs(t, codec, sealed[batchHeaderLen:])
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := ValidateBatch(sealed); err != nil {
-				t.Fatalf("%s: ValidateBatch: %v", codec, err)
-			}
-		})
-		if allocs != floor {
-			t.Errorf("%s: %v allocations per ValidateBatch over a floor of %v, want none of its own", codec, allocs, floor)
+	sealed := seal(t, EncodeBatch(0, benchCompressible(1000, 100)), CodecFlate)
+	floor := stdlibInflateAllocs(t, sealed[batchHeaderLen:])
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ValidateBatch(sealed); err != nil {
+			t.Fatalf("ValidateBatch: %v", err)
 		}
+	})
+	if allocs != floor {
+		t.Errorf("%v allocations per ValidateBatch over a floor of %v, want none of its own", allocs, floor)
 	}
 }

@@ -86,8 +86,8 @@ func BenchmarkCheckBatch(b *testing.B) {
 	}
 }
 
-// benchCompressible builds records whose values compress well (the E16
-// payload shape).
+// benchCompressible builds records whose values compress well (repetitive
+// log lines).
 func benchCompressible(n, valueBytes int) []Record {
 	value := make([]byte, valueBytes)
 	for i := range value {
@@ -98,17 +98,6 @@ func benchCompressible(n, valueBytes int) []Record {
 		recs[i] = Record{Timestamp: int64(1000 + i), Value: value}
 	}
 	return recs
-}
-
-func BenchmarkCompressGzip(b *testing.B) {
-	buf := EncodeBatch(0, benchCompressible(64, 512))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(buf)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(buf, CodecGzip); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkCompressFlate(b *testing.B) {

@@ -3,7 +3,6 @@ package record
 import (
 	"bytes"
 	"compress/flate"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -18,14 +17,14 @@ import (
 // brokers move sealed batches cheaply at high fan-out).
 type Codec int16
 
-// Supported codecs. All are stdlib-only.
+// Supported codecs. Id 1 was gzip: the same deflate stream as CodecFlate
+// plus a header and a CRC-32 that the batch's own CRC-32C already covers.
+// It stays unassigned, so a stored gzip batch is refused as corrupt like
+// any other unknown codec rather than misread by a later one.
 const (
 	// CodecNone leaves the record region uncompressed.
 	CodecNone Codec = 0
-	// CodecGzip compresses the record region with gzip (BestSpeed).
-	CodecGzip Codec = 1
-	// CodecFlate compresses the record region with raw DEFLATE (BestSpeed);
-	// same algorithm as gzip without the header/checksum overhead.
+	// CodecFlate compresses the record region with raw DEFLATE (BestSpeed).
 	CodecFlate Codec = 2
 
 	// codecMask selects the codec bits of the attributes field.
@@ -37,22 +36,18 @@ func (c Codec) String() string {
 	switch c {
 	case CodecNone:
 		return "none"
-	case CodecGzip:
-		return "gzip"
 	case CodecFlate:
 		return "flate"
 	}
 	return fmt.Sprintf("codec(%d)", int16(c))
 }
 
-// ParseCodec maps a configuration string ("none", "gzip", "flate", or
-// empty for none) to a Codec.
+// ParseCodec maps a configuration string ("none", "flate", or empty for
+// none) to a Codec.
 func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "", "none":
 		return CodecNone, nil
-	case "gzip":
-		return CodecGzip, nil
 	case "flate":
 		return CodecFlate, nil
 	}
@@ -61,7 +56,7 @@ func ParseCodec(s string) (Codec, error) {
 
 // Valid reports whether c is a known codec.
 func (c Codec) Valid() bool {
-	return c == CodecNone || c == CodecGzip || c == CodecFlate
+	return c == CodecNone || c == CodecFlate
 }
 
 // PeekCodec returns the codec of the batch at the start of buf without
@@ -73,15 +68,8 @@ func PeekCodec(buf []byte) (Codec, error) {
 	return Codec(int16(binary.BigEndian.Uint16(buf[attrsOffset:])) & codecMask), nil
 }
 
-// Compressor pools: gzip and flate writers are expensive to construct
+// flateWriters pools compressors: a flate writer is expensive to construct
 // (window allocation), so flushed producer batches reuse them.
-var gzipWriters = sync.Pool{
-	New: func() any {
-		w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		return w
-	},
-}
-
 var flateWriters = sync.Pool{
 	New: func() any {
 		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
@@ -93,35 +81,19 @@ var flateWriters = sync.Pool{
 // layers (the archive's segment files) use it on arbitrary regions, so the
 // whole pipeline shares one compression vocabulary and its pooled compressors.
 func CompressRaw(codec Codec, body []byte) ([]byte, error) {
+	if codec != CodecFlate {
+		return nil, fmt.Errorf("record: cannot compress with codec %s", codec)
+	}
 	var buf bytes.Buffer
 	buf.Grow(len(body)/4 + 64)
-	switch codec {
-	case CodecGzip:
-		w := gzipWriters.Get().(*gzip.Writer)
-		w.Reset(&buf)
-		if _, err := w.Write(body); err != nil {
-			gzipWriters.Put(w)
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
-			gzipWriters.Put(w)
-			return nil, err
-		}
-		gzipWriters.Put(w)
-	case CodecFlate:
-		w := flateWriters.Get().(*flate.Writer)
-		w.Reset(&buf)
-		if _, err := w.Write(body); err != nil {
-			flateWriters.Put(w)
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
-			flateWriters.Put(w)
-			return nil, err
-		}
-		flateWriters.Put(w)
-	default:
-		return nil, fmt.Errorf("record: cannot compress with codec %s", codec)
+	w := flateWriters.Get().(*flate.Writer)
+	defer flateWriters.Put(w)
+	w.Reset(&buf)
+	if _, err := w.Write(body); err != nil {
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }
@@ -134,13 +106,12 @@ const maxInflatedBody = 64 << 20
 
 // inflater is everything one inflation needs, pooled as a unit so that a
 // steady-state inflate allocates nothing of its own: the source reader, the
-// flate and gzip decompressors and the scratch the region inflates into. A
-// caller that only looks at the inflated bytes (ValidateBatch) walks the
-// scratch; one that keeps them copies out a single exact-size buffer.
+// flate decompressor and the scratch the region inflates into. A caller that
+// only looks at the inflated bytes (ValidateBatch) walks the scratch; one
+// that keeps them copies out a single exact-size buffer.
 type inflater struct {
 	src   bytes.Reader
 	flate io.ReadCloser
-	gzip  gzip.Reader
 	buf   []byte
 }
 
@@ -159,18 +130,12 @@ const maxPooledScratch = 4 << 20
 // that passed its CRC but fails to inflate was built wrong, and readers treat
 // both identically.
 func (in *inflater) inflate(codec Codec, body []byte) ([]byte, error) {
-	in.src.Reset(body)
-	var r io.Reader = in.flate
-	var err error
-	switch codec {
-	case CodecGzip:
-		r, err = &in.gzip, in.gzip.Reset(&in.src)
-	case CodecFlate:
-		err = in.flate.(flate.Resetter).Reset(&in.src, nil)
-	default:
+	if codec != CodecFlate {
 		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
 	}
-	if err != nil { // io.EOF included: an empty gzip stream is not an empty region
+	in.src.Reset(body)
+	err := in.flate.(flate.Resetter).Reset(&in.src, nil)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, codec, err)
 	}
 	if cap(in.buf) > maxPooledScratch {
@@ -187,7 +152,7 @@ func (in *inflater) inflate(codec Codec, body []byte) ([]byte, error) {
 			buf = in.buf
 		}
 		var n int
-		n, err = r.Read(buf[len(buf):cap(buf)])
+		n, err = in.flate.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 	}
 	if len(buf) > maxInflatedBody {

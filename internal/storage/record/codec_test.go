@@ -2,7 +2,9 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -22,7 +24,7 @@ func testRecords(n int) []Record {
 func TestCodecRoundTrip(t *testing.T) {
 	recs := testRecords(10)
 	plain := EncodeBatch(42, recs)
-	for _, codec := range []Codec{CodecNone, CodecGzip, CodecFlate} {
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
 		t.Run(codec.String(), func(t *testing.T) {
 			sealed, err := Compress(plain, codec)
 			if err != nil {
@@ -75,14 +77,12 @@ func TestCompressShrinksCompressible(t *testing.T) {
 		recs[i] = Record{Timestamp: 1, Value: bytes.Repeat([]byte("abcdefgh"), 128)}
 	}
 	plain := EncodeBatch(0, recs)
-	for _, codec := range []Codec{CodecGzip, CodecFlate} {
-		sealed, err := Compress(plain, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sealed) >= len(plain)/4 {
-			t.Fatalf("%s: sealed %dB not < 1/4 of plain %dB", codec, len(sealed), len(plain))
-		}
+	sealed, err := Compress(plain, CodecFlate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) >= len(plain)/4 {
+		t.Fatalf("sealed %dB not < 1/4 of plain %dB", len(sealed), len(plain))
 	}
 }
 
@@ -102,31 +102,28 @@ func TestDecompressRestoresPlainBatch(t *testing.T) {
 }
 
 func TestCorruptCompressedBatchRejected(t *testing.T) {
-	plain := EncodeBatch(0, testRecords(8))
-	for _, codec := range []Codec{CodecGzip, CodecFlate} {
-		sealed, err := Compress(plain, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Flip a byte inside the compressed record region: the CRC over
-		// the sealed bytes must catch it before any inflation happens.
-		bad := append([]byte(nil), sealed...)
-		bad[len(bad)-3] ^= 0xFF
-		if _, err := CheckBatch(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s CheckBatch on corrupt batch: %v", codec, err)
-		}
-		if _, _, err := DecodeBatch(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s DecodeBatch on corrupt batch: %v", codec, err)
-		}
-		// A batch whose CRC was "fixed up" after corruption still fails:
-		// the inflater rejects the stream, with the error wrapped as
-		// corruption so readers treat both identically.
-		resealed := append([]byte(nil), sealed...)
-		resealed[len(resealed)-3] ^= 0xFF
-		fixCRC(resealed)
-		if _, _, err := DecodeBatch(resealed); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s DecodeBatch on re-CRCed corrupt batch: %v", codec, err)
-		}
+	sealed, err := Compress(EncodeBatch(0, testRecords(8)), CodecFlate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a byte inside the compressed record region: the CRC over the
+	// sealed bytes must catch it before any inflation happens.
+	bad := append([]byte(nil), sealed...)
+	bad[len(bad)-3] ^= 0xFF
+	if _, err := CheckBatch(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("CheckBatch on corrupt batch: %v", err)
+	}
+	if _, _, err := DecodeBatch(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeBatch on corrupt batch: %v", err)
+	}
+	// A batch whose CRC was "fixed up" after corruption still fails: the
+	// inflater rejects the stream, with the error wrapped as corruption so
+	// readers treat both identically.
+	resealed := append([]byte(nil), sealed...)
+	resealed[len(resealed)-3] ^= 0xFF
+	fixCRC(resealed)
+	if _, _, err := DecodeBatch(resealed); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeBatch on re-CRCed corrupt batch: %v", err)
 	}
 }
 
@@ -149,9 +146,46 @@ func TestCheckBatchUnknownCodec(t *testing.T) {
 	}
 }
 
+// gzipFraming wraps plain in the gzip container (RFC 1952) the retired codec
+// id 1 carried: a 10-byte header, a raw deflate stream, and the CRC-32 and
+// size of plain.
+func gzipFraming(t *testing.T, plain []byte) []byte {
+	t.Helper()
+	deflated, err := CompressRaw(CodecFlate, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}, deflated...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(plain))
+	return binary.LittleEndian.AppendUint32(out, uint32(len(plain)))
+}
+
+// TestRetiredCodecRefused: id 1 was gzip and stays unassigned. A CRC-valid
+// batch carrying it — a well-formed gzip region included — is corrupt to every
+// entry point, and "gzip" no longer names a codec.
+func TestRetiredCodecRefused(t *testing.T) {
+	plain := EncodeBatch(0, testRecords(4))
+	retired := reseal(plain, gzipFraming(t, plain[batchHeaderLen:]), Codec(1))
+	if _, err := CheckBatch(retired); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("CheckBatch: %v, want ErrCorrupt", err)
+	}
+	if _, err := ValidateBatch(retired); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ValidateBatch: %v, want ErrCorrupt", err)
+	}
+	if _, _, err := DecodeBatch(retired); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeBatch: %v, want ErrCorrupt", err)
+	}
+	if _, err := Decompress(retired); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decompress: %v, want ErrCorrupt", err)
+	}
+	if c, err := ParseCodec("gzip"); err == nil {
+		t.Errorf("ParseCodec(\"gzip\") = %s, want an error", c)
+	}
+}
+
 func TestRestampBaseShiftsRecordOffsets(t *testing.T) {
 	plain := EncodeBatch(0, testRecords(4))
-	sealed, err := Compress(plain, CodecGzip)
+	sealed, err := Compress(plain, CodecFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +211,7 @@ func TestMixedCodecScan(t *testing.T) {
 	// a topic that enabled compression mid-life — scans as one stream.
 	var buf []byte
 	var want []string
-	for i, codec := range []Codec{CodecNone, CodecGzip, CodecFlate, CodecNone} {
+	for i, codec := range []Codec{CodecNone, CodecFlate, CodecNone} {
 		recs := []Record{{Timestamp: 1, Value: []byte{byte('A' + i)}}}
 		b, err := Compress(EncodeBatch(int64(i), recs), codec)
 		if err != nil {
@@ -204,7 +238,7 @@ func TestMixedCodecScan(t *testing.T) {
 }
 
 func TestParseCodec(t *testing.T) {
-	for s, want := range map[string]Codec{"": CodecNone, "none": CodecNone, "gzip": CodecGzip, "flate": CodecFlate} {
+	for s, want := range map[string]Codec{"": CodecNone, "none": CodecNone, "flate": CodecFlate} {
 		got, err := ParseCodec(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseCodec(%q) = %v, %v", s, got, err)
@@ -229,7 +263,7 @@ func TestEncodeBatchIntoReusesBuffer(t *testing.T) {
 }
 
 func TestValidateBatchRejectsStructuralCorruption(t *testing.T) {
-	for _, codec := range []Codec{CodecNone, CodecGzip} {
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
 		plain := EncodeBatch(0, testRecords(4))
 		sealed, err := Compress(plain, codec)
 		if err != nil {

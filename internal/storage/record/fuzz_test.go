@@ -9,8 +9,8 @@ import (
 
 // Native fuzz targets for the bytes a broker or consumer did not write
 // itself. Seed corpus: testdata/fuzz/<target>/ (the round-trip and
-// corruption cases of the unit tests, in all three codecs). CI runs each
-// target for 30 s; reproduce a finding with
+// corruption cases of the unit tests in both codecs, plus the retired and an
+// unknown codec id). CI runs each target for 30 s; reproduce a finding with
 //
 //	go test ./internal/storage/record -run 'FuzzDecodeBatch/<file>'
 

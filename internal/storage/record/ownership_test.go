@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-var allCodecs = []Codec{CodecNone, CodecGzip, CodecFlate}
+var allCodecs = []Codec{CodecNone, CodecFlate}
 
 // seal compresses an uncompressed batch, failing the test on error.
 func seal(t testing.TB, plain []byte, codec Codec) []byte {
@@ -99,37 +99,36 @@ func TestNilVsEmptyPreservedAcrossCodecs(t *testing.T) {
 // a bomb, rejected as corrupt with the scratch never grown past bound+1.
 func TestInflateStopsAtBound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("inflates 4 x 64 MiB")
+		t.Skip("inflates 2 x 64 MiB")
 	}
 	zeros := make([]byte, maxInflatedBody+1)
-	for _, codec := range []Codec{CodecGzip, CodecFlate} {
-		atBound, err := CompressRaw(codec, zeros[:maxInflatedBody])
-		if err != nil {
-			t.Fatal(err)
-		}
-		bomb, err := CompressRaw(codec, zeros)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := inflaters.Get().(*inflater)
-		if out, err := in.inflate(codec, atBound); err != nil || len(out) != maxInflatedBody {
-			t.Errorf("%s: region of exactly the bound: %d bytes, %v", codec, len(out), err)
-		}
-		if _, err := in.inflate(codec, bomb); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: bomb of %d compressed bytes: %v, want ErrCorrupt", codec, len(bomb), err)
-		}
-		if cap(in.buf) > maxInflatedBody+1 {
-			t.Errorf("%s: scratch grew to %d, beyond the bound", codec, cap(in.buf))
-		}
-		inflaters.Put(in)
+	codec := CodecFlate
+	atBound, err := CompressRaw(codec, zeros[:maxInflatedBody])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bomb, err := CompressRaw(codec, zeros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inflaters.Get().(*inflater)
+	if out, err := in.inflate(codec, atBound); err != nil || len(out) != maxInflatedBody {
+		t.Errorf("%s: region of exactly the bound: %d bytes, %v", codec, len(out), err)
+	}
+	if _, err := in.inflate(codec, bomb); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("%s: bomb of %d compressed bytes: %v, want ErrCorrupt", codec, len(bomb), err)
+	}
+	if cap(in.buf) > maxInflatedBody+1 {
+		t.Errorf("%s: scratch grew to %d, beyond the bound", codec, cap(in.buf))
+	}
+	inflaters.Put(in)
 
-		sealed := rawBatch(codec, 1, bomb)
-		if _, _, err := DecodeBatch(sealed); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DecodeBatch of a bomb: %v", codec, err)
-		}
-		if _, err := ValidateBatch(sealed); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: ValidateBatch of a bomb: %v", codec, err)
-		}
+	sealed := rawBatch(codec, 1, bomb)
+	if _, _, err := DecodeBatch(sealed); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("%s: DecodeBatch of a bomb: %v", codec, err)
+	}
+	if _, err := ValidateBatch(sealed); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("%s: ValidateBatch of a bomb: %v", codec, err)
 	}
 }
 
@@ -138,19 +137,18 @@ func TestInflateStopsAtBound(t *testing.T) {
 // taken for a whole one.
 func TestTruncatedStreamIsCorrupt(t *testing.T) {
 	plain := EncodeBatch(0, testRecords(8))
-	for _, codec := range []Codec{CodecGzip, CodecFlate} {
-		region := seal(t, plain, codec)[batchHeaderLen:]
-		for cut := 0; cut < len(region); cut++ {
-			bad := rawBatch(codec, 8, region[:cut])
-			if _, _, err := DecodeBatch(bad); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s cut at %d/%d: DecodeBatch: %v", codec, cut, len(region), err)
-			}
-			if _, err := ValidateBatch(bad); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s cut at %d/%d: ValidateBatch: %v", codec, cut, len(region), err)
-			}
-			if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s cut at %d/%d: Decompress: %v", codec, cut, len(region), err)
-			}
+	codec := CodecFlate
+	region := seal(t, plain, codec)[batchHeaderLen:]
+	for cut := 0; cut < len(region); cut++ {
+		bad := rawBatch(codec, 8, region[:cut])
+		if _, _, err := DecodeBatch(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s cut at %d/%d: DecodeBatch: %v", codec, cut, len(region), err)
+		}
+		if _, err := ValidateBatch(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s cut at %d/%d: ValidateBatch: %v", codec, cut, len(region), err)
+		}
+		if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s cut at %d/%d: Decompress: %v", codec, cut, len(region), err)
 		}
 	}
 }
@@ -161,7 +159,7 @@ func TestTruncatedStreamIsCorrupt(t *testing.T) {
 func TestCountRecordsFromHeaders(t *testing.T) {
 	var buf []byte
 	want := 0
-	for i, codec := range []Codec{CodecFlate, CodecNone, CodecGzip, CodecFlate} {
+	for i, codec := range []Codec{CodecFlate, CodecNone, CodecFlate, CodecFlate} {
 		buf = append(buf, seal(t, EncodeBatch(int64(want), testRecords(3+i)), codec)...)
 		want += 3 + i
 	}
@@ -190,7 +188,7 @@ func TestOffsetForTimestamp(t *testing.T) {
 	// (offsets 10-14) restarts at 50, so it is skipped for ts in (54, 119].
 	var buf []byte
 	ts := [][]int64{{100, 101, 102, 103, 104}, {105, 106, 107, 108, 109}, {50, 51, 52, 53, 54}, {115, 116, 117, 118, 119}}
-	for i, codec := range []Codec{CodecFlate, CodecNone, CodecGzip, CodecFlate} {
+	for i, codec := range []Codec{CodecFlate, CodecNone, CodecFlate, CodecFlate} {
 		recs := make([]Record, len(ts[i]))
 		for j := range recs {
 			recs[j] = Record{Timestamp: ts[i][j], Value: []byte("v")}

@@ -61,9 +61,8 @@ func (s *segReader) read(offset int64, maxBytes int) []byte {
 
 // Cache is a bounded LRU of hydrated cold-segment readers, shared by every
 // tiered partition a broker serves. It is the cold tier's page cache: a hit
-// serves from broker memory, a miss pays the DFS read (and the modeled
-// page-cache penalty) to hydrate. Loads are deduplicated so concurrent
-// fetches of one segment hydrate it once.
+// serves from broker memory, a miss pays the DFS read to hydrate. Loads are
+// deduplicated so concurrent fetches of one segment hydrate it once.
 type Cache struct {
 	capacity int64
 	reg      *metrics.Registry

@@ -30,7 +30,7 @@ func TestCrashBetweenUploadAndCommit(t *testing.T) {
 			uploaded = path
 			return errInjectedCrash // die before the manifest commit
 		},
-	}, nil, nil, nil)
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCrashBetweenUploadAndCommit(t *testing.T) {
 	}
 
 	// Recovery: a new engine sweeps the orphan on open and re-offloads.
-	p, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	p, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCrashLeavesTmpFile(t *testing.T) {
 	if err := fs.WriteFile(tmp, []byte("partial")); err != nil {
 		t.Fatal(err)
 	}
-	p, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	p, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestZombieLeaderFenced(t *testing.T) {
 	defer lOld.Close()
 	fs := openTestFS(t)
 
-	zombie, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	zombie, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestZombieLeaderFenced(t *testing.T) {
 	// everything first.
 	lNew := openTestLog(t, dirB, 300)
 	defer lNew.Close()
-	fresh, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	fresh, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ type Partition struct {
 	topic     string
 	partition int32
 	cache     *Cache
-	tracker   log.PageTracker
 	reg       *metrics.Registry
 
 	mu  sync.Mutex
@@ -54,7 +53,7 @@ type Stats struct {
 // and stray .tmp files. Orphans start at or beyond NextOffset, exactly the
 // range the new leader will re-offload from its own log, so sweeping them
 // is what guarantees no duplicate tiered segments after recovery.
-func Open(fs *dfs.FS, topic string, partition int32, cfg Config, cache *Cache, tracker log.PageTracker, reg *metrics.Registry) (*Partition, error) {
+func Open(fs *dfs.FS, topic string, partition int32, cfg Config, cache *Cache, reg *metrics.Registry) (*Partition, error) {
 	cfg = cfg.withDefaults()
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -80,7 +79,7 @@ func Open(fs *dfs.FS, topic string, partition int32, cfg Config, cache *Cache, t
 	}
 	return &Partition{
 		fs: fs, cfg: cfg, topic: topic, partition: partition,
-		cache: cache, tracker: tracker, reg: reg,
+		cache: cache, reg: reg,
 		man: man,
 	}, nil
 }
@@ -277,22 +276,12 @@ func (p *Partition) Read(offset int64, maxBytes int) ([]byte, error) {
 }
 
 // hydrate fetches a cold segment through the shared LRU, decoding and
-// re-encoding it as wire batches on a miss. The miss charges the
-// partition's page-cache model (paper §4.1): cold bytes were evicted from
-// the OS cache long ago, so hydration pays the modeled disk penalty on top
-// of the DFS cost model.
+// re-encoding it as wire batches on a miss.
 func (p *Partition) hydrate(info SegmentInfo) (*segReader, error) {
 	return p.cache.get(info.Path, func() (*segReader, error) {
 		raw, err := p.fs.ReadFile(info.Path)
 		if err != nil {
 			return nil, err
-		}
-		if p.tracker != nil {
-			// Cold segments use negative file ids so their pages can never
-			// collide with (still resident) local segment pages.
-			if penalty := p.tracker.OnRead(-info.BaseOffset-1, 0, int64(len(raw))); penalty > 0 {
-				time.Sleep(penalty)
-			}
 		}
 		recs, err := archive.DecodeSegment(raw)
 		if err != nil {

@@ -54,7 +54,7 @@ func TestOffloadAndColdRead(t *testing.T) {
 		t.Fatalf("want several segments, got %d", l.SegmentCount())
 	}
 	fs := openTestFS(t)
-	p, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	p, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestOffloadSkipsUncommitted(t *testing.T) {
 	l := openTestLog(t, t.TempDir(), 300)
 	defer l.Close()
 	fs := openTestFS(t)
-	p, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	p, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestOffloadRecoversAcrossReopen(t *testing.T) {
 	l := openTestLog(t, t.TempDir(), 400)
 	defer l.Close()
 	fs := openTestFS(t)
-	p1, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	p1, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestOffloadRecoversAcrossReopen(t *testing.T) {
 	}
 	frontier := p1.NextOffset()
 
-	p2, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	p2, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestColdRetentionAdvancesTierStart(t *testing.T) {
 	l := openTestLog(t, t.TempDir(), 500)
 	defer l.Close()
 	fs := openTestFS(t)
-	p, err := Open(fs, "feed", 0, Config{TotalRetentionBytes: 1}, nil, nil, nil)
+	p, err := Open(fs, "feed", 0, Config{TotalRetentionBytes: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestOffsetForTimestamp(t *testing.T) {
 		}
 	}
 	fs := openTestFS(t)
-	p, err := Open(fs, "feed", 0, Config{}, nil, nil, nil)
+	p, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

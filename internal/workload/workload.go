@@ -132,8 +132,7 @@ type MultiTenantConfig struct {
 }
 
 // MultiTenantGenerator interleaves the event streams of several tenants,
-// weighted and deterministic under a seed. Benchmarks (E19) and tests use
-// it to drive aggressor/victim mixes against broker quotas.
+// weighted and deterministic under a seed (aggressor/victim quota mixes).
 type MultiTenantGenerator struct {
 	cfg    MultiTenantConfig
 	rng    *rand.Rand

@@ -40,7 +40,7 @@
 //	msgs, _ := c.Poll(time.Second)
 //
 // Record batches may be compressed end to end (ProducerConfig.Codec,
-// gzip/flate): the producer seals each flushed batch once, brokers store,
+// flate): the producer seals each flushed batch once, brokers store,
 // replicate and serve the exact bytes, and only the final reader
 // decompresses — see docs/ARCHITECTURE.md for where compression sits in
 // the produce→log→fetch→job→archive path.
@@ -55,7 +55,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/dfs"
 	"repro/internal/isolation"
 	"repro/internal/mapreduce"
@@ -121,16 +120,13 @@ type (
 	ThrottleStats = client.ThrottleStats
 )
 
-// ParseCodec maps a configuration string ("none", "gzip", "flate") to a
-// Codec.
+// ParseCodec maps a configuration string ("none", "flate") to a Codec.
 func ParseCodec(s string) (Codec, error) { return client.ParseCodec(s) }
 
 // Producer batch codecs.
 const (
 	// CodecNone sends batches uncompressed (the default).
 	CodecNone = client.CodecNone
-	// CodecGzip compresses each flushed batch with gzip.
-	CodecGzip = client.CodecGzip
 	// CodecFlate compresses each flushed batch with raw DEFLATE.
 	CodecFlate = client.CodecFlate
 )
@@ -197,23 +193,6 @@ type (
 	// GovernorConfig parameterises a Governor.
 	GovernorConfig = isolation.Config
 )
-
-// Dataflow graph types (paper §3.2: jobs form dataflow processing graphs
-// decoupled by feeds).
-type (
-	// Graph declares a multi-job dataflow (feeds + nodes).
-	Graph = dataflow.Graph
-	// Feed declares one topic in a Graph.
-	Feed = dataflow.Feed
-	// Node declares one job and its output feeds in a Graph.
-	Node = dataflow.Node
-	// Running is a started dataflow graph.
-	Running = dataflow.Running
-)
-
-// BuildGraph validates a dataflow graph, creates its feeds and starts its
-// jobs in topological order on the stack.
-func BuildGraph(s *Stack, g Graph) (*Running, error) { return dataflow.Build(s, g) }
 
 // NewJob builds (but does not start) a processing job on a client.
 func NewJob(c *Client, cfg JobConfig) (*Job, error) { return processing.NewJob(c, cfg) }
