@@ -120,8 +120,8 @@ func E18RewindScan(scale Scale) Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%.0f%% of the history was served from the cold tier (local start %d, frontier %d, end %d)",
 			coldShare*100, st.LocalStartOffset, st.TieredNextOffset, records),
-		fmt.Sprintf("logical history %d MB; cold tier holds %d compressed bytes in %d segments",
-			logicalBytes>>20, st.TieredBytes, st.TieredSegments),
+		fmt.Sprintf("logical history %d MB; cold tier holds %d records in %d bytes (%.0f B/record, the log's own batches) in %d segments",
+			logicalBytes>>20, st.TieredRecords, st.TieredBytes, float64(st.TieredBytes)/float64(max(st.TieredRecords, 1)), st.TieredSegments),
 		"expected shape: first touch pays DFS hydration once per cold segment; a warm reader LRU serves cold history at memory speed (at or above the hot-only file-backed baseline)")
 	return t
 }

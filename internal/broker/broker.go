@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage/compact"
 	"repro/internal/storage/log"
-	"repro/internal/storage/record"
 	"repro/internal/table"
 	"repro/internal/tier"
 )
@@ -77,12 +76,6 @@ type Config struct {
 	// and enforce the total (tiered) retention horizon (default 500ms;
 	// 0 uses the default, negative disables the loop).
 	TierInterval time.Duration
-	// TierCacheBytes bounds the cold-reader LRU shared by every tiered
-	// partition this broker leads (default tier.DefaultCacheBytes).
-	TierCacheBytes int64
-	// TierCodec compresses uploaded cold segments. The zero value selects
-	// the default, flate; cold segments are always written compressed.
-	TierCodec record.Codec
 	// TierUploadHook is a crash-injection hook for recovery tests: it runs
 	// after a cold segment is renamed into place and before its manifest
 	// commit. Returning an error aborts the offload there, leaving the
@@ -145,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TierInterval == 0 {
 		c.TierInterval = 500 * time.Millisecond
-	}
-	if c.TierCodec == record.CodecNone {
-		c.TierCodec = record.CodecFlate
 	}
 	if c.OffsetsPartitions == 0 {
 		c.OffsetsPartitions = 4
@@ -236,7 +226,7 @@ func Start(store *coord.Store, cfg Config) (*Broker, error) {
 	b.offsets = newOffsetManager(b)
 	b.quotas = newQuotaManager(b, cfg.DefaultQuota)
 	if cfg.TierFS != nil {
-		b.tierCache = tier.NewCache(cfg.TierCacheBytes, cfg.Metrics)
+		b.tierCache = tier.NewCache(tier.DefaultCacheBytes, cfg.Metrics)
 	}
 	b.met = newBrokerMetrics(cfg.Metrics, cfg.ID, cfg.Now)
 	if cfg.OpsAddr != "" {
@@ -377,7 +367,6 @@ func (b *Broker) logConfigFor(tc cluster.TopicConfig) log.Config {
 func (b *Broker) tierConfigFor(t tp, tc cluster.TopicConfig) tier.Config {
 	cfg := tier.Config{
 		Root:                b.cfg.TierRoot,
-		Codec:               b.cfg.TierCodec,
 		TotalRetentionMs:    tc.RetentionMs,
 		TotalRetentionBytes: tc.RetentionBytes,
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/storage/log"
-	"repro/internal/table"
 	"repro/internal/wire"
 )
 
@@ -288,25 +287,17 @@ func (b *Broker) opsTick(now time.Time) {
 
 	m.tableLag.DeleteWhere("broker", m.id)
 	m.tableApplied.DeleteWhere("broker", m.id)
-	b.mu.Lock()
-	tables := make(map[tp]tableFreshness, len(b.tables))
-	for t, p := range b.tables {
+	for t, p := range b.tableSnapshot() {
 		applied, hw := p.Freshness()
-		tables[t] = tableFreshness{applied: applied, hw: hw}
-	}
-	b.mu.Unlock()
-	for t, f := range tables {
 		part := strconv.Itoa(int(t.partition))
-		lag := f.hw - f.applied
+		lag := hw - applied
 		if lag < 0 {
 			lag = 0
 		}
 		m.tableLag.With(m.id, t.topic, part).Set(lag)
-		m.tableApplied.With(m.id, t.topic, part).Set(f.applied)
+		m.tableApplied.With(m.id, t.topic, part).Set(applied)
 	}
 }
-
-type tableFreshness struct{ applied, hw int64 }
 
 // ------------------------------------------------------------ health
 
@@ -438,13 +429,7 @@ func (b *Broker) statusReportNow() statusReport {
 		return a.Partition < c.Partition
 	})
 
-	b.mu.Lock()
-	tables := make(map[tp]*table.Partition, len(b.tables))
-	for t, p := range b.tables {
-		tables[t] = p
-	}
-	b.mu.Unlock()
-	for t, p := range tables {
+	for t, p := range b.tableSnapshot() {
 		applied, hw := p.Freshness()
 		rep.Tables = append(rep.Tables, tableStatus{
 			Topic:         t.topic,

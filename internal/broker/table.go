@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"maps"
+
 	"repro/internal/state"
 	"repro/internal/table"
 	"repro/internal/wire"
@@ -28,11 +30,21 @@ func (s replicaSource) ReadCommitted(offset int64, maxBytes int) ([]byte, int64,
 
 func (s replicaSource) Notify() <-chan struct{} { return s.r.notifyChan(viewCommitted) }
 
+func (s replicaSource) HighWatermark() int64 { return s.r.highWatermark() }
+
 // tableFor returns the table partition served for t, if any.
 func (b *Broker) tableFor(t tp) *table.Partition {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.tables[t]
+}
+
+// tableSnapshot copies the served table partitions, so callers can query
+// them (Freshness takes the replica lock) without holding b.mu.
+func (b *Broker) tableSnapshot() map[tp]*table.Partition {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return maps.Clone(b.tables)
 }
 
 // attachTable starts materializing a table partition this broker now leads.

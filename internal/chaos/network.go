@@ -225,17 +225,6 @@ func (n *Network) Unsever(from, to string) {
 	n.mu.Unlock()
 }
 
-// Partition cuts every link between the two node groups, both directions —
-// a classic symmetric network partition.
-func (n *Network) Partition(groupA, groupB []string) {
-	for _, a := range groupA {
-		for _, b := range groupB {
-			n.Sever(a, b)
-			n.Sever(b, a)
-		}
-	}
-}
-
 // PartitionOneWay cuts only the from-group -> to-group direction: the
 // asymmetric partition where one side can open connections and the other
 // cannot.
@@ -287,12 +276,6 @@ func (n *Network) Heal() {
 	n.mu.Unlock()
 }
 
-// PartitionBrokers cuts links between two broker-id groups (both ways).
-// Part of the core.FaultNetwork surface.
-func (n *Network) PartitionBrokers(groupA, groupB []int32) {
-	n.Partition(brokerNames(groupA), brokerNames(groupB))
-}
-
 // IsolateBroker cuts a broker off from every peer and client.
 func (n *Network) IsolateBroker(id int32) { n.Isolate(BrokerName(id)) }
 
@@ -317,12 +300,4 @@ func closeAll(conns []*faultConn) {
 	for _, c := range conns {
 		c.Close()
 	}
-}
-
-func brokerNames(ids []int32) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = BrokerName(id)
-	}
-	return out
 }

@@ -32,7 +32,7 @@ import (
 // (implemented by internal/chaos.Network). When attached via Config.Chaos,
 // every broker listener, broker-to-broker replication dial and client dial
 // in the stack crosses the injected network, and the Stack's chaos controls
-// (PartitionNetwork, IsolateBroker, HealBroker, HealNetwork) become live.
+// (IsolateBroker, HealBroker) become live.
 type FaultNetwork interface {
 	// BrokerListen returns the listen hook for a broker id.
 	BrokerListen(id int32) func(host string, port int32) (net.Listener, error)
@@ -40,14 +40,10 @@ type FaultNetwork interface {
 	BrokerDial(id int32) client.Dialer
 	// ClientDial returns the dial hook for stack clients.
 	ClientDial() client.Dialer
-	// PartitionBrokers cuts links between two broker groups, both ways.
-	PartitionBrokers(groupA, groupB []int32)
 	// IsolateBroker cuts a broker off from every peer and client.
 	IsolateBroker(id int32)
 	// HealBroker restores an isolated or severed broker's links.
 	HealBroker(id int32)
-	// Heal clears every injected fault.
-	Heal()
 }
 
 // Config sizes a Liquid stack.
@@ -87,9 +83,6 @@ type Config struct {
 	// created with TopicSpec.Tiered; their cold tier lives on a DFS under
 	// DataDir()/tier shared by every broker in the stack.
 	TierInterval time.Duration
-	// TierCacheBytes bounds each broker's cold-reader LRU; 0 uses the
-	// default.
-	TierCacheBytes int64
 	// TierUploadHook is a crash-injection hook for recovery tests: it runs
 	// on a partition leader after a cold segment upload and before its
 	// manifest commit. Nil in production.
@@ -219,7 +212,6 @@ func Start(cfg Config) (*Stack, error) {
 			DefaultQuota:          cfg.DefaultQuota,
 			TierFS:                tierFS,
 			TierInterval:          cfg.TierInterval,
-			TierCacheBytes:        cfg.TierCacheBytes,
 			TierUploadHook:        cfg.TierUploadHook,
 			Now:                   cfg.Clock,
 			Logger:                cfg.Logger,
@@ -308,21 +300,6 @@ func (s *Stack) CreateFeed(name string, partitions int32, replication int16) err
 		Name:              name,
 		NumPartitions:     partitions,
 		ReplicationFactor: replication,
-	})
-}
-
-// CreateTieredFeed creates a feed with tiered log storage: leaders offload
-// sealed segments to the stack's tier DFS and serve unbounded rewind
-// through the ordinary fetch API. hotRetentionBytes bounds the local (hot)
-// log per partition; the topic's RetentionMs/RetentionBytes defaults bound
-// the total tiered horizon.
-func (s *Stack) CreateTieredFeed(name string, partitions int32, replication int16, hotRetentionBytes int64) error {
-	return s.cli.CreateTopic(wire.TopicSpec{
-		Name:              name,
-		NumPartitions:     partitions,
-		ReplicationFactor: replication,
-		Tiered:            true,
-		HotRetentionBytes: hotRetentionBytes,
 	})
 }
 
@@ -507,16 +484,6 @@ func (s *Stack) KillBroker(id int32) bool {
 	return true
 }
 
-// StopBroker gracefully stops a broker (immediate session close).
-func (s *Stack) StopBroker(id int32) bool {
-	b := s.Broker(id)
-	if b == nil {
-		return false
-	}
-	b.Stop()
-	return true
-}
-
 // RestartBroker boots a previously killed or stopped broker again on its
 // original data directory — the recovering machine of paper §4.3. The
 // broker re-registers (on a fresh port), truncates uncommitted suffixes as
@@ -558,18 +525,6 @@ func (s *Stack) PartitionState(topic string, partition int32) (cluster.Partition
 	return st, err
 }
 
-// PartitionNetwork cuts the network between two broker groups, both
-// directions, through the attached chaos network (paper §4.3: replicas
-// partitioned past ReplicaMaxLag leave the ISR). It returns false when the
-// stack runs without a chaos network.
-func (s *Stack) PartitionNetwork(groupA, groupB []int32) bool {
-	if s.cfg.Chaos == nil {
-		return false
-	}
-	s.cfg.Chaos.PartitionBrokers(groupA, groupB)
-	return true
-}
-
 // IsolateBroker cuts one broker off from every peer and client — the
 // network analogue of KillBroker: the process lives, its links are dead.
 func (s *Stack) IsolateBroker(id int32) bool {
@@ -580,21 +535,12 @@ func (s *Stack) IsolateBroker(id int32) bool {
 	return true
 }
 
-// HealBroker restores an isolated or partitioned broker's links.
+// HealBroker restores an isolated broker's links.
 func (s *Stack) HealBroker(id int32) bool {
 	if s.cfg.Chaos == nil {
 		return false
 	}
 	s.cfg.Chaos.HealBroker(id)
-	return true
-}
-
-// HealNetwork clears every injected network fault.
-func (s *Stack) HealNetwork() bool {
-	if s.cfg.Chaos == nil {
-		return false
-	}
-	s.cfg.Chaos.Heal()
 	return true
 }
 

@@ -2,17 +2,13 @@
 // for the container-based OS isolation (YARN/cgroups) the paper uses to
 // offer "ETL-as-a-service" (§3.2, §4.4): a runaway job must not degrade
 // co-located jobs. CPU is governed with a CFS-bandwidth-style token bucket
-// charged with measured execution time; memory with a reservation budget.
+// charged with measured execution time.
 package isolation
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
-
-// ErrMemoryBudget reports a reservation beyond the job's memory budget.
-var ErrMemoryBudget = errors.New("isolation: memory budget exceeded")
 
 // Config bounds one job's resources. Zero values mean unlimited.
 type Config struct {
@@ -22,9 +18,6 @@ type Config struct {
 	// Burst is how much CPU time may be consumed ahead of the refill
 	// rate before throttling kicks in.
 	Burst time.Duration
-	// MemoryBytes bounds reserved memory (state store sizes). Zero
-	// disables the memory budget.
-	MemoryBytes int64
 	// Now and Sleep are injectable for tests.
 	Now   func() time.Time
 	Sleep func(time.Duration)
@@ -47,8 +40,6 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	CPUCharged    time.Duration
 	Throttled     time.Duration
-	MemoryInUse   int64
-	MemoryBudget  int64
 	ThrottleCount int64
 }
 
@@ -60,7 +51,6 @@ type Governor struct {
 	mu         sync.Mutex
 	tokens     time.Duration // available CPU time (can go negative)
 	lastRefill time.Time
-	memUsed    int64
 	stats      Stats
 }
 
@@ -114,35 +104,6 @@ func (g *Governor) Meter(fn func()) {
 	g.Charge(g.cfg.Now().Sub(start))
 }
 
-// ReserveMemory claims n bytes of the budget, failing when it would
-// exceed it (the job must shed state or stop, rather than destabilise its
-// neighbours).
-func (g *Governor) ReserveMemory(n int64) error {
-	if g == nil || g.cfg.MemoryBytes <= 0 {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.memUsed+n > g.cfg.MemoryBytes {
-		return ErrMemoryBudget
-	}
-	g.memUsed += n
-	return nil
-}
-
-// ReleaseMemory returns n bytes to the budget.
-func (g *Governor) ReleaseMemory(n int64) {
-	if g == nil || g.cfg.MemoryBytes <= 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.memUsed -= n
-	if g.memUsed < 0 {
-		g.memUsed = 0
-	}
-}
-
 // Usage snapshots the accounting.
 func (g *Governor) Usage() Stats {
 	if g == nil {
@@ -150,8 +111,5 @@ func (g *Governor) Usage() Stats {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s := g.stats
-	s.MemoryInUse = g.memUsed
-	s.MemoryBudget = g.cfg.MemoryBytes
-	return s
+	return g.stats
 }

@@ -1,7 +1,6 @@
 package isolation
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -89,10 +88,6 @@ func TestNilGovernorIsUnlimited(t *testing.T) {
 	var g *Governor
 	g.Charge(time.Hour) // must not panic or block
 	g.Meter(func() {})
-	if err := g.ReserveMemory(1 << 40); err != nil {
-		t.Fatal(err)
-	}
-	g.ReleaseMemory(1 << 40)
 	if s := g.Usage(); s.CPUCharged != 0 {
 		t.Fatalf("nil governor accounted: %+v", s)
 	}
@@ -118,34 +113,6 @@ func TestMeterCharges(t *testing.T) {
 	}
 	if got := g.Usage().CPUCharged; got != 10*time.Millisecond {
 		t.Fatalf("charged %v, want 10ms", got)
-	}
-}
-
-func TestMemoryBudget(t *testing.T) {
-	g := New(Config{MemoryBytes: 1000})
-	if err := g.ReserveMemory(600); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.ReserveMemory(600); !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("over-budget reserve: %v", err)
-	}
-	g.ReleaseMemory(600)
-	if err := g.ReserveMemory(600); err != nil {
-		t.Fatalf("after release: %v", err)
-	}
-	if got := g.Usage().MemoryInUse; got != 600 {
-		t.Fatalf("in use = %d", got)
-	}
-	g.ReleaseMemory(9999) // over-release clamps to zero
-	if got := g.Usage().MemoryInUse; got != 0 {
-		t.Fatalf("after over-release = %d", got)
-	}
-}
-
-func TestUnlimitedMemory(t *testing.T) {
-	g := New(Config{})
-	if err := g.ReserveMemory(1 << 50); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -39,6 +39,8 @@ type Source interface {
 	// Notify returns a channel closed on the next append or
 	// high-watermark advance.
 	Notify() <-chan struct{}
+	// HighWatermark returns the partition's high watermark now.
+	HighWatermark() int64
 }
 
 // readMaxBytes bounds one materializer fetch. Large enough to amortize the
@@ -54,7 +56,6 @@ type Partition struct {
 	store state.Store
 
 	applied atomic.Int64 // next offset to apply; offsets below are in the store
-	hw      atomic.Int64 // last observed high watermark
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -107,7 +108,6 @@ func (p *Partition) run() {
 			p.failure.Store(code.Err())
 			return
 		}
-		p.hw.Store(hw)
 		if len(data) == 0 {
 			p.applied.Store(pos)
 			select {
@@ -163,10 +163,14 @@ func (p *Partition) Range(from, to []byte, fn func(key, value []byte) bool) erro
 func (p *Partition) ApproxLen() int { return p.store.Len() }
 
 // Freshness returns the applied offset (next offset to materialize) and the
-// last observed high watermark. applied == hw means the view reflects every
-// committed write.
+// source's high watermark at the moment of the call. applied == hw means
+// the view reflects every committed write. The HW is read live, never the
+// one the materializer last observed: an acked write raises the HW before
+// the materializer wakes, and a cached HW would report that stale view as
+// caught up.
 func (p *Partition) Freshness() (applied, hw int64) {
-	return p.applied.Load(), p.hw.Load()
+	applied = p.applied.Load()
+	return applied, p.src.HighWatermark()
 }
 
 // Err returns the terminal materializer failure, if any.

@@ -24,6 +24,7 @@ type fakeSource struct {
 	earliest int64
 	code     wire.ErrorCode // forced error, ErrNone = healthy
 	notify   chan struct{}
+	idle     chan int64 // if set, receives the offset of each empty read
 }
 
 func newFakeSource() *fakeSource {
@@ -33,6 +34,16 @@ func newFakeSource() *fakeSource {
 // append encodes one batch of records at the current end of the log and
 // advances the high watermark past it.
 func (f *fakeSource) append(recs ...record.Record) {
+	f.raiseHW(recs...)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	close(f.notify)
+	f.notify = make(chan struct{})
+}
+
+// raiseHW is append without the wake-up: the window between an acked write
+// raising the HW and the materializer noticing it.
+func (f *fakeSource) raiseHW(recs ...record.Record) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	base := f.hw
@@ -42,8 +53,6 @@ func (f *fakeSource) append(recs ...record.Record) {
 	f.batches = append(f.batches, record.EncodeBatch(base, recs))
 	f.bases = append(f.bases, base)
 	f.hw = base + int64(len(recs))
-	close(f.notify)
-	f.notify = make(chan struct{})
 }
 
 // compactTo drops batches entirely below offset, advancing earliest — the
@@ -99,6 +108,12 @@ func (f *fakeSource) ReadCommitted(offset int64, maxBytes int) ([]byte, int64, i
 		}
 		out = append(out, b...)
 	}
+	if len(out) == 0 && f.idle != nil {
+		select {
+		case f.idle <- offset:
+		default:
+		}
+	}
 	return out, f.hw, f.earliest, wire.ErrNone
 }
 
@@ -106,6 +121,12 @@ func (f *fakeSource) Notify() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.notify
+}
+
+func (f *fakeSource) HighWatermark() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.hw
 }
 
 // awaitApplied blocks until the partition has applied through hw (lag 0) or
@@ -174,6 +195,32 @@ func TestPartitionMaterializesChangelog(t *testing.T) {
 	}
 	if fmt.Sprint(keys) != fmt.Sprint([]string{"b", "c", "d"}) {
 		t.Fatalf("Range keys = %v", keys)
+	}
+}
+
+// TestFreshnessReadsLiveHighWatermark pins the read-your-acked-writes
+// rule: a write raises the HW before the parked materializer wakes, and in
+// that window Freshness must report lag rather than the stale view as
+// caught up.
+func TestFreshnessReadsLiveHighWatermark(t *testing.T) {
+	src := newFakeSource()
+	src.idle = make(chan int64, 1)
+	src.append(rec("a", "1"), rec("b", "1"), rec("c", "1"))
+	p := NewPartition(src, state.NewMem())
+	defer p.Close()
+	// The first empty read at offset 3 comes after applying 0..2: the
+	// materializer is parked on Notify with applied == hw == 3.
+	for o := range src.idle {
+		if o == 3 {
+			break
+		}
+	}
+	if applied, hw := p.Freshness(); applied != 3 || hw != 3 {
+		t.Fatalf("parked freshness = %d/%d, want 3/3", applied, hw)
+	}
+	src.raiseHW(rec("a", "2"), rec("b", "2"))
+	if applied, hw := p.Freshness(); applied != 3 || hw != 5 {
+		t.Fatalf("freshness after an unnoticed write = %d/%d, want 3/5", applied, hw)
 	}
 }
 

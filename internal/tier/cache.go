@@ -7,17 +7,16 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultCacheBytes sizes the cold-reader LRU when the broker does not
-// override it.
+// DefaultCacheBytes sizes each broker's cold-reader LRU.
 const DefaultCacheBytes = 64 << 20
 
-// segReader is one hydrated cold segment: the records re-encoded as wire
-// record batches (so the fetch path serves them byte-compatible with hot
-// reads) plus a dense per-batch offset index. Immutable once built.
+// segReader is one hydrated cold segment: the uploaded file, which holds
+// the log's sealed batches exactly as the hot segment did, plus a dense
+// per-batch offset index. Immutable once built.
 type segReader struct {
 	path       string
 	base, last int64
-	data       []byte // concatenated encoded batches
+	data       []byte // the segment file: concatenated sealed batches
 	index      []batchIdx
 }
 

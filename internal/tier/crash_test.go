@@ -2,11 +2,8 @@ package tier
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/storage/record"
 )
 
 // errInjectedCrash stands in for a SIGKILL between segment upload and
@@ -68,30 +65,7 @@ func TestCrashBetweenUploadAndCommit(t *testing.T) {
 	assertContiguous(t, fs, p)
 
 	// Every offloaded record reads back exactly once.
-	frontier := p.NextOffset()
-	next := int64(0)
-	for next < frontier {
-		data, err := p.Read(next, 4096)
-		if err != nil {
-			t.Fatalf("cold read at %d: %v", next, err)
-		}
-		err = record.ScanRecords(data, func(r record.Record) error {
-			if r.Offset < next {
-				return nil
-			}
-			if r.Offset != next {
-				return fmt.Errorf("offset %d, want %d (gap or duplicate)", r.Offset, next)
-			}
-			if want := fmt.Sprintf("v-%05d", r.Offset); string(r.Value) != want {
-				return fmt.Errorf("offset %d value %q, want %q", r.Offset, r.Value, want)
-			}
-			next++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	assertColdOnce(t, p)
 }
 
 // TestCrashLeavesTmpFile covers the earlier half of the window: the crash

@@ -23,14 +23,13 @@ type SegmentInfo struct {
 	// BaseOffset / LastOffset bound the feed offsets the segment holds.
 	BaseOffset int64 `json:"baseOffset"`
 	LastOffset int64 `json:"lastOffset"`
-	// Records / Bytes size the segment (Bytes is the on-DFS, possibly
-	// compressed, file size).
+	// Records / Bytes size the segment (Bytes is the file size: the log's
+	// own batches, compressed only where the producer compressed them).
 	Records int64 `json:"records"`
 	Bytes   int64 `json:"bytes"`
-	// FirstTimestamp / LastTimestamp are the broker timestamps at the
-	// segment's bounds (ms since epoch).
-	FirstTimestamp int64 `json:"firstTimestamp"`
-	LastTimestamp  int64 `json:"lastTimestamp"`
+	// LastTimestamp is the largest batch MaxTimestamp in the segment (ms
+	// since epoch).
+	LastTimestamp int64 `json:"lastTimestamp"`
 }
 
 // Manifest is the committed cold-tier state of one partition: the ordered

@@ -8,17 +8,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/dfs"
 	"repro/internal/metrics"
 	"repro/internal/storage/log"
 	"repro/internal/storage/record"
 )
-
-// coldBatchBytes is the target encoded size of one re-encoded batch when a
-// cold segment is hydrated; it mirrors the log's default MaxBatchBytes so
-// cold fetches look like hot ones to consumers and byte budgets.
-const coldBatchBytes = 32 << 10
 
 // Partition is one partition's tier engine, owned by the partition's
 // current leader. It offloads sealed local segments to the DFS, serves
@@ -148,37 +142,43 @@ func (p *Partition) Offload(l *log.Log, hw int64) (int, error) {
 	return uploaded, nil
 }
 
-// offloadSegment uploads one local segment (clipped to offsets at or beyond
-// the offload frontier) and commits the manifest.
+// offloadSegment uploads one local segment's batches byte for byte,
+// starting at the first batch at or beyond the offload frontier, and
+// commits the manifest. Batches wholly below the frontier are skipped. A
+// batch straddling it is corruption: replicas append the leader's batches
+// verbatim and a tiered topic is never compacted, so every replica shares
+// batch boundaries and the frontier always falls on one.
 func (p *Partition) offloadSegment(l *log.Log, s log.SegmentInfo, man *Manifest) error {
 	raw, err := l.ReadSegment(s.BaseOffset)
 	if err != nil {
 		return err
 	}
-	var recs []archive.Record
-	err = record.ScanRecords(raw, func(r record.Record) error {
-		if r.Offset >= man.NextOffset {
-			recs = append(recs, archive.Record{
-				Offset:    r.Offset,
-				Timestamp: r.Timestamp,
-				Key:       r.Key,
-				Value:     r.Value,
-				Headers:   r.Headers,
-			})
+	var start int
+	var records, maxTS int64
+	base, last := int64(-1), int64(-1)
+	err = walkBatches(raw, func(pos int, b record.BatchInfo) error {
+		switch {
+		case b.LastOffset < man.NextOffset && base < 0:
+			start = pos + b.Length // already tiered
+		case b.BaseOffset < man.NextOffset:
+			return fmt.Errorf("batch [%d, %d] straddles the offload frontier %d", b.BaseOffset, b.LastOffset, man.NextOffset)
+		default:
+			if base < 0 {
+				base = b.BaseOffset
+			}
+			last = b.LastOffset
+			records += int64(b.RecordCount)
+			maxTS = max(maxTS, b.MaxTimestamp)
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("tier: scan local segment %d of %s/%d: %w", s.BaseOffset, p.topic, p.partition, err)
+		return fmt.Errorf("tier: local segment %d of %s/%d: %w", s.BaseOffset, p.topic, p.partition, err)
 	}
-	if len(recs) == 0 {
+	if base < 0 {
 		return nil
 	}
-	data, err := archive.EncodeSegmentCodec(recs, p.cfg.Codec)
-	if err != nil {
-		return err
-	}
-	base, last := recs[0].Offset, recs[len(recs)-1].Offset
+	data := raw[start:]
 	final := segmentPath(p.cfg.Root, p.topic, p.partition, base, last)
 	tmp := final + ".tmp"
 	// Sweep a tmp leftover from a crashed upload of the same range; the
@@ -202,13 +202,12 @@ func (p *Partition) offloadSegment(l *log.Log, s log.SegmentInfo, man *Manifest)
 		}
 	}
 	info := SegmentInfo{
-		Path:           final,
-		BaseOffset:     base,
-		LastOffset:     last,
-		Records:        int64(len(recs)),
-		Bytes:          int64(len(data)),
-		FirstTimestamp: recs[0].Timestamp,
-		LastTimestamp:  recs[len(recs)-1].Timestamp,
+		Path:          final,
+		BaseOffset:    base,
+		LastOffset:    last,
+		Records:       records,
+		Bytes:         int64(len(data)),
+		LastTimestamp: maxTS,
 	}
 	next := *man
 	next.Segments = append(append([]SegmentInfo(nil), man.Segments...), info)
@@ -240,11 +239,11 @@ func (p *Partition) offloadSegment(l *log.Log, s log.SegmentInfo, man *Manifest)
 	return nil
 }
 
-// Read serves a cold fetch: whole re-encoded batches starting at the batch
-// containing offset, up to maxBytes (at least one batch). It returns
-// ErrOffsetBelowTier when total retention already dropped the offset and
-// ErrNotCovered when the offset is above the offload frontier (the hot log
-// owns it).
+// Read serves a cold fetch: whole batches, as the log stored them, starting
+// at the batch containing offset, up to maxBytes (at least one batch). It
+// returns ErrOffsetBelowTier when total retention already dropped the
+// offset and ErrNotCovered when the offset is above the offload frontier
+// (the hot log owns it).
 func (p *Partition) Read(offset int64, maxBytes int) ([]byte, error) {
 	p.mu.Lock()
 	man := p.man
@@ -275,69 +274,58 @@ func (p *Partition) Read(offset int64, maxBytes int) ([]byte, error) {
 	return data, nil
 }
 
-// hydrate fetches a cold segment through the shared LRU, decoding and
-// re-encoding it as wire batches on a miss.
+// hydrate fetches a cold segment through the shared LRU, indexing its
+// batches on a miss.
 func (p *Partition) hydrate(info SegmentInfo) (*segReader, error) {
 	return p.cache.get(info.Path, func() (*segReader, error) {
 		raw, err := p.fs.ReadFile(info.Path)
 		if err != nil {
 			return nil, err
 		}
-		recs, err := archive.DecodeSegment(raw)
-		if err != nil {
-			return nil, err
-		}
-		return buildSegReader(info, recs)
+		return buildSegReader(info, raw)
 	})
 }
 
-// buildSegReader re-encodes archived records as wire record batches with
-// their original offsets and timestamps, splitting on any offset gap (the
-// batch codec assigns consecutive offsets from a base).
-func buildSegReader(info SegmentInfo, recs []archive.Record) (*segReader, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("tier: empty cold segment %s", info.Path)
-	}
-	r := &segReader{path: info.Path, base: recs[0].Offset, last: recs[len(recs)-1].Offset}
-	var batch []record.Record
-	var batchBytes int
-	var first int64
-	flush := func() {
-		if len(batch) == 0 {
-			return
+// buildSegReader indexes a cold segment file by walking its batch headers;
+// nothing is decoded. The file comes from the DFS, so it is refused unless
+// every batch is whole, offsets ascend, and they span exactly the manifest's
+// [BaseOffset, LastOffset]. CRCs are left to the consumers that decode the
+// batches, as on a hot read.
+func buildSegReader(info SegmentInfo, raw []byte) (*segReader, error) {
+	r := &segReader{path: info.Path, base: info.BaseOffset, last: info.LastOffset, data: raw}
+	err := walkBatches(raw, func(pos int, b record.BatchInfo) error {
+		if b.LastOffset < b.BaseOffset || len(r.index) > 0 && b.BaseOffset <= r.index[len(r.index)-1].lastOffset {
+			return fmt.Errorf("%w: batch [%d, %d] out of order", record.ErrCorrupt, b.BaseOffset, b.LastOffset)
 		}
-		pos := len(r.data)
-		r.data = append(r.data, record.EncodeBatch(first, batch)...)
-		r.index = append(r.index, batchIdx{
-			firstOffset: first,
-			lastOffset:  first + int64(len(batch)) - 1,
-			pos:         pos,
-			length:      len(r.data) - pos,
-		})
-		batch = batch[:0]
-		batchBytes = 0
+		r.index = append(r.index, batchIdx{firstOffset: b.BaseOffset, lastOffset: b.LastOffset, pos: pos, length: b.Length})
+		return nil
+	})
+	if n := len(r.index); err == nil && (n == 0 || r.index[0].firstOffset != info.BaseOffset || r.index[n-1].lastOffset != info.LastOffset) {
+		err = fmt.Errorf("%w: batches do not span [%d, %d]", record.ErrCorrupt, info.BaseOffset, info.LastOffset)
 	}
-	for i := range recs {
-		a := &recs[i]
-		if len(batch) == 0 {
-			first = a.Offset
-		} else if a.Offset != first+int64(len(batch)) {
-			flush()
-			first = a.Offset
-		}
-		batch = append(batch, record.Record{
-			Timestamp: a.Timestamp,
-			Key:       a.Key,
-			Value:     a.Value,
-			Headers:   a.Headers,
-		})
-		batchBytes += len(a.Key) + len(a.Value) + 64
-		if batchBytes >= coldBatchBytes {
-			flush()
-		}
+	if err != nil {
+		return nil, fmt.Errorf("tier: cold segment %s: %w", info.Path, err)
 	}
-	flush()
 	return r, nil
+}
+
+// walkBatches calls fn with the header and byte position of each batch in
+// data, failing unless every batch is whole. Nothing is decoded.
+func walkBatches(data []byte, fn func(pos int, b record.BatchInfo) error) error {
+	for pos := 0; pos < len(data); {
+		b, err := record.PeekBatchInfo(data[pos:])
+		if err == nil && b.Length > len(data)-pos {
+			err = record.ErrShort
+		}
+		if err == nil {
+			err = fn(pos, b)
+		}
+		if err != nil {
+			return fmt.Errorf("at byte %d: %w", pos, err)
+		}
+		pos += b.Length
+	}
+	return nil
 }
 
 // OffsetForTimestamp returns the offset of the first tiered record whose

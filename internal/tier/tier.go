@@ -1,9 +1,12 @@
 // Package tier implements tiered log storage for the messaging layer: the
-// leader of each partition offloads sealed (rolled, below-high-watermark)
-// log segments to the DFS in the archive's LIQARCH2 compressed segment
-// format, tracks them in a per-partition tier manifest committed by atomic
-// rename, and serves reads below the local log start transparently from the
-// cold tier through a bounded LRU of hydrated segment readers.
+// leader of each partition uploads sealed (rolled, below-high-watermark)
+// log segments to the DFS byte for byte, tracks them in a per-partition
+// tier manifest committed by atomic rename, and serves reads below the
+// local log start transparently from the cold tier through a bounded LRU of
+// indexed segment readers. Hot and cold hold one batch container: a cold
+// read returns the batches the producer sealed, with their codec, producer
+// stamps and CRC-32C intact; compression is the producer's choice
+// (ProducerConfig.Codec), never the tier's.
 //
 // This closes the gap the paper's design promises to close (§2, §4.1 log
 // retention, §4.2 annotated checkpoints): a consumer can rewind "as far
@@ -22,11 +25,7 @@
 // harmless overlap that the read path resolves by preferring the hot copy.
 package tier
 
-import (
-	"errors"
-
-	"repro/internal/storage/record"
-)
+import "errors"
 
 // Errors returned by the tier engine.
 var (
@@ -46,11 +45,6 @@ var (
 type Config struct {
 	// Root is the DFS prefix tiered data lives under (default "/tier").
 	Root string
-	// Codec compresses uploaded segment files (LIQARCH2 format). The zero
-	// value selects the default, flate — cold segments are always written
-	// compressed (CodecNone is indistinguishable from unset here, and an
-	// uncompressed cold tier has no use case: the DFS is the slow tier).
-	Codec record.Codec
 	// TotalRetentionMs / TotalRetentionBytes bound the tiered log as a
 	// whole (hot + cold): cold segments older than TotalRetentionMs, or the
 	// oldest cold segments while hot+cold bytes exceed TotalRetentionBytes,
@@ -67,9 +61,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Root == "" {
 		c.Root = "/tier"
-	}
-	if c.Codec == 0 {
-		c.Codec = record.CodecFlate
 	}
 	return c
 }

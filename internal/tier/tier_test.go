@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -36,7 +37,7 @@ func openTestLog(t *testing.T, dir string, n int) *log.Log {
 	return l
 }
 
-func openTestFS(t *testing.T) *dfs.FS {
+func openTestFS(t testing.TB) *dfs.FS {
 	t.Helper()
 	fs, err := dfs.Open(dfs.Config{Dir: filepath.Join(t.TempDir(), "tierfs")})
 	if err != nil {
@@ -79,32 +80,8 @@ func TestOffloadAndColdRead(t *testing.T) {
 	}
 
 	// Read everything tiered back through the cold path and verify
-	// offsets, keys and values survive the LIQARCH2 round trip.
-	var next int64
-	for next < frontier {
-		data, err := p.Read(next, 2048)
-		if err != nil {
-			t.Fatalf("cold read at %d: %v", next, err)
-		}
-		got := 0
-		err = record.ScanRecords(data, func(r record.Record) error {
-			if r.Offset < next {
-				return nil // leading records of the covering batch
-			}
-			if want := fmt.Sprintf("v-%05d", r.Offset); string(r.Value) != want {
-				return fmt.Errorf("offset %d value %q, want %q", r.Offset, r.Value, want)
-			}
-			next = r.Offset + 1
-			got++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == 0 {
-			t.Fatalf("cold read at %d returned no new records", next)
-		}
-	}
+	// offsets and values.
+	assertColdOnce(t, p)
 
 	// Above the frontier the hot log owns the offsets.
 	if _, err := p.Read(frontier, 2048); !errors.Is(err, ErrNotCovered) {
@@ -142,23 +119,34 @@ func TestOffloadSkipsUncommitted(t *testing.T) {
 
 // TestOffloadRecoversAcrossReopen proves the manifest is the source of
 // truth: a fresh engine (a new leader) resumes from the committed frontier
-// and never duplicates a tiered offset, even when its local segment
-// boundaries straddle the frontier.
+// and never duplicates a tiered offset, even though its own log holds the
+// same batches under different roll points, so one of its segments
+// straddles the frontier.
 func TestOffloadRecoversAcrossReopen(t *testing.T) {
-	l := openTestLog(t, t.TempDir(), 400)
-	defer l.Close()
+	batches := sealedBatches(t, 60, 5)
+	l1 := openSealedLog(t, t.TempDir(), 4<<10, batches)
+	defer l1.Close()
 	fs := openTestFS(t)
 	p1, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := l.Segments()
+	segs := l1.Segments()
 	// Offload only the first two segments, as if the leader died mid-way.
-	if _, err := p1.Offload(l, segs[2].BaseOffset); err != nil {
+	if _, err := p1.Offload(l1, segs[2].BaseOffset); err != nil {
 		t.Fatal(err)
 	}
 	frontier := p1.NextOffset()
 
+	l2 := openSealedLog(t, t.TempDir(), 3<<10, batches)
+	defer l2.Close()
+	straddles := false
+	for _, s := range l2.Segments() {
+		straddles = straddles || (s.BaseOffset < frontier && frontier < s.NextOffset)
+	}
+	if !straddles {
+		t.Fatalf("no segment of the second log straddles frontier %d; pick other roll points", frontier)
+	}
 	p2, err := Open(fs, "feed", 0, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +154,44 @@ func TestOffloadRecoversAcrossReopen(t *testing.T) {
 	if got := p2.NextOffset(); got != frontier {
 		t.Fatalf("recovered frontier %d, want %d", got, frontier)
 	}
-	if _, err := p2.Offload(l, l.NextOffset()); err != nil {
+	if _, err := p2.Offload(l2, l2.NextOffset()); err != nil {
 		t.Fatal(err)
 	}
 	assertContiguous(t, fs, p2)
+	assertColdOnce(t, p2)
+}
+
+// assertColdOnce reads every tiered offset back through the cold path and
+// fails on a gap, a duplicate or a wrong value.
+func assertColdOnce(t *testing.T, p *Partition) {
+	t.Helper()
+	next, end := p.manifest().StartOffset, p.NextOffset()
+	for next < end {
+		data, err := p.Read(next, 2048)
+		if err != nil {
+			t.Fatalf("cold read at %d: %v", next, err)
+		}
+		from := next
+		err = record.ScanRecords(data, func(r record.Record) error {
+			if r.Offset < next {
+				return nil // leading records of the covering batch
+			}
+			if r.Offset != next {
+				return fmt.Errorf("offset %d, want %d (gap or duplicate)", r.Offset, next)
+			}
+			if want := fmt.Sprintf("v-%05d", r.Offset); string(r.Value) != want {
+				return fmt.Errorf("offset %d value %q, want %q", r.Offset, r.Value, want)
+			}
+			next++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next == from {
+			t.Fatalf("cold read at %d returned no new records", from)
+		}
+	}
 }
 
 // assertContiguous verifies the manifest's segments are gapless,
@@ -198,6 +220,148 @@ func assertContiguous(t *testing.T, fs *dfs.FS, p *Partition) {
 		if pn, _, _, ok := parseSegmentPath(info.Path); ok && pn == p.partition && !inManifest[info.Path] {
 			t.Fatalf("orphan segment on DFS: %s", info.Path)
 		}
+	}
+}
+
+// The idempotent producer identity the sealed test batches carry.
+const (
+	testPID   int64 = 7
+	testEpoch int32 = 2
+)
+
+// sealedBatches builds n flate-sealed batches of per records each ("v-%05d"
+// values, numbered from 0), stamped by an idempotent producer: the shape a
+// compressing, idempotent client hands the leader.
+func sealedBatches(t testing.TB, n, per int) [][]byte {
+	t.Helper()
+	out := make([][]byte, n)
+	for i := range out {
+		recs := make([]record.Record, per)
+		for j := range recs {
+			o := i*per + j
+			recs[j] = record.Record{
+				Timestamp: 1_000 + int64(o),
+				Key:       []byte(fmt.Sprintf("k-%05d", o)),
+				Value:     []byte(fmt.Sprintf("v-%05d", o)),
+			}
+		}
+		b, err := record.Compress(record.EncodeBatch(0, recs), record.CodecFlate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := record.StampProducer(b, testPID, testEpoch, int64(i*per)); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// openSealedLog opens a tiered log rolling at segmentBytes and appends the
+// batches through AppendSealed, as a leader stores a produce.
+func openSealedLog(t testing.TB, dir string, segmentBytes int64, batches [][]byte) *log.Log {
+	t.Helper()
+	l, err := log.Open(dir, log.Config{SegmentBytes: segmentBytes, Tiered: true, RetentionMs: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if _, err := l.AppendSealed(append([]byte(nil), b...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l
+}
+
+// TestColdReadIsHotBytes pins the one-container contract: a cold read
+// returns the bytes the hot segment held, so the producer's codec, its
+// idempotence stamps and the batch CRC survive offload.
+func TestColdReadIsHotBytes(t *testing.T) {
+	l := openSealedLog(t, t.TempDir(), 2<<10, sealedBatches(t, 40, 8))
+	defer l.Close()
+	fs := openTestFS(t)
+	p, err := Open(fs, "feed", 0, Config{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Offload(l, l.NextOffset()); err != nil {
+		t.Fatal(err)
+	}
+	segs := l.Segments()
+	if len(segs) < 3 || p.NextOffset() != segs[len(segs)-1].BaseOffset {
+		t.Fatalf("frontier %d over %d segments; want every sealed segment tiered", p.NextOffset(), len(segs))
+	}
+	for _, s := range segs[:len(segs)-1] {
+		hot, err := l.ReadSegment(s.BaseOffset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := p.Read(s.BaseOffset, len(hot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cold, hot) {
+			t.Fatalf("segment %d: cold read is not the hot segment's bytes (%d vs %d bytes)", s.BaseOffset, len(cold), len(hot))
+		}
+		// One batch at a time, from an offset inside it.
+		for pos := 0; pos < len(hot); {
+			info, err := record.PeekBatchInfo(hot[pos:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := p.Read(info.LastOffset, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(one, hot[pos:pos+info.Length]) {
+				t.Fatalf("cold read at %d is not the hot batch [%d, %d]", info.LastOffset, info.BaseOffset, info.LastOffset)
+			}
+			got, err := record.CheckBatch(one)
+			if err != nil {
+				t.Fatalf("cold batch [%d, %d]: %v", info.BaseOffset, info.LastOffset, err)
+			}
+			if codec, _ := record.PeekCodec(one); codec != record.CodecFlate {
+				t.Fatalf("cold batch [%d, %d] codec %v, want flate", info.BaseOffset, info.LastOffset, codec)
+			}
+			if got.ProducerID != testPID || got.ProducerEpoch != testEpoch || got.BaseSequence != info.BaseOffset {
+				t.Fatalf("cold batch [%d, %d] producer %d/%d/%d, want %d/%d/%d", info.BaseOffset, info.LastOffset,
+					got.ProducerID, got.ProducerEpoch, got.BaseSequence, testPID, testEpoch, info.BaseOffset)
+			}
+			pos += info.Length
+		}
+	}
+	assertColdOnce(t, p)
+}
+
+// TestOffloadRefusesStraddlingFrontier: a frontier inside a batch can only
+// mean corruption (replicas share batch boundaries), so the offload fails
+// before uploading anything and the manifest stays as it was.
+func TestOffloadRefusesStraddlingFrontier(t *testing.T) {
+	l := openSealedLog(t, t.TempDir(), 2<<10, sealedBatches(t, 40, 5))
+	defer l.Close()
+	fs := openTestFS(t)
+	if err := commitManifest(fs, "/tier", &Manifest{Topic: "feed", Partition: 0, NextOffset: 3}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Open(fs, "feed", 0, Config{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up, err := p.Offload(l, l.NextOffset()); err == nil || up != 0 {
+		t.Fatalf("offload across a straddled frontier: %d segments, err %v; want 0 and an error", up, err)
+	}
+	if files := fs.List(SegmentsPrefix("/tier", "feed")); len(files) != 0 {
+		t.Fatalf("refused offload left %d files, first %s", len(files), files[0].Path)
+	}
+	man, err := LoadManifest(fs, "/tier", "feed", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Seq != 1 || man.NextOffset != 3 || len(man.Segments) != 0 {
+		t.Fatalf("manifest changed: seq %d, frontier %d, %d segments", man.Seq, man.NextOffset, len(man.Segments))
+	}
+	if got := l.OffloadedTo(); got != 0 {
+		t.Fatalf("offload guard %d, want 0", got)
 	}
 }
 

@@ -279,10 +279,10 @@ func EncodeAnnotations(a map[string]string) string { return client.EncodeAnnotat
 func DecodeAnnotations(s string) map[string]string { return client.DecodeAnnotations(s) }
 
 // Tiered log storage (internal/tier): topics created with
-// TopicSpec.Tiered (or Stack.CreateTieredFeed) keep a small hot log on the
-// brokers and offload sealed segments to the DFS; consumers rewind past
-// local retention through the same fetch API — StartEarliest and
-// ResetEarliest mean the tiered-earliest offset.
+// TopicSpec.Tiered keep a small hot log on the brokers and upload sealed
+// segments to the DFS byte for byte; consumers rewind past local retention
+// through the same fetch API — StartEarliest and ResetEarliest mean the
+// tiered-earliest offset.
 type (
 	// TierStatusPartition is one partition's tiered-storage status
 	// (Client.TierStatus / Stack.TierStatus): hot/cold segment counts,
