@@ -35,15 +35,10 @@ func main() {
 	target := flag.String("target", "", "backfill destination feed")
 	partition := flag.Int("partition", -1, "backfill a single archived partition (-1 = all)")
 	rate := flag.Int("rate", 0, "backfill rate cap in records/sec (0 = unlimited)")
-	segBytes := flag.Int64("segment-bytes", 4<<20, "segment roll size")
+	segBytes := flag.Int64("segment-bytes", 4<<20, "segment roll size in stored batch bytes")
 	flushEvery := flag.Duration("flush-interval", 2*time.Second, "max age of an open segment buffer")
-	codecName := flag.String("codec", "none", "segment compression on the DFS: none or flate")
 	flag.Parse()
 	mode := flag.Arg(0)
-	codec, err := liquid.ParseCodec(*codecName)
-	if err != nil {
-		log.Fatalf("liquid-archiver: %v", err)
-	}
 	if mode == "" {
 		mode = "run"
 	}
@@ -87,7 +82,6 @@ func main() {
 			Root:          *root,
 			SegmentBytes:  *segBytes,
 			FlushInterval: *flushEvery,
-			Codec:         codec,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -125,7 +119,6 @@ func main() {
 			FS:           fs,
 			Root:         *root,
 			SegmentBytes: *segBytes,
-			Codec:        codec,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -6,9 +6,9 @@
 // the single source of truth for nearline AND offline consumers).
 //
 // The standing benchmark's pipeline workload measures the same archive and
-// MapReduce legs (benchmark/run.sh). Archived segments may be compressed
-// with flate on the DFS (liquid.ArchiverConfig.Codec), the messaging
-// layer's batch codec.
+// MapReduce legs (benchmark/run.sh). Archived segments are the feed's own
+// batches, so they are compressed on the DFS exactly when the producer
+// compressed them (liquid.ProducerConfig.Codec).
 package main
 
 import (

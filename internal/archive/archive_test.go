@@ -1,6 +1,7 @@
 package archive_test
 
 import (
+	"bytes"
 	"fmt"
 	"log/slog"
 	"os"
@@ -509,5 +510,162 @@ func TestBackfillRateBound(t *testing.T) {
 	// 50 records at 200/s must take at least ~240ms.
 	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
 		t.Fatalf("rate-bounded backfill finished in %v, too fast for 200/s", elapsed)
+	}
+}
+
+// produceBatches publishes count batches of per keyed messages to partition
+// 0 of topic, one Flush per batch, from offset-numbered values "v<i>".
+func produceBatches(s *core.Stack, topic string, from, count, per int) error {
+	p := s.NewProducer(client.ProducerConfig{Codec: client.CodecFlate, Linger: time.Hour})
+	defer p.Close()
+	for i := from; i < from+count*per; i++ {
+		if err := p.SendExplicit(client.Message{
+			Topic: topic, Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte(fmt.Sprintf("v%d", i)),
+		}); err != nil {
+			return err
+		}
+		if (i-from+1)%per == 0 {
+			if err := p.Flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// logBatches reads partition 0 of topic from offset 0 to end as whole
+// batches: the log's own bytes.
+func logBatches(t *testing.T, s *core.Stack, topic string, end int64) []client.Batch {
+	t.Helper()
+	cons := s.NewConsumer(client.ConsumerConfig{})
+	defer cons.Close()
+	if err := cons.Assign(topic, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	var out []client.Batch
+	deadline := time.Now().Add(10 * time.Second)
+	for cons.Position(topic, 0) < end && time.Now().Before(deadline) {
+		batches, err := cons.PollBatches(100 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, batches...)
+	}
+	return out
+}
+
+// An archiver started inside a batch archives exactly the records at or
+// after its start: the straddling batch is re-sealed from the start offset
+// and every later batch is archived as the log stored it.
+func TestArchiverStartFromInsideBatch(t *testing.T) {
+	s := newStack(t)
+	const topic, start = "arch-mid", 37
+	if err := s.CreateFeed(topic, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := produceBatches(s, topic, 0, 4, 25); err != nil { // batches [0,24] [25,49] [50,74] [75,99]
+		t.Fatal(err)
+	}
+	a, err := s.StartArchiver(archive.ArchiverConfig{
+		Topic:         topic,
+		StartFrom:     start,
+		FlushInterval: 100 * time.Millisecond,
+		PollWait:      100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitArchived(t, s, "/archive", topic, 100-start, 15*time.Second)
+	if err := a.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	vals := archivedValues(t, s, "/archive", topic)[0]
+	if len(vals) != 100-start || vals[0] != fmt.Sprintf("v%d", start) || vals[len(vals)-1] != "v99" {
+		t.Fatalf("archived %d values %v..., want v%d..v99", len(vals), vals[:min(3, len(vals))], start)
+	}
+	fs, _ := s.ArchiveFS()
+	manifests, err := archive.ListManifests(fs, "/archive", topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var archived []byte
+	for _, seg := range manifests[0].Segments {
+		data, err := fs.ReadFile(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archived = append(archived, data...)
+	}
+	var tail []byte
+	for _, b := range logBatches(t, s, topic, 100) {
+		if b.Info.BaseOffset > start {
+			tail = append(tail, b.Data...)
+		}
+	}
+	if !bytes.HasSuffix(archived, tail) {
+		t.Fatal("the batches after the start are not archived as the log stored them")
+	}
+	if manifests[0].Segments[0].BaseOffset != start {
+		t.Fatalf("first segment starts at %d, want %d", manifests[0].Segments[0].BaseOffset, start)
+	}
+}
+
+// A snapshot racing a writer archives a batch-aligned prefix of the log:
+// it stops at a batch boundary at or after the end it read, every archived
+// batch is byte-identical to the log's, and the next snapshot continues
+// from there with no gap and no duplicate.
+func TestSnapshotStopsAtBatchBoundary(t *testing.T) {
+	s := newStack(t)
+	const topic = "arch-race"
+	if err := s.CreateFeed(topic, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := produceBatches(s, topic, 0, 10, 10); err != nil {
+		t.Fatal(err)
+	}
+	racing := make(chan error, 1)
+	go func() { racing <- produceBatches(s, topic, 100, 20, 10) }()
+	first, err := s.ArchiveSnapshot(archive.SnapshotConfig{Topic: topic, SegmentRecords: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-racing; err != nil {
+		t.Fatal(err)
+	}
+	next := first.NextOffsets[0]
+	if next < 100 || next > 300 || next%10 != 0 || first.Records != next {
+		t.Fatalf("snapshot exported %d records to offset %d; want a batch boundary in [100, 300]", first.Records, next)
+	}
+	second, err := s.ArchiveSnapshot(archive.SnapshotConfig{Topic: topic, SegmentRecords: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.NextOffsets[0] != 300 || first.Records+second.Records != 300 {
+		t.Fatalf("snapshots exported %d + %d records to offset %d, want 300", first.Records, second.Records, second.NextOffsets[0])
+	}
+	vals := archivedValues(t, s, "/archive", topic)[0]
+	for i, v := range vals {
+		if v != fmt.Sprintf("v%d", i) {
+			t.Fatalf("archived value %d = %s", i, v)
+		}
+	}
+	fs, _ := s.ArchiveFS()
+	manifests, err := archive.ListManifests(fs, "/archive", topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var archived, logged []byte
+	for _, seg := range manifests[0].Segments {
+		data, err := fs.ReadFile(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archived = append(archived, data...)
+	}
+	for _, b := range logBatches(t, s, topic, 300) {
+		logged = append(logged, b.Data...)
+	}
+	if !bytes.Equal(archived, logged) {
+		t.Fatalf("archive holds %d bytes, not the log's %d bytes of batches", len(archived), len(logged))
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/dfs"
-	"repro/internal/storage/record"
 )
 
 // ArchiverConfig parameterises an Archiver.
@@ -22,19 +21,16 @@ type ArchiverConfig struct {
 	// Name distinguishes independent archivers of one topic; it names the
 	// consumer group ("__archiver-<Name>", default Name = Topic).
 	Name string
-	// SegmentBytes rolls a segment when its payload reaches this size
-	// (default 4 MiB).
+	// SegmentBytes rolls a segment when its stored batch bytes reach this
+	// size (default 4 MiB).
 	SegmentBytes int64
 	// SegmentRecords rolls a segment at this record count (0 = no bound).
+	// Both bounds are met at batch granularity: segments are cut between
+	// the log's batches.
 	SegmentRecords int
 	// FlushInterval rolls a non-empty buffer after this much time even if
 	// undersized, bounding archive staleness (default 2s).
 	FlushInterval time.Duration
-	// Codec compresses segment files on the DFS (record.CodecNone or
-	// record.CodecFlate, the messaging layer's batch codecs). Readers
-	// (MRInput, Backfill) decompress transparently, and old and new
-	// segment formats may coexist under one manifest.
-	Codec record.Codec
 	// PollWait is the fetch long-poll bound (default 250ms).
 	PollWait time.Duration
 	// StartFrom applies to partitions with no committed offset and no
@@ -137,7 +133,6 @@ func (a *Archiver) exporterConfig() exporterConfig {
 		segmentBytes:   a.cfg.SegmentBytes,
 		segmentRecords: a.cfg.SegmentRecords,
 		flushAge:       a.cfg.FlushInterval,
-		codec:          a.cfg.Codec,
 	}
 }
 
@@ -221,7 +216,7 @@ func (a *Archiver) run() {
 			return
 		default:
 		}
-		msgs, err := a.gc.Poll(a.cfg.PollWait)
+		batches, err := a.gc.PollBatches(a.cfg.PollWait)
 		if err != nil {
 			if errors.Is(err, client.ErrGroupClosed) {
 				return
@@ -231,29 +226,31 @@ func (a *Archiver) run() {
 			continue
 		}
 		// Partitions whose exporter failed to open during onAssigned are
-		// retried here on their next message, so a transient DFS error
+		// retried here on their next batch, so a transient DFS error
 		// cannot silently stall a partition until the next rebalance. The
-		// consumer is re-seeked to the manifest and the current batch
-		// skipped, so the retry never leaves an offset gap.
+		// consumer is re-seeked to the manifest and the rest of the poll
+		// skipped for the partition, so the retry never leaves an offset
+		// gap; the same realignment answers a batch the exporter refuses.
 		skip := make(map[int32]bool)
-		for _, m := range msgs {
-			if m.Topic != a.cfg.Topic || skip[m.Partition] {
+		for _, b := range batches {
+			if b.Topic != a.cfg.Topic || skip[b.Partition] {
 				continue
 			}
-			exp, ok := a.exporters[m.Partition]
+			exp, ok := a.exporters[b.Partition]
 			if !ok {
-				fresh, err := openExporter(a.cfg.FS, a.cfg.Root, a.cfg.Topic, m.Partition, a.exporterConfig())
+				fresh, err := openExporter(a.cfg.FS, a.cfg.Root, a.cfg.Topic, b.Partition, a.exporterConfig())
 				if err != nil {
-					a.cfg.Logger.Warn("archive: open exporter retry", "topic", a.cfg.Topic, "partition", m.Partition, "err", err)
-					skip[m.Partition] = true
+					a.cfg.Logger.Warn("archive: open exporter retry", "topic", a.cfg.Topic, "partition", b.Partition, "err", err)
+					skip[b.Partition] = true
 					continue
 				}
-				a.exporters[m.Partition] = fresh
-				_ = a.gc.Seek(a.cfg.Topic, m.Partition, fresh.man.NextOffset)
-				skip[m.Partition] = true
+				a.exporters[b.Partition] = fresh
+				exp = fresh
+			} else if exp.add(b) {
 				continue
 			}
-			exp.add(m)
+			_ = a.gc.Seek(a.cfg.Topic, b.Partition, exp.nextOffset())
+			skip[b.Partition] = true
 		}
 		a.rollDue(false)
 	}
@@ -264,7 +261,7 @@ func (a *Archiver) run() {
 // holding several segments' worth rolls repeatedly until under threshold.
 func (a *Archiver) rollDue(force bool) {
 	for p, exp := range a.exporters {
-		for exp.shouldRoll() || (force && len(exp.buf) > 0) {
+		for exp.shouldRoll() || (force && len(exp.batches) > 0) {
 			info, err := exp.roll()
 			if errors.Is(err, ErrManifestConflict) {
 				// Another export task owns this partition now (it moved
@@ -306,7 +303,7 @@ func (a *Archiver) rollDue(force bool) {
 	}
 }
 
-// Stop drains gracefully: buffered records are rolled into final segments
+// Stop drains gracefully: buffered batches are rolled into final segments
 // and checkpointed before the group is left.
 func (a *Archiver) Stop() error {
 	if !a.markStopped() {

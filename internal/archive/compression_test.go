@@ -3,80 +3,109 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/storage/record"
 )
 
-func archRecords(n int) []Record {
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = Record{
-			Offset:    int64(i * 2), // gaps: compaction survivors
-			Timestamp: int64(1000 + i),
-			Key:       []byte{byte('k'), byte(i)},
-			Value:     bytes.Repeat([]byte("segment-payload-"), 4),
-			Headers:   []record.Header{{Key: "h", Value: []byte{byte(i)}}},
+// compressibleBatches renders n records with repetitive payloads in batches
+// of per, sealed with codec.
+func compressibleBatches(t *testing.T, codec record.Codec, n, per int) []client.Batch {
+	var out []client.Batch
+	for first := 0; first < n; first += per {
+		recs := make([]record.Record, per)
+		for i := range recs {
+			off := first + i
+			recs[i] = record.Record{
+				Offset:    int64(off),
+				Timestamp: int64(1000 + off),
+				Key:       []byte{'k', byte(off)},
+				Value:     bytes.Repeat([]byte("segment-payload-"), 4),
+				Headers:   []record.Header{{Key: "h", Value: []byte{byte(off)}}},
+			}
 		}
+		out = append(out, sealBatch(t, codec, recs))
 	}
-	return recs
+	return out
 }
 
+// rollAll exports batches as one segment and returns its bytes.
+func rollAll(t *testing.T, batches []client.Batch) []byte {
+	t.Helper()
+	fs := crashFS(t)
+	exp, err := openExporter(fs, "/archive", "t", 0, exporterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		exp.add(b)
+	}
+	info, err := exp.roll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.ReadFile(info.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// An archived batch is the log's batch: the segment holds the fetched bytes
+// verbatim, compressed exactly when the producer compressed them, and reads
+// back as the same records.
 func TestSegmentCompressedRoundTrip(t *testing.T) {
-	recs := archRecords(16)
 	for _, codec := range []record.Codec{record.CodecNone, record.CodecFlate} {
-		data, err := EncodeSegmentCodec(recs, codec)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", codec, err)
+		batches := compressibleBatches(t, codec, 16, 4)
+		data := rollAll(t, batches)
+		if !bytes.Equal(data, concat(batches)) {
+			t.Fatalf("%s: segment is not the log's batches verbatim", codec)
 		}
 		got, err := DecodeSegment(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", codec, err)
 		}
-		if len(got) != len(recs) {
-			t.Fatalf("%s: %d records, want %d", codec, len(got), len(recs))
+		if len(got) != 16 {
+			t.Fatalf("%s: %d records, want 16", codec, len(got))
 		}
-		for i := range recs {
-			if got[i].Offset != recs[i].Offset || !bytes.Equal(got[i].Value, recs[i].Value) ||
-				!bytes.Equal(got[i].Key, recs[i].Key) || got[i].Timestamp != recs[i].Timestamp {
-				t.Fatalf("%s: record %d mismatch", codec, i)
+		for i, r := range got {
+			if r.Offset != int64(i) || r.Timestamp != int64(1000+i) || !bytes.Equal(r.Key, []byte{'k', byte(i)}) ||
+				len(r.Headers) != 1 || !bytes.Equal(r.Headers[0].Value, []byte{byte(i)}) {
+				t.Fatalf("%s: record %d mismatch: %v", codec, i, r)
 			}
 		}
 	}
 }
 
 func TestSegmentCompressionShrinks(t *testing.T) {
-	recs := archRecords(256)
-	plain, _ := EncodeSegmentCodec(recs, record.CodecNone)
-	packed, err := EncodeSegmentCodec(recs, record.CodecFlate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := rollAll(t, compressibleBatches(t, record.CodecNone, 256, 64))
+	packed := rollAll(t, compressibleBatches(t, record.CodecFlate, 256, 64))
 	if len(packed) >= len(plain)/2 {
-		t.Fatalf("compressed segment %dB not < half of %dB", len(packed), len(plain))
+		t.Fatalf("segment of flate batches %dB not < half of %dB", len(packed), len(plain))
 	}
 }
 
-func TestSegmentOldFormatStillDecodes(t *testing.T) {
-	// EncodeSegment writes the classic LIQARCH1 format; archives written
-	// before compression existed must keep decoding.
-	recs := archRecords(4)
-	data := EncodeSegment(recs)
-	if !bytes.Equal(data[:8], []byte("LIQARCH1")) {
-		t.Fatalf("EncodeSegment magic = %q", data[:8])
-	}
-	got, err := DecodeSegment(data)
-	if err != nil || len(got) != 4 {
-		t.Fatalf("decode old format: %d records, %v", len(got), err)
+// The record-by-record formats the archive wrote before it stored log
+// batches are refused by name; there is no migration.
+func TestSegmentRetiredFormatRefused(t *testing.T) {
+	for _, format := range []string{"LIQARCH1", "LIQARCH2"} {
+		data, err := os.ReadFile(fmt.Sprintf("testdata/%s.seg", strings.ToLower(format)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSegment(data); !errors.Is(err, ErrBadSegment) || !strings.Contains(err.Error(), format) {
+			t.Fatalf("%s segment: decode = %v, want ErrBadSegment naming the format", format, err)
+		}
 	}
 }
 
 func TestCorruptCompressedSegmentRejected(t *testing.T) {
-	data, err := EncodeSegmentCodec(archRecords(8), record.CodecFlate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), data...)
+	data := concat(compressibleBatches(t, record.CodecFlate, 8, 4))
+	bad := bytes.Clone(data)
 	bad[len(bad)-4] ^= 0xFF
 	if _, err := DecodeSegment(bad); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("corrupt compressed segment decoded: %v", err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -13,10 +12,10 @@ import (
 )
 
 // Crash-recovery tests for the export commit protocol: a SIGKILL-equivalent
-// between a segment seal (rename into place) and its manifest commit leaves
-// an orphan segment the restarted exporter must sweep and re-export —
-// exactly once, with no gap and no duplicate — in both the LIQARCH1
-// (uncompressed) and LIQARCH2 (compressed) segment formats.
+// between a segment seal (its create committed at the final path) and its
+// manifest commit leaves an orphan segment the restarted exporter must sweep
+// and re-export — exactly once, with no gap and no duplicate — for
+// uncompressed and compressed batches alike.
 
 var errInjectedCrash = errors.New("injected crash (SIGKILL window)")
 
@@ -30,45 +29,68 @@ func crashFS(t *testing.T) *dfs.FS {
 	return fs
 }
 
-// feedMessages renders n consecutive feed messages starting at offset base.
-func feedMessages(base int64, n int) []client.Message {
-	out := make([]client.Message, n)
-	for i := range out {
-		out[i] = client.Message{
-			Topic:     "t",
-			Partition: 0,
-			Offset:    base + int64(i),
-			Timestamp: 1000 + base + int64(i),
-			Key:       []byte(fmt.Sprintf("k%03d", base+int64(i))),
-			Value:     []byte(fmt.Sprintf("v%03d", base+int64(i))),
+// feedBatches renders n consecutive feed records starting at offset base as
+// the log would store them, per records to a batch, sealed with codec, and
+// delivered as by PollBatches.
+func feedBatches(t testing.TB, codec record.Codec, base int64, n, per int) []client.Batch {
+	t.Helper()
+	var out []client.Batch
+	for first := base; first < base+int64(n); first += int64(per) {
+		recs := make([]record.Record, min(per, int(base+int64(n)-first)))
+		for i := range recs {
+			off := first + int64(i)
+			recs[i] = record.Record{
+				Offset:    off,
+				Timestamp: 1000 + off,
+				Key:       []byte(fmt.Sprintf("k%03d", off)),
+				Value:     []byte(fmt.Sprintf("v%03d", off)),
+			}
 		}
+		out = append(out, sealBatch(t, codec, recs))
+	}
+	return out
+}
+
+// sealBatch seals records, keeping their offsets, into one batch delivered
+// as by PollBatches.
+func sealBatch(t testing.TB, codec record.Codec, recs []record.Record) client.Batch {
+	t.Helper()
+	data, err := record.Compress(record.EncodeBatchKeepOffsets(recs), codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := record.PeekBatchInfo(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client.Batch{Topic: "t", Info: info, Data: data}
+}
+
+// concat joins batches' bytes: what a segment of them must hold.
+func concat(batches []client.Batch) []byte {
+	var out []byte
+	for _, b := range batches {
+		out = append(out, b.Data...)
 	}
 	return out
 }
 
 func TestCrashBetweenSealAndManifestCommit(t *testing.T) {
-	cases := []struct {
-		name  string
-		codec record.Codec
-		magic string
-	}{
-		{"LIQARCH1-uncompressed", record.CodecNone, "LIQARCH1"},
-		{"LIQARCH2-flate", record.CodecFlate, "LIQARCH2"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, codec := range []record.Codec{record.CodecNone, record.CodecFlate} {
+		t.Run(codec.String(), func(t *testing.T) {
 			fs := crashFS(t)
 			const root = "/archive"
-			cfg := exporterConfig{segmentRecords: 10, codec: tc.codec}
+			cfg := exporterConfig{segmentRecords: 10}
 			cfg.onSealed = func(string) error { return errInjectedCrash }
+			batches := feedBatches(t, codec, 0, 10, 5)
 
 			exp, err := openExporter(fs, root, "t", 0, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range feedMessages(0, 10) {
-				if !exp.add(m) {
-					t.Fatalf("message %d rejected", m.Offset)
+			for _, b := range batches {
+				if !exp.add(b) {
+					t.Fatalf("batch %d rejected", b.Info.BaseOffset)
 				}
 			}
 			if _, err := exp.roll(); !errors.Is(err, errInjectedCrash) {
@@ -96,9 +118,9 @@ func TestCrashBetweenSealAndManifestCommit(t *testing.T) {
 				t.Fatalf("orphan not swept on recovery: %v", left)
 			}
 
-			// ...and the redelivered records archive exactly once.
-			for _, m := range feedMessages(0, 10) {
-				exp2.add(m)
+			// ...and the redelivered batches archive exactly once.
+			for _, b := range batches {
+				exp2.add(b)
 			}
 			info, err := exp2.roll()
 			if err != nil {
@@ -118,8 +140,8 @@ func TestCrashBetweenSealAndManifestCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.HasPrefix(data, []byte(tc.magic)) {
-				t.Fatalf("segment magic = %q, want %s", data[:8], tc.magic)
+			if !bytes.Equal(data, concat(batches)) {
+				t.Fatalf("segment holds %d bytes, not the %d bytes of the log's batches", len(data), len(concat(batches)))
 			}
 			recs, err := DecodeSegment(data)
 			if err != nil {
@@ -157,8 +179,8 @@ func TestCrashAfterPartialProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range feedMessages(0, 30) {
-		exp.add(m)
+	for _, b := range feedBatches(t, record.CodecNone, 0, 30, 5) {
+		exp.add(b)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := exp.roll(); err != nil {
@@ -183,8 +205,8 @@ func TestCrashAfterPartialProgress(t *testing.T) {
 		t.Fatalf("segments after recovery = %d, want 2", len(segs))
 	}
 	// Redelivery from the committed offset finishes the export.
-	for _, m := range feedMessages(20, 10) {
-		exp2.add(m)
+	for _, b := range feedBatches(t, record.CodecNone, 20, 10, 5) {
+		exp2.add(b)
 	}
 	if _, err := exp2.roll(); err != nil {
 		t.Fatal(err)
@@ -199,36 +221,5 @@ func TestCrashAfterPartialProgress(t *testing.T) {
 			t.Fatalf("segment chain broken at %d, want base %d", seg.BaseOffset, want)
 		}
 		want = seg.LastOffset + 1
-	}
-}
-
-// TestCrashBeforeRenameSweepsTmp covers the earlier crash point: the write
-// of the temporary segment file completed but the rename never happened. A
-// .tmp is ours to sweep on recovery; it must never shadow a future roll.
-func TestCrashBeforeRenameSweepsTmp(t *testing.T) {
-	fs := crashFS(t)
-	const root = "/archive"
-	tmp := segmentPath(root, "t", 0, 0, 9) + ".tmp"
-	if err := fs.WriteFile(tmp, []byte("half-written segment")); err != nil {
-		t.Fatal(err)
-	}
-	exp, err := openExporter(fs, root, "t", 0, exporterConfig{segmentRecords: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, info := range fs.List(SegmentsPrefix(root, "t")) {
-		if strings.HasSuffix(info.Path, ".tmp") {
-			t.Fatalf("tmp leftover not swept: %s", info.Path)
-		}
-	}
-	for _, m := range feedMessages(0, 10) {
-		exp.add(m)
-	}
-	if _, err := exp.roll(); err != nil {
-		t.Fatalf("roll over swept tmp: %v", err)
-	}
-	man, _ := LoadManifest(fs, root, "t", 0)
-	if man.NextOffset != 10 || len(man.Segments) != 1 {
-		t.Fatalf("manifest = %+v", man)
 	}
 }

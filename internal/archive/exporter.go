@@ -3,7 +3,6 @@ package archive
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -12,11 +11,12 @@ import (
 )
 
 // exporter drains one feed partition into rolled segment files. It owns the
-// partition's manifest: add buffers records, roll writes the buffer as an
-// immutable segment (tmp write + atomic rename) and commits the manifest.
-// The commit order — segment, manifest, then offset checkpoint by the
-// caller — means a crash at any point leaves the manifest's NextOffset as
-// the exact resume position with no record lost or archived twice.
+// partition's manifest: add buffers fetched batches verbatim, roll writes a
+// cut of them as one immutable segment (a DFS create commits it at its
+// final path) and commits the manifest. The commit order — segment,
+// manifest, then offset checkpoint by the caller — means a crash at any
+// point leaves the manifest's NextOffset as the exact resume position with
+// no record lost or archived twice.
 type exporter struct {
 	fs        *dfs.FS
 	root      string
@@ -25,43 +25,36 @@ type exporter struct {
 	cfg       exporterConfig
 
 	man      *Manifest
-	buf      []Record
-	bufBytes int64
-	openedAt time.Time // when the first buffered record arrived
+	buf      []byte             // buffered batches, as the log stored them
+	batches  []record.BatchInfo // their headers, in buf order
+	records  int                // records in the buffered batches
+	openedAt time.Time          // when the first buffered batch arrived
 }
 
-// exporterConfig sizes one partition exporter.
+// exporterConfig sizes one partition exporter. Segments are cut at batch
+// boundaries, so both bounds are met at batch granularity.
 type exporterConfig struct {
-	segmentBytes   int64
+	segmentBytes   int64 // stored (possibly compressed) batch bytes
 	segmentRecords int
 	flushAge       time.Duration
-	codec          record.Codec // segment-file compression
 	// onSealed is a crash-injection hook for recovery tests: it runs after
-	// a segment is renamed into place and before the manifest commit — the
-	// exact window a SIGKILL leaves an orphan segment. Returning an error
-	// aborts the roll there, reproducing the on-DFS state a crashed
+	// a segment is committed at its path and before the manifest commit —
+	// the exact window a SIGKILL leaves an orphan segment. Returning an
+	// error aborts the roll there, reproducing the on-DFS state a crashed
 	// archiver leaves behind. Nil in production.
 	onSealed func(path string) error
 }
 
 // openExporter loads the partition's manifest and removes orphan segments —
-// files a crashed exporter renamed into place before committing the
-// manifest. Orphans start at or beyond NextOffset, exactly the range the
-// restarted exporter will re-export.
+// files a crashed exporter committed before committing the manifest.
+// Orphans start at or beyond NextOffset, exactly the range the restarted
+// exporter will re-export.
 func openExporter(fs *dfs.FS, root, topic string, partition int32, cfg exporterConfig) (*exporter, error) {
 	man, err := LoadManifest(fs, root, topic, partition)
 	if err != nil {
 		return nil, err
 	}
 	for _, info := range fs.List(SegmentsPrefix(root, topic)) {
-		// A .tmp is a roll that crashed before its rename; its offset
-		// range may never recur (time-based cuts), so sweep any of ours.
-		if trimmed := strings.TrimSuffix(info.Path, ".tmp"); trimmed != info.Path {
-			if p, _, _, ok := parseSegmentPath(trimmed); ok && p == partition {
-				_ = fs.Delete(info.Path)
-			}
-			continue
-		}
 		p, base, _, ok := parseSegmentPath(info.Path)
 		if ok && p == partition && base >= man.NextOffset {
 			_ = fs.Delete(info.Path)
@@ -76,127 +69,96 @@ func openExporter(fs *dfs.FS, root, topic string, partition int32, cfg exporterC
 
 // nextOffset returns the first feed offset not yet archived or buffered.
 func (e *exporter) nextOffset() int64 {
-	if n := len(e.buf); n > 0 {
-		return e.buf[n-1].Offset + 1
+	if n := len(e.batches); n > 0 {
+		return e.batches[n-1].LastOffset + 1
 	}
 	return e.man.NextOffset
 }
 
-// add buffers one consumed message, dropping anything already archived or
-// buffered (redelivery after a rebalance or a seek). It reports whether the
-// message was accepted.
-func (e *exporter) add(msg client.Message) bool {
-	if msg.Offset < e.nextOffset() {
+// add buffers one fetched batch. It refuses a batch that starts below
+// nextOffset — a redelivery after a rebalance or a seek, whole or
+// straddling — so the caller can realign its consumer at nextOffset, where
+// the consumer re-seals a straddling batch; it reports whether the batch
+// was accepted.
+func (e *exporter) add(b client.Batch) bool {
+	if b.Info.BaseOffset < e.nextOffset() {
 		return false
 	}
-	if len(e.buf) == 0 {
+	if len(e.batches) == 0 {
 		e.openedAt = time.Now()
 	}
-	rec := Record{
-		Offset:    msg.Offset,
-		Timestamp: msg.Timestamp,
-		Key:       msg.Key,
-		Value:     msg.Value,
-		Headers:   msg.Headers,
-	}
-	e.buf = append(e.buf, rec)
-	e.bufBytes += recordBytes(&rec)
+	e.buf = append(e.buf, b.Data...)
+	e.batches = append(e.batches, b.Info)
+	e.records += b.Info.RecordCount
 	return true
-}
-
-// recordBytes is a record's payload contribution to segment sizing —
-// key, value, and headers (header-heavy records must count, or the size
-// threshold never fires on them).
-func recordBytes(r *Record) int64 {
-	n := int64(len(r.Key) + len(r.Value))
-	for _, h := range r.Headers {
-		n += int64(len(h.Key) + len(h.Value))
-	}
-	return n
 }
 
 // shouldRoll reports whether the buffer crossed a size, count, or age
 // threshold.
 func (e *exporter) shouldRoll() bool {
-	if len(e.buf) == 0 {
+	if len(e.batches) == 0 {
 		return false
 	}
-	if e.cfg.segmentBytes > 0 && e.bufBytes >= e.cfg.segmentBytes {
+	if e.cfg.segmentBytes > 0 && int64(len(e.buf)) >= e.cfg.segmentBytes {
 		return true
 	}
-	if e.cfg.segmentRecords > 0 && len(e.buf) >= e.cfg.segmentRecords {
+	if e.cfg.segmentRecords > 0 && e.records >= e.cfg.segmentRecords {
 		return true
 	}
 	return e.cfg.flushAge > 0 && time.Since(e.openedAt) >= e.cfg.flushAge
 }
 
-// cut returns how many buffered records the next segment takes: the whole
-// buffer, clipped to the first size or count threshold. One poll can buffer
-// several segments' worth at once; cutting (rather than swallowing the
-// buffer) keeps segment sizes honest.
-func (e *exporter) cut() int {
-	n := len(e.buf)
-	if e.cfg.segmentRecords > 0 && n > e.cfg.segmentRecords {
-		n = e.cfg.segmentRecords
-	}
-	if e.cfg.segmentBytes > 0 {
-		var size int64
-		for i := 0; i < n; i++ {
-			size += recordBytes(&e.buf[i])
-			if size >= e.cfg.segmentBytes {
-				n = i + 1
-				break
-			}
+// cut returns how many buffered batches, and how many bytes, the next
+// segment takes: batches up to the first that reaches a size or count
+// threshold, or the whole buffer. One poll can buffer several segments'
+// worth at once; cutting (rather than swallowing the buffer) keeps segment
+// sizes honest.
+func (e *exporter) cut() (n, size int) {
+	records := 0
+	for n < len(e.batches) {
+		size += e.batches[n].Length
+		records += e.batches[n].RecordCount
+		n++
+		if e.cfg.segmentBytes > 0 && int64(size) >= e.cfg.segmentBytes ||
+			e.cfg.segmentRecords > 0 && records >= e.cfg.segmentRecords {
+			break
 		}
 	}
-	return n
+	return n, size
 }
 
-// roll writes the next cut of buffered records as one immutable segment and
+// roll writes the next cut of buffered batches as one immutable segment and
 // commits the manifest. It returns the new segment's info; callers then
 // checkpoint the offset with annotations recording the mapping, and keep
 // rolling while shouldRoll holds.
 func (e *exporter) roll() (SegmentInfo, error) {
-	if len(e.buf) == 0 {
+	if len(e.batches) == 0 {
 		return SegmentInfo{}, fmt.Errorf("archive: roll of empty buffer on %s/%d", e.topic, e.partition)
 	}
-	n := e.cut()
-	seg := e.buf[:n]
-	data, err := EncodeSegmentCodec(seg, e.cfg.codec)
-	if err != nil {
-		return SegmentInfo{}, err
+	n, size := e.cut()
+	seg := e.batches[:n]
+	info := SegmentInfo{
+		BaseOffset: seg[0].BaseOffset,
+		LastOffset: seg[n-1].LastOffset,
+		Bytes:      int64(size),
 	}
-	base := seg[0].Offset
-	last := seg[n-1].Offset
-	final := segmentPath(e.root, e.topic, e.partition, base, last)
-	tmp := final + ".tmp"
-	// Sweep a tmp leftover from a crashed roll of the same range; the
-	// FINAL path is never pre-deleted — openExporter already swept our own
-	// orphans, so an existing final means a concurrent exporter owns this
-	// range and this instance is stale.
-	_ = e.fs.Delete(tmp)
-	if err := e.fs.WriteFile(tmp, data); err != nil {
-		return SegmentInfo{}, err
+	for _, b := range seg {
+		info.Records += int64(b.RecordCount)
+		info.LastTimestamp = max(info.LastTimestamp, b.MaxTimestamp)
 	}
-	if err := e.fs.Rename(tmp, final); err != nil {
-		_ = e.fs.Delete(tmp)
+	info.Path = segmentPath(e.root, e.topic, e.partition, info.BaseOffset, info.LastOffset)
+	// A create refuses an existing path: openExporter already swept our
+	// own orphans, so an existing segment means a concurrent exporter owns
+	// this range and this instance is stale.
+	if err := e.fs.WriteFile(info.Path, e.buf[:size]); err != nil {
 		if errors.Is(err, dfs.ErrExists) {
-			return SegmentInfo{}, fmt.Errorf("%w: segment %s", ErrManifestConflict, final)
+			return SegmentInfo{}, fmt.Errorf("%w: segment %s", ErrManifestConflict, info.Path)
 		}
 		return SegmentInfo{}, err
 	}
-	info := SegmentInfo{
-		Path:           final,
-		BaseOffset:     base,
-		LastOffset:     last,
-		Records:        int64(n),
-		Bytes:          int64(len(data)),
-		FirstTimestamp: seg[0].Timestamp,
-		LastTimestamp:  seg[n-1].Timestamp,
-	}
 	if e.cfg.onSealed != nil {
 		// Injected crash between segment seal and manifest commit.
-		if err := e.cfg.onSealed(final); err != nil {
+		if err := e.cfg.onSealed(info.Path); err != nil {
 			return SegmentInfo{}, err
 		}
 	}
@@ -205,7 +167,7 @@ func (e *exporter) roll() (SegmentInfo, error) {
 	// for a retry or a reload.
 	next := *e.man
 	next.Segments = append(append([]SegmentInfo(nil), e.man.Segments...), info)
-	next.NextOffset = last + 1
+	next.NextOffset = info.LastOffset + 1
 	if err := commitManifest(e.fs, e.root, &next); err != nil {
 		// Withdraw the segment only on a non-conflict failure: after a
 		// conflict, the file at this path may be a successor's — it can
@@ -213,24 +175,15 @@ func (e *exporter) roll() (SegmentInfo, error) {
 		// range to the same path before committing — and deleting it
 		// would destroy manifest-referenced data.
 		if !errors.Is(err, ErrManifestConflict) {
-			_ = e.fs.Delete(final)
+			_ = e.fs.Delete(info.Path)
 		}
 		return SegmentInfo{}, err
 	}
 	e.man = &next
-	if n == len(e.buf) {
-		e.buf = nil
-		e.bufBytes = 0
-	} else {
-		rest := make([]Record, len(e.buf)-n)
-		copy(rest, e.buf[n:])
-		e.buf = rest
-		e.bufBytes = 0
-		for i := range rest {
-			e.bufBytes += recordBytes(&rest[i])
-		}
-		e.openedAt = time.Now()
-	}
+	e.buf = append(e.buf[:0], e.buf[size:]...)
+	e.batches = append(e.batches[:0], e.batches[n:]...)
+	e.records -= int(info.Records)
+	e.openedAt = time.Now()
 	return info, nil
 }
 

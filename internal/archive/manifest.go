@@ -26,10 +26,9 @@ type SegmentInfo struct {
 	// Records / Bytes size the segment.
 	Records int64 `json:"records"`
 	Bytes   int64 `json:"bytes"`
-	// FirstTimestamp / LastTimestamp are the broker timestamps at the
-	// segment's bounds (ms since epoch).
-	FirstTimestamp int64 `json:"firstTimestamp"`
-	LastTimestamp  int64 `json:"lastTimestamp"`
+	// LastTimestamp is the largest batch MaxTimestamp in the segment (ms
+	// since epoch).
+	LastTimestamp int64 `json:"lastTimestamp"`
 }
 
 // Manifest is the committed state of one archived feed partition: the
@@ -125,8 +124,7 @@ func LoadManifest(fs *dfs.FS, root, topic string, partition int32) (*Manifest, e
 	prefix := manifestPrefix(root, topic, partition)
 	for attempt := 0; ; attempt++ {
 		infos := fs.List(prefix)
-		// Committed manifests are <seq>.json; tmp files never match
-		// because commit renames them away. Names zero-pad seq, so the
+		// Committed manifests are <seq>.json. Names zero-pad seq, so the
 		// List order is commit order and the last entry is newest.
 		var newest string
 		for _, info := range infos {
@@ -154,14 +152,14 @@ func LoadManifest(fs *dfs.FS, root, topic string, partition int32) (*Manifest, e
 	}
 }
 
-// commitManifest durably publishes the next manifest version: write to a
-// temporary path, then atomically rename into place. A crash before the
-// rename leaves the previous version authoritative; the half-written tmp
-// file is swept on the next commit. Commits are fenced optimistically: a
-// writer whose loaded Seq is stale (a zombie archiver rolling after its
-// partition moved) gets ErrManifestConflict instead of regressing the
-// manifest — the rename-refuses-to-overwrite protocol catches same-seq
-// races, the explicit check catches a writer several generations behind.
+// commitManifest durably publishes the next manifest version by creating
+// it at its final path: a DFS create is atomic and refuses an existing
+// path, so a crash mid-write leaves the previous version authoritative.
+// Commits are fenced optimistically: a writer whose loaded Seq is stale (a
+// zombie archiver rolling after its partition moved) gets
+// ErrManifestConflict instead of regressing the manifest — the create's
+// refusal catches same-seq races, the explicit check catches a writer
+// several generations behind.
 func commitManifest(fs *dfs.FS, root string, m *Manifest) error {
 	m.Seq++
 	m.UpdatedAtMs = time.Now().UnixMilli()
@@ -178,32 +176,15 @@ func commitManifest(fs *dfs.FS, root string, m *Manifest) error {
 			ErrManifestConflict, m.Topic, m.Partition, cur.Seq, m.Seq)
 	}
 	prefix := manifestPrefix(root, m.Topic, m.Partition)
-	tmp := fmt.Sprintf("%stmp-%020d", prefix, m.Seq)
-	final := fmt.Sprintf("%s%020d.json", prefix, m.Seq)
-	// A same-seq tmp leftover from an aborted commit would block the
-	// write; it is ours to sweep. The final path is NOT pre-deleted — an
-	// existing one means a concurrent commit won.
-	_ = fs.Delete(tmp)
-	if err := fs.WriteFile(tmp, data); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, final); err != nil {
+	if err := fs.WriteFile(fmt.Sprintf("%s%020d.json", prefix, m.Seq), data); err != nil {
 		if errors.Is(err, dfs.ErrExists) {
-			_ = fs.Delete(tmp)
 			return fmt.Errorf("%w: %s/%d seq %d committed concurrently",
 				ErrManifestConflict, m.Topic, m.Partition, m.Seq)
 		}
 		return err
 	}
-	// Prune old versions and stray tmp files, best-effort.
+	// Prune old versions, best-effort.
 	for _, info := range fs.List(prefix) {
-		if info.Path == final {
-			continue
-		}
-		if !strings.HasSuffix(info.Path, ".json") {
-			_ = fs.Delete(info.Path)
-			continue
-		}
 		seqStr := strings.TrimSuffix(path.Base(info.Path), ".json")
 		if seq, err := strconv.ParseInt(seqStr, 10, 64); err == nil && seq+manifestKeep <= m.Seq {
 			_ = fs.Delete(info.Path)

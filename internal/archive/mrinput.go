@@ -1,10 +1,12 @@
 package archive
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
+	"repro/internal/storage/record"
 )
 
 // MRInput is the MapReduce input adapter over an archived feed: it resolves
@@ -33,16 +35,19 @@ func MRInput(fs *dfs.FS, root, topic string) ([]string, func([]byte) ([]mapreduc
 	return files, DecodeKV, nil
 }
 
-// DecodeKV parses one segment file into MapReduce records. Corruption
-// fails the map task — an offline scan must never silently undercount.
+// DecodeKV parses one segment file into MapReduce records, straight from
+// its batches. Corruption fails the map task — an offline scan must never
+// silently undercount.
 func DecodeKV(data []byte) ([]mapreduce.KV, error) {
-	records, err := DecodeSegment(data)
+	var out []mapreduce.KV
+	err := scanSegment(data, func(b record.Batch) {
+		out = slices.Grow(out, len(b.Records))
+		for i := range b.Records {
+			out = append(out, mapreduce.KV{Key: string(b.Records[i].Key), Value: string(b.Records[i].Value)})
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]mapreduce.KV, len(records))
-	for i := range records {
-		out[i] = mapreduce.KV{Key: string(records[i].Key), Value: string(records[i].Value)}
 	}
 	return out, nil
 }

@@ -1,212 +1,66 @@
 // Package archive bridges the nearline and offline stacks: it drains feed
 // partitions from the messaging layer into immutable, size/time-rolled
-// segment files on the DFS, tracks them in per-partition manifests committed
-// by atomic rename, and checkpoints its progress through the offset manager
-// with annotations recording the offset↔segment mapping (the paper's
-// annotated-checkpoint mechanism, §3.1.2, applied to offline export). The
-// archived layout is the single source of truth for offline consumers:
+// segment files on the DFS, tracks them in per-partition manifests, and
+// checkpoints its progress through the offset manager with annotations
+// recording the offset↔segment mapping (the paper's annotated-checkpoint
+// mechanism, §3.1.2, applied to offline export). A segment file is the log's
+// own batches, stored as fetched: the offline copy is the nearline bytes.
+// The archived layout is the single source of truth for offline consumers:
 // MapReduce jobs read segments directly (MRInput), and Backfill republishes
 // them into a feed for beyond-retention rewind.
 package archive
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/storage/record"
 )
 
-// Errors returned by the segment codec.
-var (
-	// ErrBadSegment reports a segment file that fails structural checks.
-	ErrBadSegment = errors.New("archive: corrupt segment")
-)
+// ErrBadSegment reports a segment file that fails structural checks.
+var ErrBadSegment = errors.New("archive: corrupt segment")
 
-// segmentMagic opens every uncompressed archived segment file.
-var segmentMagic = []byte("LIQARCH1")
+// retiredFormats are the magics of the record-by-record segment formats
+// the archive wrote before it stored log batches. There is no migration:
+// such a file is refused by name.
+var retiredFormats = [][]byte{[]byte("LIQARCH1"), []byte("LIQARCH2")}
 
-// segmentMagicZ opens compressed segment files: the magic is followed by a
-// codec byte (record.Codec) and the codec-compressed record region. The
-// archive reuses the messaging layer's codecs, so the whole pipeline —
-// wire, log, DFS — shares one compression vocabulary.
-var segmentMagicZ = []byte("LIQARCH2")
-
-// Record is one archived message: the payload of a feed record plus the
-// offset and timestamp the broker assigned it, so offline consumers and
-// backfill can reconstruct the exact nearline stream.
-type Record struct {
-	Offset    int64
-	Timestamp int64
-	Key       []byte
-	Value     []byte
-	Headers   []record.Header
+// scanSegment calls fn with each batch of a segment file, decoded. The file
+// comes from the DFS, so it is refused with ErrBadSegment unless it is a
+// run of whole batches with ascending offsets (one header walk), each
+// passing its CRC as record.Scan decodes it.
+func scanSegment(data []byte, fn func(record.Batch)) error {
+	for _, magic := range retiredFormats {
+		if bytes.HasPrefix(data, magic) {
+			return fmt.Errorf("%w: %s is a retired segment format; re-archive the feed", ErrBadSegment, magic)
+		}
+	}
+	if len(data) == 0 {
+		return fmt.Errorf("%w: empty", ErrBadSegment)
+	}
+	last := int64(-1)
+	err := record.WalkBatches(data, func(_ int, b record.BatchInfo) error {
+		if b.BaseOffset <= last {
+			return fmt.Errorf("batch [%d, %d] after offset %d", b.BaseOffset, b.LastOffset, last)
+		}
+		last = b.LastOffset
+		return nil
+	})
+	if err == nil {
+		err = record.Scan(data, func(b record.Batch) error { fn(b); return nil })
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSegment, err)
+	}
+	return nil
 }
 
-// EncodeSegment renders records into the immutable segment file format:
-// a magic header followed by length-prefixed records. Offsets are stored
-// explicitly (not derived from a base) so segments tolerate gaps left by
-// retention or compaction in the source log.
-func EncodeSegment(records []Record) []byte {
-	data, err := EncodeSegmentCodec(records, record.CodecNone)
-	if err != nil {
-		// CodecNone cannot fail; keep the historical signature.
-		panic(err)
-	}
-	return data
-}
-
-// EncodeSegmentCodec renders records as a segment file, compressing the
-// record region with the given codec (record.CodecNone writes the classic
-// uncompressed format, readable by older decoders).
-func EncodeSegmentCodec(records []Record, codec record.Codec) ([]byte, error) {
-	body := encodeSegmentBody(records)
-	if codec == record.CodecNone {
-		out := make([]byte, 0, len(segmentMagic)+len(body))
-		out = append(out, segmentMagic...)
-		return append(out, body...), nil
-	}
-	compressed, err := record.CompressRaw(codec, body)
-	if err != nil {
+// DecodeSegment returns every record of a segment file (see scanSegment).
+func DecodeSegment(data []byte) ([]record.Record, error) {
+	var out []record.Record
+	if err := scanSegment(data, func(b record.Batch) { out = append(out, b.Records...) }); err != nil {
 		return nil, err
-	}
-	out := make([]byte, 0, len(segmentMagicZ)+1+len(compressed))
-	out = append(out, segmentMagicZ...)
-	out = append(out, byte(codec))
-	return append(out, compressed...), nil
-}
-
-// encodeSegmentBody renders the record region: a count followed by
-// length-prefixed records.
-func encodeSegmentBody(records []Record) []byte {
-	var b bytes.Buffer
-	var scratch [8]byte
-	putI64 := func(v int64) {
-		binary.BigEndian.PutUint64(scratch[:], uint64(v))
-		b.Write(scratch[:])
-	}
-	putBytes := func(p []byte) {
-		if p == nil {
-			binary.BigEndian.PutUint32(scratch[:4], ^uint32(0))
-			b.Write(scratch[:4])
-			return
-		}
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(p)))
-		b.Write(scratch[:4])
-		b.Write(p)
-	}
-	binary.BigEndian.PutUint32(scratch[:4], uint32(len(records)))
-	b.Write(scratch[:4])
-	for i := range records {
-		r := &records[i]
-		putI64(r.Offset)
-		putI64(r.Timestamp)
-		putBytes(r.Key)
-		putBytes(r.Value)
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(r.Headers)))
-		b.Write(scratch[:4])
-		for _, h := range r.Headers {
-			putBytes([]byte(h.Key))
-			putBytes(h.Value)
-		}
-	}
-	return b.Bytes()
-}
-
-// DecodeSegment parses a segment file (either format) back into records,
-// decompressing transparently.
-func DecodeSegment(data []byte) ([]Record, error) {
-	switch {
-	case len(data) >= len(segmentMagicZ)+1 && bytes.Equal(data[:len(segmentMagicZ)], segmentMagicZ):
-		codec := record.Codec(data[len(segmentMagicZ)])
-		body, err := record.DecompressRaw(codec, data[len(segmentMagicZ)+1:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
-		}
-		return decodeSegmentBody(body)
-	case len(data) >= len(segmentMagic)+4 && bytes.Equal(data[:len(segmentMagic)], segmentMagic):
-		return decodeSegmentBody(data[len(segmentMagic):])
-	}
-	return nil, fmt.Errorf("%w: bad magic", ErrBadSegment)
-}
-
-// decodeSegmentBody parses the (uncompressed) record region.
-func decodeSegmentBody(data []byte) ([]Record, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("%w: truncated", ErrBadSegment)
-	}
-	pos := 0
-	takeI64 := func() (int64, error) {
-		if pos+8 > len(data) {
-			return 0, fmt.Errorf("%w: truncated", ErrBadSegment)
-		}
-		v := int64(binary.BigEndian.Uint64(data[pos:]))
-		pos += 8
-		return v, nil
-	}
-	takeBytes := func() ([]byte, error) {
-		if pos+4 > len(data) {
-			return nil, fmt.Errorf("%w: truncated", ErrBadSegment)
-		}
-		n := binary.BigEndian.Uint32(data[pos:])
-		pos += 4
-		if n == ^uint32(0) {
-			return nil, nil
-		}
-		if uint32(len(data)-pos) < n {
-			return nil, fmt.Errorf("%w: truncated", ErrBadSegment)
-		}
-		p := data[pos : pos+int(n)]
-		pos += int(n)
-		return p, nil
-	}
-	count := binary.BigEndian.Uint32(data[pos:])
-	pos += 4
-	// The count is untrusted on-disk input: cap the preallocation by what
-	// the remaining bytes could possibly hold (>= 28 bytes per record), so
-	// a corrupt count fails the length checks below instead of OOMing.
-	const minRecordBytes = 28
-	capHint := int64(count)
-	if maxRecords := int64(len(data)-pos) / minRecordBytes; capHint > maxRecords {
-		capHint = maxRecords
-	}
-	out := make([]Record, 0, capHint)
-	for i := uint32(0); i < count; i++ {
-		var r Record
-		var err error
-		if r.Offset, err = takeI64(); err != nil {
-			return nil, err
-		}
-		if r.Timestamp, err = takeI64(); err != nil {
-			return nil, err
-		}
-		if r.Key, err = takeBytes(); err != nil {
-			return nil, err
-		}
-		if r.Value, err = takeBytes(); err != nil {
-			return nil, err
-		}
-		if pos+4 > len(data) {
-			return nil, fmt.Errorf("%w: truncated", ErrBadSegment)
-		}
-		nh := binary.BigEndian.Uint32(data[pos:])
-		pos += 4
-		for j := uint32(0); j < nh; j++ {
-			k, err := takeBytes()
-			if err != nil {
-				return nil, err
-			}
-			v, err := takeBytes()
-			if err != nil {
-				return nil, err
-			}
-			r.Headers = append(r.Headers, record.Header{Key: string(k), Value: v})
-		}
-		out = append(out, r)
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSegment, len(data)-pos)
 	}
 	return out, nil
 }

@@ -11,15 +11,20 @@ import (
 )
 
 func TestSegmentCodecRoundTrip(t *testing.T) {
-	in := []Record{
+	in := []record.Record{
 		{Offset: 10, Timestamp: 1111, Key: []byte("k1"), Value: []byte("v1")},
 		{Offset: 11, Timestamp: 1112, Key: nil, Value: []byte("unkeyed")},
 		{Offset: 13, Timestamp: 1113, Key: []byte(""), Value: nil, Headers: []record.Header{
 			{Key: "liquid.lineage", Value: []byte("job-a")},
 			{Key: "empty", Value: nil},
 		}},
+		{Offset: 20, Timestamp: 1120, Key: []byte("k2"), Value: []byte("after a gap")},
 	}
-	out, err := DecodeSegment(EncodeSegment(in))
+	data := concat([]client.Batch{
+		sealBatch(t, record.CodecNone, in[:3]),
+		sealBatch(t, record.CodecFlate, in[3:]),
+	})
+	out, err := DecodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +49,32 @@ func TestSegmentCodecRoundTrip(t *testing.T) {
 	if out[2].Key == nil {
 		t.Fatal("empty key decoded as nil")
 	}
+	kvs, err := DecodeKV(data)
+	if err != nil || len(kvs) != len(in) || kvs[3].Key != "k2" || kvs[3].Value != "after a gap" {
+		t.Fatalf("DecodeKV = %v, %v", kvs, err)
+	}
 }
 
 func TestSegmentCodecRejectsCorrupt(t *testing.T) {
-	good := EncodeSegment([]Record{{Offset: 1, Value: []byte("x")}})
+	batches := feedBatches(t, record.CodecNone, 0, 4, 2)
+	good := concat(batches)
+	garbled := bytes.Clone(good)
+	garbled[len(garbled)-1] ^= 0xFF // inside the second batch's CRC
 	cases := map[string][]byte{
-		"bad magic":  append([]byte("NOTMAGIC"), good[8:]...),
-		"truncated":  good[:len(good)-1],
-		"trailing":   append(append([]byte(nil), good...), 0xFF),
-		"empty file": {},
+		"truncated":     good[:len(good)-1],
+		"trailing":      append(bytes.Clone(good), 0xFF),
+		"garbled":       garbled,
+		"empty file":    {},
+		"out of order":  concat([]client.Batch{batches[1], batches[0]}),
+		"repeated":      concat([]client.Batch{batches[0], batches[0]}),
+		"not a segment": []byte("garbage, not a segment"),
 	}
 	for name, data := range cases {
-		if _, err := DecodeSegment(data); err == nil {
-			t.Fatalf("%s: decode accepted corrupt segment", name)
+		if _, err := DecodeSegment(data); !errors.Is(err, ErrBadSegment) {
+			t.Fatalf("%s: decode = %v, want ErrBadSegment", name, err)
+		}
+		if _, err := DecodeKV(data); !errors.Is(err, ErrBadSegment) {
+			t.Fatalf("%s: DecodeKV = %v, want ErrBadSegment", name, err)
 		}
 	}
 }
@@ -122,9 +140,9 @@ func TestExporterRollAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if !exp.add(msgAt(int64(i))) {
-			t.Fatalf("offset %d rejected", i)
+	for _, b := range feedBatches(t, record.CodecNone, 0, 5, 1) {
+		if !exp.add(b) {
+			t.Fatalf("offset %d rejected", b.Info.BaseOffset)
 		}
 	}
 	if !exp.shouldRoll() {
@@ -134,21 +152,20 @@ func TestExporterRollAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.BaseOffset != 0 || info.LastOffset != 4 || exp.man.NextOffset != 5 {
+	if info.BaseOffset != 0 || info.LastOffset != 4 || info.Records != 5 || exp.man.NextOffset != 5 {
 		t.Fatalf("rolled %+v, next %d", info, exp.man.NextOffset)
 	}
-	// Redelivered offsets below the manifest are dropped.
-	if exp.add(msgAt(3)) {
+	// Redelivered batches below the manifest are refused, whole or
+	// straddling it.
+	if exp.add(batchAt(t, 3)) {
 		t.Fatal("accepted already-archived offset")
 	}
-	// An orphan segment beyond the manifest — and a .tmp from a roll that
-	// crashed before its rename — are swept on reopen.
-	orphan := segmentPath("/archive", "t", 0, 5, 9)
-	if err := fs.WriteFile(orphan, EncodeSegment([]Record{{Offset: 5}})); err != nil {
-		t.Fatal(err)
+	if exp.add(feedBatches(t, record.CodecNone, 4, 2, 2)[0]) {
+		t.Fatal("accepted a batch straddling the manifest's next offset")
 	}
-	crashedTmp := segmentPath("/archive", "t", 0, 5, 7) + ".tmp"
-	if err := fs.WriteFile(crashedTmp, []byte("half-written")); err != nil {
+	// An orphan segment beyond the manifest is swept on reopen.
+	orphan := segmentPath("/archive", "t", 0, 5, 9)
+	if err := fs.WriteFile(orphan, batchAt(t, 5).Data); err != nil {
 		t.Fatal(err)
 	}
 	exp2, err := openExporter(fs, "/archive", "t", 0, exporterConfig{segmentRecords: 5})
@@ -161,14 +178,11 @@ func TestExporterRollAndRecovery(t *testing.T) {
 	if _, err := fs.Stat(orphan); err == nil {
 		t.Fatal("orphan segment survived recovery")
 	}
-	if _, err := fs.Stat(crashedTmp); err == nil {
-		t.Fatal("crashed roll tmp survived recovery")
-	}
 }
 
-// msgAt builds a minimal consumed message at an offset.
-func msgAt(off int64) client.Message {
-	return client.Message{Topic: "t", Offset: off, Value: []byte("v")}
+// batchAt builds a one-record batch at an offset, as fetched.
+func batchAt(t testing.TB, off int64) client.Batch {
+	return sealBatch(t, record.CodecNone, []record.Record{{Offset: off, Value: []byte("v")}})
 }
 
 func TestManifestCommitFencing(t *testing.T) {
@@ -188,12 +202,12 @@ func TestManifestCommitFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expB.add(msgAt(0))
+	expB.add(batchAt(t, 0))
 	if _, err := expB.roll(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Stale A rolls a DIFFERENT offset range: the segment rename lands
+	// Stale A rolls a DIFFERENT offset range: the segment create lands
 	// but the manifest seq fence must reject the commit. The uploaded
 	// file is NOT withdrawn on a conflict — after the fence trips, the
 	// path could in principle hold a successor's re-rolled segment
@@ -201,8 +215,8 @@ func TestManifestCommitFencing(t *testing.T) {
 	// destroy manifest-referenced data. The unreferenced leftover is
 	// harmless: every reader (MRInput, Backfill, ls) trusts manifests,
 	// never directory listings.
-	expA.add(msgAt(0))
-	expA.add(msgAt(1))
+	expA.add(batchAt(t, 0))
+	expA.add(batchAt(t, 1))
 	_, err = expA.roll()
 	if !errors.Is(err, ErrManifestConflict) {
 		t.Fatalf("stale roll (different range) = %v, want ErrManifestConflict", err)
@@ -215,11 +229,11 @@ func TestManifestCommitFencing(t *testing.T) {
 		t.Fatalf("winner's committed segment gone after conflicted roll: %v", serr)
 	}
 
-	// Stale A rolls the SAME range B committed: the segment rename itself
+	// Stale A rolls the SAME range B committed: the segment create itself
 	// must refuse to overwrite and report the conflict.
 	expC := &exporter{fs: fs, root: "/archive", topic: "t", partition: 0, cfg: exporterConfig{segmentRecords: 100}}
 	expC.man = &Manifest{Topic: "t", Partition: 0}
-	expC.add(msgAt(0))
+	expC.add(batchAt(t, 0))
 	_, err = expC.roll()
 	if !errors.Is(err, ErrManifestConflict) {
 		t.Fatalf("stale roll (same range) = %v, want ErrManifestConflict", err)

@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/dfs"
-	"repro/internal/storage/record"
 	"repro/internal/wire"
 )
 
-// SnapshotConfig parameterises a one-shot export.
+// SnapshotConfig parameterises a one-shot export. A snapshot reads each
+// partition's end offset once and archives whole batches up to the first
+// batch boundary at or after it.
 type SnapshotConfig struct {
 	// Topic is the feed to archive.
 	Topic string
@@ -23,12 +24,12 @@ type SnapshotConfig struct {
 	// Name = Topic), so a snapshot and a later streaming Archiver with the
 	// same name share progress.
 	Name string
-	// SegmentBytes bounds segment payloads (default 4 MiB).
+	// SegmentBytes bounds segments' stored batch bytes (default 4 MiB).
 	SegmentBytes int64
-	// SegmentRecords bounds segment record counts (0 = no bound).
+	// SegmentRecords bounds segment record counts (0 = no bound). Both
+	// bounds are met at batch granularity: a segment ends with the batch
+	// that reaches one.
 	SegmentRecords int
-	// Codec compresses segment files on the DFS (see ArchiverConfig.Codec).
-	Codec record.Codec
 	// Timeout bounds the whole snapshot (default 60s).
 	Timeout time.Duration
 }
@@ -89,7 +90,6 @@ func Snapshot(c *client.Client, cfg SnapshotConfig) (SnapshotStats, error) {
 		exp, err := openExporter(cfg.FS, cfg.Root, cfg.Topic, p, exporterConfig{
 			segmentBytes:   cfg.SegmentBytes,
 			segmentRecords: cfg.SegmentRecords,
-			codec:          cfg.Codec,
 		})
 		if err != nil {
 			return stats, err
@@ -117,13 +117,15 @@ func Snapshot(c *client.Client, cfg SnapshotConfig) (SnapshotStats, error) {
 				return stats, fmt.Errorf("archive: snapshot of %s/%d timed out at offset %d/%d",
 					cfg.Topic, p, cons.Position(cfg.Topic, p), end)
 			}
-			msgs, err := cons.Poll(200 * time.Millisecond)
+			batches, err := cons.PollBatches(200 * time.Millisecond)
 			if err != nil {
 				continue
 			}
-			for _, m := range msgs {
-				if m.Offset < end {
-					exp.add(m)
+			for _, b := range batches {
+				if b.Info.BaseOffset < end && !exp.add(b) {
+					// The consumer is behind the exporter: realign it.
+					_ = cons.Seek(cfg.Topic, p, exp.nextOffset())
+					break
 				}
 			}
 			for exp.shouldRoll() {
@@ -134,7 +136,7 @@ func Snapshot(c *client.Client, cfg SnapshotConfig) (SnapshotStats, error) {
 			}
 		}
 		cons.Close()
-		for len(exp.buf) > 0 {
+		for len(exp.batches) > 0 {
 			if err := commitRoll(c, group, cfg.Topic, p, exp, &stats); err != nil {
 				return stats, err
 			}

@@ -174,6 +174,32 @@ func (c *Consumer) Assignments() map[string][]int32 {
 // Poll fetches available messages from all assigned partitions, waiting up
 // to maxWait for at least one byte. Leaders are polled in parallel.
 func (c *Consumer) Poll(maxWait time.Duration) ([]Message, error) {
+	return poll(c, maxWait, c.fetchMessages)
+}
+
+// Batch is one log batch as PollBatches delivers it: the sealed bytes the
+// log stored, possibly compressed, CRC-checked but neither inflated nor
+// decoded.
+type Batch struct {
+	Topic     string
+	Partition int32
+	Info      record.BatchInfo
+	Data      []byte
+}
+
+// PollBatches is Poll for readers that keep or forward whole batches rather
+// than records (the archive): the same fetch, but each partition's batches
+// come back verbatim after record.CheckBatch, and its position advances to
+// the last batch's LastOffset+1. The one batch that starts below the
+// position (after a mid-batch Assign or Seek) is re-sealed over its records
+// at or after it; every other batch is byte-identical to the log's.
+func (c *Consumer) PollBatches(maxWait time.Duration) ([]Batch, error) {
+	return poll(c, maxWait, c.fetchBatches)
+}
+
+// poll runs one fetch round against every leader of an assigned partition,
+// in parallel, and gathers what fetch makes of the responses.
+func poll[T any](c *Consumer, maxWait time.Duration, fetch func(int32, []*consumerTP, time.Duration) ([]T, error)) ([]T, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -204,17 +230,17 @@ func (c *Consumer) Poll(maxWait time.Duration) ([]Message, error) {
 	}
 
 	type result struct {
-		msgs []Message
-		err  error
+		items []T
+		err   error
 	}
 	results := make(chan result, len(byLeader))
 	for leader, parts := range byLeader {
 		go func(leader int32, parts []*consumerTP) {
-			msgs, err := c.fetchFrom(leader, parts, maxWait)
-			results <- result{msgs: msgs, err: err}
+			items, err := fetch(leader, parts, maxWait)
+			results <- result{items: items, err: err}
 		}(leader, parts)
 	}
-	var out []Message
+	var out []T
 	var firstErr error
 	for range byLeader {
 		r := <-results
@@ -222,9 +248,9 @@ func (c *Consumer) Poll(maxWait time.Duration) ([]Message, error) {
 			firstErr = r.err
 		}
 		if len(out) == 0 {
-			out = r.msgs // a single leader's slice passes through uncopied
+			out = r.items // a single leader's slice passes through uncopied
 		} else {
-			out = append(out, r.msgs...)
+			out = append(out, r.items...)
 		}
 	}
 	if len(out) > 0 {
@@ -263,23 +289,24 @@ func (c *Consumer) fetchConn(leader int32) (*Conn, error) {
 // and the cumulative delay it honored.
 func (c *Consumer) Throttled() ThrottleStats { return c.throttle.throttled() }
 
-// fetchFrom issues one fetch to a leader for its partitions. An
+// fetchFrom issues one fetch to a leader for its partitions and returns the
+// response with the position each partition was fetched at. An
 // outstanding quota verdict from that broker is honored first, and the
 // honored wait plus the long-poll budget together never exceed the
 // caller's maxWait: a verdict longer than the budget makes this round
-// yield nothing (the remainder is honored on later polls), a shorter one
-// shrinks the long-poll window by the time already spent — so Poll's
-// latency contract holds even under a 30s verdict.
-func (c *Consumer) fetchFrom(leader int32, parts []*consumerTP, maxWait time.Duration) ([]Message, error) {
+// yield nothing (a nil response; the remainder is honored on later polls),
+// a shorter one shrinks the long-poll window by the time already spent —
+// so Poll's latency contract holds even under a 30s verdict.
+func (c *Consumer) fetchFrom(leader int32, parts []*consumerTP, maxWait time.Duration) (*wire.FetchResponse, map[string]int64, error) {
 	slept, honored := c.throttle.await(leader, maxWait, nil)
 	if !honored {
-		return nil, nil // still throttled; this poll round yields nothing
+		return nil, nil, nil // still throttled; this poll round yields nothing
 	}
 	maxWait -= slept
 	conn, err := c.fetchConn(leader)
 	if err != nil {
 		c.c.InvalidateMetadata()
-		return nil, err
+		return nil, nil, err
 	}
 	req := &wire.FetchRequest{
 		ReplicaID: -1,
@@ -309,10 +336,55 @@ func (c *Consumer) fetchFrom(leader int32, parts []*consumerTP, maxWait time.Dur
 		delete(c.conns, leader)
 		c.mu.Unlock()
 		c.c.InvalidateMetadata()
-		return nil, err
+		return nil, nil, err
 	}
 	c.throttle.note(leader, resp.ThrottleTimeMs)
-	// Size the result once per fetch, from every partition's batch headers.
+	return &resp, pos, nil
+}
+
+// deliver hands each partition of a fetch response that carries data to
+// take, with the position it was fetched at, and advances the partition to
+// the position take returns; it applies the reset policy and metadata
+// invalidation to the partitions that carry an error. A take error stops
+// the delivery, leaving that partition where it was.
+func (c *Consumer) deliver(resp *wire.FetchResponse, pos map[string]int64, take func(topic string, partition int32, data []byte, want int64) (int64, error)) error {
+	for i := range resp.Topics {
+		t := &resp.Topics[i]
+		for j := range t.Partitions {
+			p := &t.Partitions[j]
+			key := tpKey(t.Name, p.Partition)
+			switch p.Err {
+			case wire.ErrNone:
+				want := pos[key]
+				next, err := take(t.Name, p.Partition, p.Records, want)
+				if err != nil {
+					return err
+				}
+				if next > want {
+					c.advance(key, next)
+				}
+			case wire.ErrOffsetOutOfRange:
+				if err := c.handleReset(t.Name, p.Partition, p.LogStartOffset); err != nil {
+					return err
+				}
+			case wire.ErrNotLeaderForPartition, wire.ErrUnknownTopicOrPartition,
+				wire.ErrLeaderNotAvailable, wire.ErrBrokerNotAvailable:
+				c.c.InvalidateMetadata()
+			default:
+				return p.Err.Err()
+			}
+		}
+	}
+	return nil
+}
+
+// fetchMessages is Poll's fetch: one leader's response decoded into
+// messages, in a slice sized once from every partition's batch headers.
+func (c *Consumer) fetchMessages(leader int32, parts []*consumerTP, maxWait time.Duration) ([]Message, error) {
+	resp, pos, err := c.fetchFrom(leader, parts, maxWait)
+	if resp == nil {
+		return nil, err
+	}
 	total := 0
 	for _, t := range resp.Topics {
 		for _, p := range t.Partitions {
@@ -321,54 +393,57 @@ func (c *Consumer) fetchFrom(leader int32, parts []*consumerTP, maxWait time.Dur
 		}
 	}
 	out := make([]Message, 0, total)
-	for i := range resp.Topics {
-		t := &resp.Topics[i]
-		for j := range t.Partitions {
-			p := &t.Partitions[j]
-			key := tpKey(t.Name, p.Partition)
-			want := pos[key]
-			switch p.Err {
-			case wire.ErrNone:
-				first := len(out)
-				var next int64
-				if out, next, err = decodeFetched(out, t.Name, p.Partition, p.Records, want); err != nil {
-					return out, err
-				}
-				msgs := out[first:]
-				if next > want {
-					c.advance(key, next)
-				}
-				if m := c.c.met; m != nil && len(msgs) > 0 {
-					m.consumeRecords.With(t.Name).Add(int64(len(msgs)))
-					// End-to-end latency: producer-stamped record
-					// timestamp (ms) to decode time. Clock skew can make
-					// it negative on multi-host setups; clamp rather
-					// than pollute the histogram.
-					nowMs := time.Now().UnixMilli()
-					h := m.e2eLatency.With(t.Name)
-					for i := range msgs {
-						if ts := msgs[i].Timestamp; ts > 0 {
-							lat := (nowMs - ts) * int64(time.Millisecond)
-							if lat < 0 {
-								lat = 0
-							}
-							h.Observe(lat)
-						}
+	err = c.deliver(resp, pos, func(topic string, partition int32, data []byte, want int64) (next int64, err error) {
+		first := len(out)
+		if out, next, err = decodeFetched(out, topic, partition, data, want); err != nil {
+			return want, err
+		}
+		msgs := out[first:]
+		if m := c.c.met; m != nil && len(msgs) > 0 {
+			m.consumeRecords.With(topic).Add(int64(len(msgs)))
+			// End-to-end latency: producer-stamped record timestamp (ms)
+			// to decode time. Clock skew can make it negative on
+			// multi-host setups; clamp rather than pollute the histogram.
+			nowMs := time.Now().UnixMilli()
+			h := m.e2eLatency.With(topic)
+			for i := range msgs {
+				if ts := msgs[i].Timestamp; ts > 0 {
+					lat := (nowMs - ts) * int64(time.Millisecond)
+					if lat < 0 {
+						lat = 0
 					}
+					h.Observe(lat)
 				}
-			case wire.ErrOffsetOutOfRange:
-				if err := c.handleReset(t.Name, p.Partition, p.LogStartOffset); err != nil {
-					return out, err
-				}
-			case wire.ErrNotLeaderForPartition, wire.ErrUnknownTopicOrPartition,
-				wire.ErrLeaderNotAvailable, wire.ErrBrokerNotAvailable:
-				c.c.InvalidateMetadata()
-			default:
-				return out, p.Err.Err()
 			}
 		}
+		return next, nil
+	})
+	return out, err
+}
+
+// fetchBatches is PollBatches' fetch: one leader's response as CRC-checked
+// batches.
+func (c *Consumer) fetchBatches(leader int32, parts []*consumerTP, maxWait time.Duration) ([]Batch, error) {
+	resp, pos, err := c.fetchFrom(leader, parts, maxWait)
+	if resp == nil {
+		return nil, err
 	}
-	return out, nil
+	var out []Batch
+	err = c.deliver(resp, pos, func(topic string, partition int32, data []byte, want int64) (next int64, err error) {
+		first := len(out)
+		if out, next, err = checkFetched(out, topic, partition, data, want); err != nil {
+			return want, err
+		}
+		if m := c.c.met; m != nil && len(out) > first {
+			var n int
+			for _, b := range out[first:] {
+				n += b.Info.RecordCount
+			}
+			m.consumeRecords.With(topic).Add(int64(n))
+		}
+		return next, nil
+	})
+	return out, err
 }
 
 // advance moves a partition's position forward if still assigned.
@@ -426,6 +501,59 @@ func decodeFetched(out []Message, topic string, partition int32, data []byte, wa
 		return out[:first], want, err
 	}
 	return out, next, nil
+}
+
+// checkFetched appends the batches of a fetch payload that hold offsets at
+// or after want to out, after record.CheckBatch, and returns the next fetch
+// position; a batch starting below want is trimmed to want. The payload must
+// be whole batches, as the log serves them. On error out comes back
+// unchanged.
+func checkFetched(out []Batch, topic string, partition int32, data []byte, want int64) ([]Batch, int64, error) {
+	first := len(out)
+	next := want
+	err := record.WalkBatches(data, func(pos int, info record.BatchInfo) error {
+		if info.LastOffset < want {
+			return nil // a batch wholly below the requested offset
+		}
+		raw := data[pos : pos+info.Length]
+		_, err := record.CheckBatch(raw)
+		batch := Batch{Topic: topic, Partition: partition, Info: info, Data: raw}
+		if err == nil && info.BaseOffset < want {
+			batch, err = resealFrom(batch, want)
+		}
+		if err != nil {
+			return err
+		}
+		if batch.Data != nil {
+			out = append(out, batch)
+		}
+		next = info.LastOffset + 1
+		return nil
+	})
+	if err != nil {
+		return out[:first], want, fmt.Errorf("client: %s/%d: %w", topic, partition, err)
+	}
+	return out, next, nil
+}
+
+// resealFrom cuts a batch to its records at or after from, re-sealed with
+// record.EncodeBatchKeepOffsets (uncompressed, without a producer
+// identity). The cut holds no Data when no record survives.
+func resealFrom(b Batch, from int64) (Batch, error) {
+	decoded, _, err := record.DecodeBatch(b.Data)
+	if err != nil {
+		return b, err
+	}
+	recs := decoded.Records
+	for len(recs) > 0 && recs[0].Offset < from {
+		recs = recs[1:]
+	}
+	if len(recs) == 0 {
+		return Batch{}, nil
+	}
+	b.Data = record.EncodeBatchKeepOffsets(recs)
+	b.Info, err = record.PeekBatchInfo(b.Data)
+	return b, err
 }
 
 // Close releases the consumer's dedicated connections.

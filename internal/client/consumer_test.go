@@ -1,7 +1,9 @@
 package client
 
 import (
+	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,5 +129,82 @@ func TestDecodeFetchedErrorLeavesEarlierPartitionsIntact(t *testing.T) {
 	}
 	if out[0].Partition != 0 || out[1].Partition != 0 {
 		t.Fatalf("earlier partition's messages were overwritten: %+v", out)
+	}
+}
+
+// PollBatches hands out the log's batches verbatim, CRC-checked and never
+// inflated: only the batch straddling the requested offset is re-sealed,
+// over its records at or after it, and the position advances past the last
+// batch. A batch failing its CRC fails its partition and leaves it where it
+// was.
+func TestPollBatchesResealsOnlyTheStraddle(t *testing.T) {
+	const batches, perBatch, start = 4, 10, 13
+	var logged [][]byte
+	for b := range batches {
+		recs := make([]record.Record, perBatch)
+		for i := range recs {
+			recs[i] = record.Record{Timestamp: int64(b*perBatch + i + 1), Value: []byte(fmt.Sprintf("o%d", b*perBatch+i))}
+		}
+		sealed, err := record.Compress(record.EncodeBatch(int64(b*perBatch), recs), record.CodecFlate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, sealed)
+	}
+	var corrupt atomic.Bool
+	f := startFakeBroker(t)
+	f.fetch = func(req *wire.FetchRequest) *wire.FetchResponse {
+		rp := req.Topics[0].Partitions[0]
+		var data []byte
+		for b := int(rp.Offset) / perBatch; b < batches; b++ {
+			data = append(data, logged[b]...)
+		}
+		if corrupt.Load() {
+			data[len(data)-1] ^= 0xFF
+		}
+		return &wire.FetchResponse{Topics: []wire.FetchRespTopic{{Name: req.Topics[0].Name, Partitions: []wire.FetchRespPartition{
+			{Partition: rp.Partition, HighWatermark: batches * perBatch, Records: data},
+		}}}}
+	}
+	c, err := New(Config{Bootstrap: []string{f.addr}, MetadataTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cons := NewConsumer(c, ConsumerConfig{})
+	defer cons.Close()
+	if err := cons.Assign("t", 0, start); err != nil {
+		t.Fatal(err)
+	}
+
+	corrupt.Store(true)
+	if got, err := cons.PollBatches(time.Second); err == nil || len(got) != 0 || cons.Position("t", 0) != start {
+		t.Fatalf("corrupt fetch: %d batches, position %d, err %v; want none, %d and an error", len(got), cons.Position("t", 0), err, start)
+	}
+	corrupt.Store(false)
+	got, err := cons.PollBatches(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != batches-start/perBatch || cons.Position("t", 0) != batches*perBatch {
+		t.Fatalf("got %d batches, position %d; want %d, %d", len(got), cons.Position("t", 0), batches-start/perBatch, batches*perBatch)
+	}
+	first := got[0]
+	if first.Info.BaseOffset != start || first.Info.LastOffset != 2*perBatch-1 || first.Info.RecordCount != 2*perBatch-start {
+		t.Fatalf("straddle re-sealed as %+v, want offsets [%d, %d]", first.Info, start, 2*perBatch-1)
+	}
+	b, _, err := record.DecodeBatch(first.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range b.Records {
+		if off := int64(start + i); r.Offset != off || string(r.Value) != fmt.Sprintf("o%d", off) || r.Timestamp != off+1 {
+			t.Fatalf("re-sealed record %d = %v, want offset %d", i, r, off)
+		}
+	}
+	for i, g := range got[1:] {
+		if want := logged[start/perBatch+1+i]; !bytes.Equal(g.Data, want) || g.Topic != "t" || g.Partition != 0 {
+			t.Fatalf("batch %d is not the log's batch verbatim", i+1)
+		}
 	}
 }

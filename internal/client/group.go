@@ -148,6 +148,17 @@ func (g *GroupConsumer) Generation() int32 {
 
 // Poll ensures membership and fetches from the assigned partitions.
 func (g *GroupConsumer) Poll(maxWait time.Duration) ([]Message, error) {
+	return groupPoll(g, maxWait, g.inner.Poll)
+}
+
+// PollBatches is Poll delivering whole batches (Consumer.PollBatches).
+func (g *GroupConsumer) PollBatches(maxWait time.Duration) ([]Batch, error) {
+	return groupPoll(g, maxWait, g.inner.PollBatches)
+}
+
+// groupPoll rejoins when the group asks for it, polls the assignment with
+// poll, and auto-commits after a poll that delivered anything.
+func groupPoll[T any](g *GroupConsumer, maxWait time.Duration, poll func(time.Duration) ([]T, error)) ([]T, error) {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -167,13 +178,13 @@ func (g *GroupConsumer) Poll(maxWait time.Duration) ([]Message, error) {
 		time.Sleep(maxWait) // no partitions this generation
 		return nil, nil
 	}
-	msgs, err := g.inner.Poll(maxWait)
-	if g.cfg.AutoCommit && len(msgs) > 0 {
+	items, err := poll(maxWait)
+	if g.cfg.AutoCommit && len(items) > 0 {
 		if cerr := g.Commit(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
-	return msgs, err
+	return items, err
 }
 
 // Commit checkpoints the current positions with the configured

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -160,6 +161,9 @@ type Stats struct {
 	BytesWritten  int64
 	ChunksRead    int64
 	ChunksWritten int64
+	// Commits counts namespace commits: fsimage writes, one fsync each,
+	// failed ones included.
+	Commits int64
 }
 
 // Open creates or opens a file system rooted at cfg.Dir. Namenode metadata
@@ -240,6 +244,7 @@ func (fs *FS) loadImage() error {
 // mutation if namespaces grow beyond the tens of thousands of files this
 // repo exercises.
 func (fs *FS) persistLocked() error {
+	fs.stats.Commits++
 	img := persistedImage{NextChunk: fs.nextChunk, Files: make(map[string]persistedFile, len(fs.files))}
 	for path, meta := range fs.files {
 		img.Files[path] = persistedFile{
@@ -415,53 +420,65 @@ func (fs *FS) Stat(path string) (FileInfo, error) {
 	return FileInfo{Path: path, Size: meta.size, Chunks: len(meta.chunks), ModTime: meta.modTime}, nil
 }
 
-// Delete removes a file and its chunks. The fsimage is persisted before
-// the chunks go, so a crash mid-delete leaves at worst orphan chunks —
-// never a committed namespace pointing at missing data.
+// Delete removes a file and its chunks.
 func (fs *FS) Delete(path string) error {
+	n, err := fs.remove(path, func(p string) bool { return p == path })
+	if err == nil && n == 0 {
+		return fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return err
+}
+
+// DeletePrefix removes every file under prefix in one namespace commit, as
+// an HDFS recursive delete is one namenode operation, and returns how many
+// it removed: all of them, or none when the commit fails.
+func (fs *FS) DeletePrefix(prefix string) int {
+	n, _ := fs.remove(prefix, func(p string) bool { return strings.HasPrefix(p, prefix) })
+	return n
+}
+
+// remove deletes every file whose path matches, in one namespace commit.
+// The fsimage is persisted before the chunks go, so a crash mid-delete
+// leaves at worst orphan chunks — never a committed namespace pointing at
+// missing data — and a failed commit removes nothing.
+func (fs *FS) remove(target string, match func(string) bool) (int, error) {
 	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	if fs.closed {
 		fs.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if fs.cfg.ReadOnly {
 		fs.mu.Unlock()
-		return fmt.Errorf("%w: delete %s", ErrReadOnly, path)
-	}
-	meta, ok := fs.files[path]
-	if ok {
-		delete(fs.files, path)
+		return 0, fmt.Errorf("%w: delete %s", ErrReadOnly, target)
 	}
 	fs.stats.MetadataOps++
-	var err error
-	if ok {
-		if err = fs.persistLocked(); err != nil {
-			fs.files[path] = meta // persist failed: the delete did not commit
+	gone := make(map[string]*fileMeta)
+	for path, meta := range fs.files {
+		if match(path) {
+			gone[path] = meta
+			delete(fs.files, path)
+		}
+	}
+	if len(gone) > 0 {
+		if err := fs.persistLocked(); err != nil {
+			maps.Copy(fs.files, gone) // persist failed: the delete did not commit
+			fs.mu.Unlock()
+			return 0, err
 		}
 	}
 	fs.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
+	for _, meta := range gone {
+		fs.removeChunks(meta.chunks)
 	}
-	if err != nil {
-		return err
-	}
-	for _, c := range meta.chunks {
-		os.Remove(fs.chunkPath(c))
-	}
-	return nil
+	return len(gone), nil
 }
 
-// DeletePrefix removes every file under prefix, returning the count.
-func (fs *FS) DeletePrefix(prefix string) int {
-	n := 0
-	for _, info := range fs.List(prefix) {
-		if fs.Delete(info.Path) == nil {
-			n++
-		}
+// removeChunks deletes chunk files no committed file refers to.
+func (fs *FS) removeChunks(chunks []string) {
+	for _, c := range chunks {
+		os.Remove(fs.chunkPath(c))
 	}
-	return n
 }
 
 // Rename atomically moves a file — the commit step of MR job output.
@@ -576,11 +593,13 @@ func (w *Writer) Close() error {
 	}
 	w.fs.stats.MetadataOps++
 	if _, ok := w.fs.files[w.path]; ok {
+		w.fs.removeChunks(w.chunks) // the create lost: its chunks are nobody's
 		return fmt.Errorf("%w: %s", ErrExists, w.path)
 	}
 	w.fs.files[w.path] = &fileMeta{chunks: w.chunks, size: w.size, modTime: time.Now()}
 	if err := w.fs.persistLocked(); err != nil {
 		delete(w.fs.files, w.path) // persist failed: the file did not commit
+		w.fs.removeChunks(w.chunks)
 		return err
 	}
 	return nil
@@ -589,9 +608,7 @@ func (w *Writer) Close() error {
 // Abort discards the file's chunks without committing.
 func (w *Writer) Abort() {
 	w.done = true
-	for _, c := range w.chunks {
-		os.Remove(w.fs.chunkPath(c))
-	}
+	w.fs.removeChunks(w.chunks)
 }
 
 // Reader streams a file chunk by chunk.

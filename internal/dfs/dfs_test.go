@@ -3,6 +3,8 @@ package dfs
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -99,6 +101,70 @@ func TestListAndDelete(t *testing.T) {
 	}
 	if len(fs.List("/")) != 1 {
 		t.Fatal("wrong survivors")
+	}
+}
+
+// A recursive delete is one namenode operation: DeletePrefix removes every
+// file under the prefix in one namespace commit, and a commit that fails
+// removes nothing, in the namespace or on disk.
+func TestDeletePrefixIsOneCommit(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := Open(Config{Dir: dir, ChunkBytes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for _, p := range []string{"/job/tmp/a", "/job/tmp/b", "/job/tmp/c", "/job/out"} {
+		if err := fs.WriteFile(p, []byte("0123456789")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks := func() int {
+		entries, err := os.ReadDir(filepath.Join(dir, "chunks"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	before, chunksBefore := fs.Stats().Commits, chunks()
+
+	// A directory where the fsimage is staged makes the commit fail.
+	stage := filepath.Join(dir, "namenode.json.tmp")
+	if err := os.Mkdir(stage, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.DeletePrefix("/job/tmp/"); n != 0 {
+		t.Fatalf("DeletePrefix with a failing commit removed %d files", n)
+	}
+	if got := len(fs.List("/job/tmp/")); got != 3 || chunks() != chunksBefore {
+		t.Fatalf("after a failed commit: %d of 3 files, %d of %d chunks", got, chunks(), chunksBefore)
+	}
+	if err := os.Remove(stage); err != nil {
+		t.Fatal(err)
+	}
+
+	before = fs.Stats().Commits
+	if n := fs.DeletePrefix("/job/tmp/"); n != 3 {
+		t.Fatalf("DeletePrefix = %d, want 3", n)
+	}
+	if commits := fs.Stats().Commits - before; commits != 1 {
+		t.Fatalf("DeletePrefix of 3 files made %d namespace commits, want 1", commits)
+	}
+	if got := fs.List("/job/"); len(got) != 1 || got[0].Path != "/job/out" {
+		t.Fatalf("survivors = %+v", got)
+	}
+	if chunks() != chunksBefore-9 {
+		t.Fatalf("%d chunks left, want %d", chunks(), chunksBefore-9)
+	}
+	// The namespace a reopen sees is the committed one.
+	fs.Close()
+	again, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got := again.List("/job/"); len(got) != 1 {
+		t.Fatalf("reopened namespace holds %d files under /job/, want 1", len(got))
 	}
 }
 

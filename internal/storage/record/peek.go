@@ -1,6 +1,9 @@
 package record
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // BatchInfo summarises a batch header without decoding its records. The log
 // uses it on the append and recovery paths where full decoding would waste
@@ -76,6 +79,27 @@ func PeekBatchInfo(buf []byte) (BatchInfo, error) {
 		ProducerEpoch: epoch,
 		BaseSequence:  baseSeq,
 	}, nil
+}
+
+// WalkBatches calls fn with the byte position and header of each batch in
+// data, failing unless every batch is whole. Nothing is decoded, inflated or
+// CRC-checked: it is the header walk of a reader that trusts the batches it
+// indexes to a later CheckBatch or DecodeBatch.
+func WalkBatches(data []byte, fn func(pos int, b BatchInfo) error) error {
+	for pos := 0; pos < len(data); {
+		b, err := PeekBatchInfo(data[pos:])
+		if err == nil && b.Length > len(data)-pos {
+			err = ErrShort
+		}
+		if err == nil {
+			err = fn(pos, b)
+		}
+		if err != nil {
+			return fmt.Errorf("at byte %d: %w", pos, err)
+		}
+		pos += b.Length
+	}
+	return nil
 }
 
 // EncodeBatchKeepOffsets serialises records preserving each record's

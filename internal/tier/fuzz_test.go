@@ -2,11 +2,8 @@ package tier
 
 import (
 	"bytes"
-	"fmt"
+	"os"
 	"testing"
-
-	"repro/internal/archive"
-	"repro/internal/storage/record"
 )
 
 // FuzzColdSegment feeds arbitrary bytes and bounds to the cold-segment
@@ -33,11 +30,7 @@ func FuzzColdSegment(f *testing.F) {
 	}
 	// A LIQARCH2 file is what the tier wrote before it stored the log's
 	// own batches; there is no migration, so hydrate refuses it.
-	recs := make([]archive.Record, 10)
-	for i := range recs {
-		recs[i] = archive.Record{Offset: int64(i), Timestamp: 1, Value: []byte(fmt.Sprintf("v-%05d", i))}
-	}
-	liqarch2, err := archive.EncodeSegmentCodec(recs, record.CodecFlate)
+	liqarch2, err := os.ReadFile("testdata/liqarch2.seg")
 	if err != nil {
 		f.Fatal(err)
 	}

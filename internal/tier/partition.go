@@ -156,7 +156,7 @@ func (p *Partition) offloadSegment(l *log.Log, s log.SegmentInfo, man *Manifest)
 	var start int
 	var records, maxTS int64
 	base, last := int64(-1), int64(-1)
-	err = walkBatches(raw, func(pos int, b record.BatchInfo) error {
+	err = record.WalkBatches(raw, func(pos int, b record.BatchInfo) error {
 		switch {
 		case b.LastOffset < man.NextOffset && base < 0:
 			start = pos + b.Length // already tiered
@@ -293,7 +293,7 @@ func (p *Partition) hydrate(info SegmentInfo) (*segReader, error) {
 // batches, as on a hot read.
 func buildSegReader(info SegmentInfo, raw []byte) (*segReader, error) {
 	r := &segReader{path: info.Path, base: info.BaseOffset, last: info.LastOffset, data: raw}
-	err := walkBatches(raw, func(pos int, b record.BatchInfo) error {
+	err := record.WalkBatches(raw, func(pos int, b record.BatchInfo) error {
 		if b.LastOffset < b.BaseOffset || len(r.index) > 0 && b.BaseOffset <= r.index[len(r.index)-1].lastOffset {
 			return fmt.Errorf("%w: batch [%d, %d] out of order", record.ErrCorrupt, b.BaseOffset, b.LastOffset)
 		}
@@ -307,25 +307,6 @@ func buildSegReader(info SegmentInfo, raw []byte) (*segReader, error) {
 		return nil, fmt.Errorf("tier: cold segment %s: %w", info.Path, err)
 	}
 	return r, nil
-}
-
-// walkBatches calls fn with the header and byte position of each batch in
-// data, failing unless every batch is whole. Nothing is decoded.
-func walkBatches(data []byte, fn func(pos int, b record.BatchInfo) error) error {
-	for pos := 0; pos < len(data); {
-		b, err := record.PeekBatchInfo(data[pos:])
-		if err == nil && b.Length > len(data)-pos {
-			err = record.ErrShort
-		}
-		if err == nil {
-			err = fn(pos, b)
-		}
-		if err != nil {
-			return fmt.Errorf("at byte %d: %w", pos, err)
-		}
-		pos += b.Length
-	}
-	return nil
 }
 
 // OffsetForTimestamp returns the offset of the first tiered record whose
