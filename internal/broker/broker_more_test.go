@@ -3,6 +3,7 @@ package broker_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -340,5 +341,52 @@ func TestBrokerSurvivesGarbageBytes(t *testing.T) {
 	defer p.Close()
 	if _, err := p.SendSync(client.Message{Topic: "robust", Value: []byte("ok")}); err != nil {
 		t.Fatalf("broker unhealthy after garbage: %v", err)
+	}
+}
+
+// TestUndecodableRequestClosesConnection: a request the broker cannot
+// decode exactly — an unknown API key, a truncated body, trailing bytes —
+// gets no response, since
+// any response body would read to the client as some success (an empty
+// produce response decodes as a fetch response with no data). The broker
+// closes the connection instead, as it does for a bad header.
+func TestUndecodableRequestClosesConnection(t *testing.T) {
+	tc := startCluster(t, 1)
+	hdr := func(api wire.APIKey) *wire.RequestHeader {
+		return &wire.RequestHeader{API: api, CorrelationID: 1, ClientID: "raw"}
+	}
+	fetch := wire.EncodeRequest(hdr(wire.APIFetch), &wire.FetchRequest{
+		ReplicaID: -1, MaxBytes: 1 << 20,
+		Topics: []wire.FetchTopic{{Name: "t", Partitions: []wire.FetchPartition{{Partition: 0, MaxBytes: 1 << 20}}}},
+	})
+	cases := []struct {
+		name    string
+		payload []byte
+		answer  bool
+	}{
+		{"metadata (control)", wire.EncodeRequest(hdr(wire.APIMetadata), &wire.MetadataRequest{}), true},
+		{"unknown api", wire.EncodeRequest(hdr(99), &wire.MetadataRequest{}), false},
+		{"truncated fetch", fetch[:len(fetch)-3], false},
+		{"fetch with a trailing byte", append(fetch[:len(fetch):len(fetch)], 0), false},
+	}
+	for _, tcase := range cases {
+		nc, err := net.DialTimeout("tcp", tc.addrs[0], time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(nc, tcase.payload); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := wire.ReadFrame(nc)
+		nc.Close()
+		switch {
+		case tcase.answer && err != nil:
+			t.Errorf("%s: no response: %v", tcase.name, err)
+		case !tcase.answer && err == nil:
+			t.Errorf("%s: broker answered with a %d-byte response", tcase.name, len(resp))
+		case !tcase.answer && !errors.Is(err, io.EOF):
+			t.Errorf("%s: connection not closed: %v", tcase.name, err)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package broker_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -570,6 +572,29 @@ func TestOffsetCommitFetchAndAnnotationQuery(t *testing.T) {
 	got, err = c.FetchOffsets("nobody", "ck", []int32{0})
 	if err != nil || got[0] != -1 {
 		t.Fatalf("unknown group = %v, %v", got, err)
+	}
+}
+
+// TestOversizedAnnotationRefused: a commit whose annotations do not fit the
+// wire's int16 string length fails with an error and commits nothing. The
+// encoder once cut the string at 32 767 bytes, mid-rune, and the broker
+// stored the cut annotation as if it were whole.
+func TestOversizedAnnotationRefused(t *testing.T) {
+	tc := startCluster(t, 1)
+	c := tc.newClient(t)
+	createTopic(t, c, "big", 1, 1)
+
+	long := strings.Repeat("é", 20000) // 40 000 bytes
+	err := c.CommitOffsets("grp", map[string]map[int32]int64{"big": {0: 7}}, map[string]string{"note": long})
+	if !errors.Is(err, wire.ErrEncode) {
+		t.Fatalf("commit with a %d-byte annotation: %v, want wire.ErrEncode", len(long), err)
+	}
+	got, err := c.FetchOffsets("grp", "big", []int32{0})
+	if err != nil || got[0] != -1 {
+		t.Fatalf("committed offsets after the refused commit = %v, %v; want none", got, err)
+	}
+	if _, found, err := c.QueryOffset("grp", "big", 0, "note", long[:100]); err != nil || found {
+		t.Fatalf("annotation query after the refused commit: found=%v err=%v", found, err)
 	}
 }
 

@@ -78,6 +78,12 @@ func (b *Broker) serveConn(conn net.Conn) {
 		// long-poll wait, excluding frame I/O.
 		start := b.now()
 		resp, reply, delay := b.dispatch(hdr, body)
+		if resp == nil {
+			// An unknown API or a body that does not decode has no honest
+			// answer: any response body would read to the client as some
+			// success. Close the connection, as for a bad header.
+			return
+		}
 		b.met.noteRequest(hdr.API, hdr.ClientID, len(payload), resp, b.since(start))
 		if !reply {
 			// Fire-and-forget (acks=0) has no response frame to carry a
@@ -114,15 +120,16 @@ func (b *Broker) serveConn(conn net.Conn) {
 // dispatch decodes and routes one request. reply=false means the request
 // is fire-and-forget (acks=0 produce) and no response frame is written;
 // delay then carries the quota penalty the serve loop must apply as
-// socket-level backpressure (it is always 0 when reply is true).
+// socket-level backpressure (it is always 0 when reply is true). A nil
+// response means the request has an unknown API key or does not decode.
 func (b *Broker) dispatch(hdr wire.RequestHeader, r *wire.Reader) (wire.Message, bool, time.Duration) {
 	body, ok := wire.NewRequestBody(hdr.API)
 	if !ok {
-		return &wire.ProduceResponse{}, true, 0 // unknown API: empty response
+		return nil, false, 0
 	}
 	body.Decode(r)
-	if r.Err() != nil {
-		return &wire.ProduceResponse{}, true, 0
+	if r.Done() != nil {
+		return nil, false, 0
 	}
 	b.cfg.Metrics.Counter("broker.requests").Inc()
 	// Every request charges the principal's request-rate quota — except
@@ -183,7 +190,7 @@ func (b *Broker) dispatch(hdr wire.RequestHeader, r *wire.Reader) (wire.Message,
 	case *wire.LeaveGroupRequest:
 		return &wire.LeaveGroupResponse{Err: b.groups.handleLeave(req)}, true, 0
 	}
-	return &wire.ProduceResponse{}, true, 0
+	return nil, false, 0
 }
 
 // ------------------------------------------------------------- produce

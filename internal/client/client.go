@@ -679,6 +679,9 @@ func (c *Client) withCoordinatorRetry(group string, fn func(*Conn) (wire.ErrorCo
 			continue
 		}
 		code, err := fn(conn)
+		if errors.Is(err, wire.ErrEncode) {
+			return err // no retry can encode it
+		}
 		if err != nil {
 			c.dropConn(coord)
 			lastErr = err

@@ -70,9 +70,8 @@ func (c *Conn) RoundTrip(api wire.APIKey, req, resp wire.Message) error {
 	}
 	c.nextCorr++
 	hdr := wire.RequestHeader{API: api, CorrelationID: c.nextCorr, ClientID: c.clientID}
-	if err := wire.WriteRequestFrame(c.nc, &hdr, req); err != nil {
-		c.closeLocked()
-		return fmt.Errorf("client: send: %w", err)
+	if err := c.send(&hdr, req); err != nil {
+		return err
 	}
 	// The response frame is freshly allocated per round trip: decoded
 	// messages (including zero-copy fetch Records) may alias it safely.
@@ -109,9 +108,8 @@ func (c *Conn) SendOnly(api wire.APIKey, req wire.Message) error {
 	}
 	c.nextCorr++
 	hdr := wire.RequestHeader{API: api, CorrelationID: c.nextCorr, ClientID: c.clientID}
-	if err := wire.WriteRequestFrame(c.nc, &hdr, req); err != nil {
-		c.closeLocked()
-		return fmt.Errorf("client: send: %w", err)
+	if err := c.send(&hdr, req); err != nil {
+		return err
 	}
 	return nil
 }
@@ -124,6 +122,20 @@ func (c *Conn) SetDeadline(t time.Time) error {
 		return ErrConnClosed
 	}
 	return c.nc.SetDeadline(t)
+}
+
+// send writes one request frame. A request that cannot be encoded
+// (wire.ErrEncode) writes nothing and leaves the connection usable; any
+// other failure closes it.
+func (c *Conn) send(hdr *wire.RequestHeader, req wire.Message) error {
+	err := wire.WriteRequestFrame(c.nc, hdr, req)
+	if err == nil {
+		return nil
+	}
+	if !errors.Is(err, wire.ErrEncode) {
+		c.closeLocked()
+	}
+	return fmt.Errorf("client: send: %w", err)
 }
 
 func (c *Conn) closeLocked() {

@@ -1,5 +1,5 @@
-// Package wire (bad variant): constants exist that the classification
-// tables and switches do not cover.
+// Package wire (bad variant): constants exist that the tables do not
+// cover.
 package wire
 
 // ErrorCode is the protocol error code.
@@ -9,24 +9,16 @@ type ErrorCode int16
 const (
 	ErrNone ErrorCode = 0
 	ErrBoom ErrorCode = 1
-	ErrLost ErrorCode = 2 // want `ErrLost has no registered message in errorNames` `ErrLost is not classified in the retriable table`
+	ErrLost ErrorCode = 2 // want `wire\.ErrorCode ErrLost has no entry in the errorCodes table`
 )
 
-var errorNames = map[ErrorCode]string{
-	ErrNone: "none",
-	ErrBoom: "boom",
+var errorCodes = [...]struct {
+	name      string
+	retriable bool
+}{
+	ErrNone: {"none", false},
+	ErrBoom: {"boom", true},
 }
-
-var retriable = map[ErrorCode]bool{
-	ErrNone: false,
-	ErrBoom: true,
-}
-
-// Retriable reports retry semantics from the table.
-func (e ErrorCode) Retriable() bool { return retriable[e] }
-
-// String names the code.
-func (e ErrorCode) String() string { return errorNames[e] }
 
 // APIKey identifies a request type.
 type APIKey int16
@@ -34,16 +26,14 @@ type APIKey int16
 // APIs.
 const (
 	APIPing   APIKey = 0
-	APIBounce APIKey = 1 // want `APIBounce has no case in APIKey\.String` `APIBounce has no case in NewRequestBody`
+	APIBounce APIKey = 1 // want `wire\.APIKey APIBounce has no entry in the apis table`
 )
 
-// String is the per-API metrics label.
-func (k APIKey) String() string {
-	switch k {
-	case APIPing:
-		return "ping"
-	}
-	return "api-?"
+var apis = [...]struct {
+	name    string
+	newBody func() Message
+}{
+	APIPing: {"ping", func() Message { return &PingRequest{} }},
 }
 
 // Message is a wire message.
@@ -58,12 +48,3 @@ func (*PingRequest) Encode() {}
 type BounceRequest struct{}
 
 func (*BounceRequest) Encode() {}
-
-// NewRequestBody allocates the body for an API.
-func NewRequestBody(api APIKey) (Message, bool) {
-	switch api {
-	case APIPing:
-		return &PingRequest{}, true
-	}
-	return nil, false
-}

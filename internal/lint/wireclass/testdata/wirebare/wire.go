@@ -1,11 +1,19 @@
-// Package wire (bare variant): the classification tables are missing
-// entirely, which is reported once at the type.
+// Package wire (bare variant): the tables are missing entirely, which is
+// reported once at each type.
 package wire
 
 // ErrorCode is the protocol error code.
-type ErrorCode int16 // want `must classify every ErrorCode in a package-level .retriable. map literal` `must register every ErrorCode message in a package-level .errorNames. map literal`
+type ErrorCode int16 // want `must give every ErrorCode an entry in a package-level .errorCodes. table literal`
 
 // Codes.
 const (
 	ErrNone ErrorCode = 0
+)
+
+// APIKey identifies a request type.
+type APIKey int16 // want `must give every APIKey an entry in a package-level .apis. table literal`
+
+// APIs.
+const (
+	APIPing APIKey = 0
 )

@@ -10,21 +10,13 @@ const (
 	ErrBoom ErrorCode = 1
 )
 
-var errorNames = map[ErrorCode]string{
-	ErrNone: "none",
-	ErrBoom: "boom",
+var errorCodes = [...]struct {
+	name      string
+	retriable bool
+}{
+	ErrNone: {"none", false},
+	ErrBoom: {"boom", true},
 }
-
-var retriable = map[ErrorCode]bool{
-	ErrNone: false,
-	ErrBoom: true,
-}
-
-// Retriable reports retry semantics from the table.
-func (e ErrorCode) Retriable() bool { return retriable[e] }
-
-// String names the code.
-func (e ErrorCode) String() string { return errorNames[e] }
 
 // APIKey identifies a request type.
 type APIKey int16
@@ -35,15 +27,12 @@ const (
 	APIBounce APIKey = 1
 )
 
-// String is the per-API metrics label.
-func (k APIKey) String() string {
-	switch k {
-	case APIPing:
-		return "ping"
-	case APIBounce:
-		return "bounce"
-	}
-	return "api-?"
+var apis = map[APIKey]struct {
+	name    string
+	newBody func() Message
+}{
+	APIPing:   {"ping", func() Message { return &PingRequest{} }},
+	APIBounce: {"bounce", func() Message { return &BounceRequest{} }},
 }
 
 // Message is a wire message.
@@ -61,14 +50,3 @@ func (*BounceRequest) Encode() {}
 
 // RequestHeader is not a message type and is exempt from dispatch.
 type RequestHeader struct{}
-
-// NewRequestBody allocates the body for an API.
-func NewRequestBody(api APIKey) (Message, bool) {
-	switch api {
-	case APIPing:
-		return &PingRequest{}, true
-	case APIBounce:
-		return &BounceRequest{}, true
-	}
-	return nil, false
-}

@@ -1,23 +1,20 @@
 // Package wireclass enforces exhaustive classification of the wire
 // protocol's error codes and API keys.
 //
-// PR 8 shipped new error codes whose retriability was decided implicitly
-// by a switch's default arm — "new code, unclassified" is exactly how a
-// terminal error ends up silently retried (or a retriable one surfaced
-// to callers). This analyzer makes the classification tables load-
-// bearing; adding a constant without deciding its semantics everywhere
-// is now a compile-gate failure.
+// A new error code whose retriability is decided by a default arm is how a
+// terminal error ends up silently retried (or a retriable one surfaced to
+// callers); a new API key without a name or a body constructor cannot be
+// labelled or decoded. The wire package states each of those once, in one
+// table per enumeration, and this analyzer makes the tables exhaustive.
 //
 // In the package named "wire" (the one defining type ErrorCode):
 //
-//   - Every ErrorCode constant must have a registered message: a key in
-//     the package-level `errorNames` map literal.
-//   - Every ErrorCode constant must be explicitly classified in the
-//     package-level `retriable` map literal — true or false, stated,
-//     never defaulted.
-//   - Every APIKey constant must have a case in APIKey.String (the
-//     per-API metrics label and slowlog name) and a case in
-//     NewRequestBody (the decode dispatch).
+//   - Every ErrorCode constant must be a key of the package-level
+//     `errorCodes` table literal, which names it and classifies it as
+//     retriable or not.
+//   - Every APIKey constant must be a key of the package-level `apis` table
+//     literal, which names it (the per-API metrics label) and constructs
+//     its request body (the broker's decode dispatch).
 //
 // In any package that marks a type switch with a "//wireclass:dispatch"
 // comment (the broker's request dispatch): the switch must have a case
@@ -38,13 +35,14 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wireclass",
-	Doc:  "wire error codes and API keys must be exhaustively classified (messages, retriability, labels, dispatch)",
+	Doc:  "every wire error code and API key must have an entry in its table, and dispatch switches must serve every request type",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	if pass.Pkg.Name() == "wire" && pass.Pkg.Scope().Lookup("ErrorCode") != nil {
-		checkWirePackage(pass)
+		checkTable(pass, "ErrorCode", "errorCodes")
+		checkTable(pass, "APIKey", "apis")
 	}
 	checkDispatchSwitches(pass)
 	return nil
@@ -52,42 +50,21 @@ func run(pass *analysis.Pass) error {
 
 // ------------------------------------------------------------- wire side
 
-func checkWirePackage(pass *analysis.Pass) {
-	scope := pass.Pkg.Scope()
-	errType, _ := scope.Lookup("ErrorCode").(*types.TypeName)
-	apiType, _ := scope.Lookup("APIKey").(*types.TypeName)
-
-	errConsts := constsOf(scope, errType)
-	apiConsts := constsOf(scope, apiType)
-
-	names := mapLiteralKeys(pass, "errorNames")
-	retri := mapLiteralKeys(pass, "retriable")
-	stringCases := switchCaseObjects(pass, methodDecl(pass, "APIKey", "String"))
-	decodeCases := switchCaseObjects(pass, funcDecl(pass, "NewRequestBody"))
-
-	for _, c := range errConsts {
-		if names != nil && !names[c] {
-			pass.Reportf(c.Pos(), "wire.ErrorCode %s has no registered message in errorNames", c.Name())
-		}
-		if retri == nil {
-			continue // reported once below
-		}
-		if !retri[c] {
-			pass.Reportf(c.Pos(), "wire.ErrorCode %s is not classified in the retriable table; every code must state its retry semantics explicitly", c.Name())
-		}
+// checkTable reports every constant of the named type that is not a key of
+// the package-level table literal, or the type itself if there is no table.
+func checkTable(pass *analysis.Pass, typeName, table string) {
+	tn, _ := pass.Pkg.Scope().Lookup(typeName).(*types.TypeName)
+	if tn == nil {
+		return
 	}
-	if retri == nil && errType != nil {
-		pass.Reportf(errType.Pos(), "package wire must classify every ErrorCode in a package-level `retriable` map literal")
+	keys := tableKeys(pass, table)
+	if keys == nil {
+		pass.Reportf(tn.Pos(), "package wire must give every %s an entry in a package-level `%s` table literal", typeName, table)
+		return
 	}
-	if names == nil && errType != nil {
-		pass.Reportf(errType.Pos(), "package wire must register every ErrorCode message in a package-level `errorNames` map literal")
-	}
-	for _, c := range apiConsts {
-		if stringCases != nil && !stringCases[c] {
-			pass.Reportf(c.Pos(), "wire.APIKey %s has no case in APIKey.String; every API needs a metrics label", c.Name())
-		}
-		if decodeCases != nil && !decodeCases[c] {
-			pass.Reportf(c.Pos(), "wire.APIKey %s has no case in NewRequestBody; the broker cannot decode this API's requests", c.Name())
+	for _, c := range constsOf(pass.Pkg.Scope(), tn) {
+		if !keys[c] {
+			pass.Reportf(c.Pos(), "wire.%s %s has no entry in the %s table", typeName, c.Name(), table)
 		}
 	}
 }
@@ -95,9 +72,6 @@ func checkWirePackage(pass *analysis.Pass) {
 // constsOf returns the package-level constants of the given named type,
 // in declaration order.
 func constsOf(scope *types.Scope, tn *types.TypeName) []*types.Const {
-	if tn == nil {
-		return nil
-	}
 	var out []*types.Const
 	for _, name := range scope.Names() {
 		if c, ok := scope.Lookup(name).(*types.Const); ok && c.Type() == tn.Type() {
@@ -108,10 +82,10 @@ func constsOf(scope *types.Scope, tn *types.TypeName) []*types.Const {
 	return out
 }
 
-// mapLiteralKeys returns the constant objects used as keys in the
-// package-level `var name = map[...]...{...}` literal, or nil if no such
-// literal exists.
-func mapLiteralKeys(pass *analysis.Pass, name string) map[types.Object]bool {
+// tableKeys returns the constants used as keys in the package-level
+// `var name = T{key: ...}` literal (an indexed array or a map), or nil if
+// no such literal exists.
+func tableKeys(pass *analysis.Pass, name string) map[types.Object]bool {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -130,75 +104,14 @@ func mapLiteralKeys(pass *analysis.Pass, name string) map[types.Object]bool {
 					}
 					keys := map[types.Object]bool{}
 					for _, elt := range cl.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							if obj := pass.Info.Uses[id]; obj != nil {
-								keys[obj] = true
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok && pass.Info.Uses[id] != nil {
+								keys[pass.Info.Uses[id]] = true
 							}
 						}
 					}
 					return keys
 				}
-			}
-		}
-	}
-	return nil
-}
-
-// switchCaseObjects returns every constant object appearing as a case
-// expression in any switch inside fn, or nil if fn is nil.
-func switchCaseObjects(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {
-	if fn == nil || fn.Body == nil {
-		return nil
-	}
-	out := map[types.Object]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		cc, ok := n.(*ast.CaseClause)
-		if !ok {
-			return true
-		}
-		for _, e := range cc.List {
-			if id, ok := e.(*ast.Ident); ok {
-				if obj := pass.Info.Uses[id]; obj != nil {
-					out[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-func methodDecl(pass *analysis.Pass, recvType, name string) *ast.FuncDecl {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != name || fn.Recv == nil || len(fn.Recv.List) != 1 {
-				continue
-			}
-			t := pass.Info.Types[fn.Recv.List[0].Type].Type
-			if t == nil {
-				continue
-			}
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Name() == recvType {
-				return fn
-			}
-		}
-	}
-	return nil
-}
-
-func funcDecl(pass *analysis.Pass, name string) *ast.FuncDecl {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == name {
-				return fn
 			}
 		}
 	}

@@ -21,10 +21,19 @@ import (
 // ErrDecode is returned when a message body cannot be decoded.
 var ErrDecode = errors.New("wire: malformed message")
 
-// Writer accumulates an encoded message. The zero value is ready to use.
+// ErrEncode is returned when a message cannot be encoded: a value does not
+// fit its wire field (a string longer than an int16 length prefix can say).
+// Nothing of such a message is written.
+var ErrEncode = errors.New("wire: value does not fit its field")
+
+// Writer accumulates an encoded message with a sticky error: after the first
+// value that does not fit, Err reports it and the framed write paths send
+// nothing. The zero value is ready to use.
 type Writer struct {
 	buf     []byte
 	splices []splice
+	err     error
+	c       codec
 }
 
 // splice marks a point in buf where an external byte range is stitched into
@@ -52,10 +61,14 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // Len returns the number of bytes accumulated.
 func (w *Writer) Len() int { return len(w.buf) }
 
+// Err returns the first encoding error encountered, if any.
+func (w *Writer) Err() error { return w.err }
+
 // Reset clears the writer for reuse, retaining capacity.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.splices = w.splices[:0]
+	w.err = nil
 }
 
 // Splice appends an int32 length prefix for src and records src to be
@@ -94,10 +107,14 @@ func (w *Writer) Int64(v int64) {
 	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(v))
 }
 
-// String appends an int16-length-prefixed string.
+// String appends an int16-length-prefixed string. A string longer than
+// math.MaxInt16 bytes is not cut: it sets the sticky ErrEncode.
 func (w *Writer) String(s string) {
 	if len(s) > math.MaxInt16 {
-		s = s[:math.MaxInt16]
+		if w.err == nil {
+			w.err = fmt.Errorf("%w: string of %d bytes, max %d", ErrEncode, len(s), math.MaxInt16)
+		}
+		return
 	}
 	w.Int16(int16(len(s)))
 	w.buf = append(w.buf, s...)
@@ -138,6 +155,7 @@ type Reader struct {
 	buf []byte
 	pos int
 	err error
+	c   codec
 }
 
 // NewReader returns a Reader over buf.
@@ -266,22 +284,32 @@ func (r *Reader) ArrayLen() int {
 	return int(n)
 }
 
-// StringArray reads an int32-count-prefixed array of strings.
+// StringArray reads an int32-count-prefixed array of strings, stopping at
+// the first one that fails.
 func (r *Reader) StringArray() []string {
 	n := r.ArrayLen()
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, r.String())
+		s := r.String()
+		if r.err != nil {
+			break
+		}
+		out = append(out, s)
 	}
 	return out
 }
 
-// Int32Array reads an int32-count-prefixed array of int32s.
+// Int32Array reads an int32-count-prefixed array of int32s, stopping at the
+// first one that fails.
 func (r *Reader) Int32Array() []int32 {
 	n := r.ArrayLen()
 	out := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, r.Int32())
+		v := r.Int32()
+		if r.err != nil {
+			break
+		}
+		out = append(out, v)
 	}
 	return out
 }
@@ -295,4 +323,131 @@ func (r *Reader) Done() error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(r.buf)-r.pos)
 	}
 	return nil
+}
+
+// codec runs a message's one field list in either direction: it holds the
+// Writer when encoding and the Reader when decoding, never both. Each op
+// takes a pointer to its field and writes *v out or reads it in, so a
+// message's fields method is both its encoder and its decoder. The codec
+// lives inside its Writer or Reader and is handed out by pointer, so
+// running a field list allocates nothing of its own.
+type codec struct {
+	w *Writer
+	r *Reader
+}
+
+func (w *Writer) codec() *codec {
+	w.c = codec{w: w}
+	return &w.c
+}
+
+func (r *Reader) codec() *codec {
+	r.c = codec{r: r}
+	return &r.c
+}
+
+func (c *codec) int16(v *int16) {
+	if c.w != nil {
+		c.w.Int16(*v)
+		return
+	}
+	*v = c.r.Int16()
+}
+
+func (c *codec) int32(v *int32) {
+	if c.w != nil {
+		c.w.Int32(*v)
+		return
+	}
+	*v = c.r.Int32()
+}
+
+func (c *codec) int64(v *int64) {
+	if c.w != nil {
+		c.w.Int64(*v)
+		return
+	}
+	*v = c.r.Int64()
+}
+
+func (c *codec) bool(v *bool) {
+	if c.w != nil {
+		c.w.Bool(*v)
+		return
+	}
+	*v = c.r.Bool()
+}
+
+func (c *codec) errorCode(v *ErrorCode) { c.int16((*int16)(v)) }
+
+func (c *codec) string(v *string) {
+	if c.w != nil {
+		c.w.String(*v)
+		return
+	}
+	*v = c.r.String()
+}
+
+// bytes carries a Bytes32 blob; the decoded copy is safe to retain.
+func (c *codec) bytes(v *[]byte) {
+	if c.w != nil {
+		c.w.Bytes32(*v)
+		return
+	}
+	*v = c.r.Bytes32()
+}
+
+// records carries a record-batch blob, the hot path: decode aliases the
+// frame (RawBytes32), and encode splices rng into the frame when it is set
+// instead of copying *v.
+func (c *codec) records(v *[]byte, rng ByteRange) {
+	switch {
+	case c.r != nil:
+		*v = c.r.RawBytes32()
+	case rng != nil:
+		c.w.Splice(rng)
+	default:
+		c.w.Bytes32(*v)
+	}
+}
+
+func (c *codec) strings(v *[]string) {
+	if c.w != nil {
+		c.w.StringArray(*v)
+		return
+	}
+	*v = c.r.StringArray()
+}
+
+func (c *codec) int32s(v *[]int32) {
+	if c.w != nil {
+		c.w.Int32Array(*v)
+		return
+	}
+	*v = c.r.Int32Array()
+}
+
+// array carries an int32-count-prefixed array of elements that each carry
+// their own fields. Decoding bounds the count by the bytes left
+// (Reader.ArrayLen) and stops at the first element that fails, so a decoded
+// value never holds more elements than its input had bytes.
+func array[T any, PT interface {
+	*T
+	fields(*codec)
+}](c *codec, s *[]T) {
+	if c.w != nil {
+		c.w.ArrayLen(len(*s))
+		for i := range *s {
+			PT(&(*s)[i]).fields(c)
+		}
+		return
+	}
+	out := make([]T, c.r.ArrayLen())
+	for i := range out {
+		if PT(&out[i]).fields(c); c.r.err != nil {
+			out = out[:i]
+			break
+		}
+	}
+	*s = out
 }

@@ -57,39 +57,60 @@ const (
 	ErrFencedEpoch ErrorCode = 25
 )
 
-var errorNames = map[ErrorCode]string{
-	ErrNone:                    "none",
-	ErrUnknown:                 "unknown error",
-	ErrCorruptMessage:          "corrupt message",
-	ErrUnknownTopicOrPartition: "unknown topic or partition",
-	ErrLeaderNotAvailable:      "leader not available",
-	ErrNotLeaderForPartition:   "not leader for partition",
-	ErrRequestTimedOut:         "request timed out",
-	ErrOffsetOutOfRange:        "offset out of range",
-	ErrCoordinatorNotAvailable: "group coordinator not available",
-	ErrNotCoordinator:          "not coordinator for group",
-	ErrIllegalGeneration:       "illegal group generation",
-	ErrUnknownMemberID:         "unknown member id",
-	ErrRebalanceInProgress:     "group rebalance in progress",
-	ErrInvalidTopic:            "invalid topic",
-	ErrTopicAlreadyExists:      "topic already exists",
-	ErrNotEnoughReplicas:       "not enough in-sync replicas",
-	ErrInvalidRequest:          "invalid request",
-	ErrUnsupportedAPI:          "unsupported api",
-	ErrBrokerNotAvailable:      "broker not available",
-	ErrMessageTooLarge:         "message too large",
-	ErrStaleLeaderEpoch:        "stale leader epoch",
-	ErrTableNotServed:          "table not served by this broker",
-	ErrTableStale:              "table read exceeds staleness bound",
-	ErrDuplicateSequence:       "duplicate producer sequence (already appended)",
-	ErrOutOfOrderSequence:      "out of order producer sequence",
-	ErrFencedEpoch:             "producer epoch fenced by newer instance",
+// errorCodes is the one table of protocol codes: each code's name and
+// whether a request failing with it may succeed on retry after refreshing
+// metadata (leadership moved, coordinator moved, transient
+// unavailability). Entries are positional, so each states both; liquid-vet's
+// wireclass analyzer rejects an ErrorCode constant without an entry, so
+// adding a code forces an explicit retry decision.
+var errorCodes = [...]struct {
+	name      string
+	retriable bool
+}{
+	ErrNone:           {"none", false},
+	ErrUnknown:        {"unknown error", false},
+	ErrCorruptMessage: {"corrupt message", false},
+	// Topic metadata propagates to brokers asynchronously after creation,
+	// so a brief unknown-topic window is normal.
+	ErrUnknownTopicOrPartition: {"unknown topic or partition", true},
+	ErrLeaderNotAvailable:      {"leader not available", true},
+	ErrNotLeaderForPartition:   {"not leader for partition", true},
+	ErrRequestTimedOut:         {"request timed out", true},
+	ErrOffsetOutOfRange:        {"offset out of range", false},
+	ErrCoordinatorNotAvailable: {"group coordinator not available", true},
+	ErrNotCoordinator:          {"not coordinator for group", true},
+	ErrIllegalGeneration:       {"illegal group generation", false},
+	ErrUnknownMemberID:         {"unknown member id", false},
+	ErrRebalanceInProgress:     {"group rebalance in progress", true},
+	ErrInvalidTopic:            {"invalid topic", false},
+	ErrTopicAlreadyExists:      {"topic already exists", false},
+	ErrNotEnoughReplicas:       {"not enough in-sync replicas", true},
+	ErrInvalidRequest:          {"invalid request", false},
+	ErrUnsupportedAPI:          {"unsupported api", false},
+	ErrBrokerNotAvailable:      {"broker not available", true},
+	ErrMessageTooLarge:         {"message too large", false},
+	ErrStaleLeaderEpoch:        {"stale leader epoch", true},
+	ErrTableNotServed:          {"table not served by this broker", true},
+	ErrTableStale:              {"table read exceeds staleness bound", true},
+	// The idempotent-produce codes are deliberately NOT retriable:
+	// ErrDuplicateSequence is success (the producer treats it as an ack for
+	// the original offset), while ErrOutOfOrderSequence and ErrFencedEpoch
+	// are terminal — re-sending cannot fix a lost predecessor batch or a
+	// fenced zombie, it can only create gaps or duplicates.
+	ErrDuplicateSequence:  {"duplicate producer sequence (already appended)", false},
+	ErrOutOfOrderSequence: {"out of order producer sequence", false},
+	ErrFencedEpoch:        {"producer epoch fenced by newer instance", false},
+}
+
+// known reports whether e has an entry in errorCodes.
+func (e ErrorCode) known() bool {
+	return e >= 0 && int(e) < len(errorCodes) && errorCodes[e].name != ""
 }
 
 // String returns a human-readable name for the code.
 func (e ErrorCode) String() string {
-	if s, ok := errorNames[e]; ok {
-		return s
+	if e.known() {
+		return errorCodes[e].name
 	}
 	return fmt.Sprintf("error code %d", int16(e))
 }
@@ -124,52 +145,9 @@ func (e ErrorCode) Err() error {
 	return &protocolError{code: e}
 }
 
-// retriable classifies every protocol code: true means a request failing
-// with this code may succeed on retry after refreshing metadata (leadership
-// moved, coordinator moved, transient unavailability). Exhaustive by
-// construction — liquid-vet's wireclass analyzer rejects any code missing
-// from this table, so adding a code forces an explicit retry decision.
-var retriable = map[ErrorCode]bool{
-	ErrNone:               false,
-	ErrUnknown:            false,
-	ErrCorruptMessage:     false,
-	ErrOffsetOutOfRange:   false,
-	ErrIllegalGeneration:  false,
-	ErrUnknownMemberID:    false,
-	ErrInvalidTopic:       false,
-	ErrTopicAlreadyExists: false,
-	ErrInvalidRequest:     false,
-	ErrUnsupportedAPI:     false,
-	ErrMessageTooLarge:    false,
-
-	ErrLeaderNotAvailable:      true,
-	ErrNotLeaderForPartition:   true,
-	ErrRequestTimedOut:         true,
-	ErrCoordinatorNotAvailable: true,
-	ErrNotCoordinator:          true,
-	ErrRebalanceInProgress:     true,
-	ErrBrokerNotAvailable:      true,
-	ErrNotEnoughReplicas:       true,
-	ErrStaleLeaderEpoch:        true,
-	ErrTableNotServed:          true,
-	ErrTableStale:              true,
-	// Topic metadata propagates to brokers asynchronously after creation,
-	// so a brief unknown-topic window is normal.
-	ErrUnknownTopicOrPartition: true,
-
-	// The idempotent-produce codes are deliberately NOT retriable:
-	// ErrDuplicateSequence is success (the producer treats it as an ack for
-	// the original offset), while ErrOutOfOrderSequence and ErrFencedEpoch
-	// are terminal — re-sending cannot fix a lost predecessor batch or a
-	// fenced zombie, it can only create gaps or duplicates.
-	ErrDuplicateSequence:  false,
-	ErrOutOfOrderSequence: false,
-	ErrFencedEpoch:        false,
-}
-
 // Retriable reports whether a request failing with this code may succeed on
 // retry after refreshing metadata. Clients use it to drive their retry
 // loops. Codes absent from the table (foreign or future) are not retried.
 func (e ErrorCode) Retriable() bool {
-	return retriable[e]
+	return e.known() && errorCodes[e].retriable
 }

@@ -48,19 +48,27 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// EncodeRequest serialises a request header + body into one payload.
+// EncodeRequest serialises a request header + body into one payload, or
+// returns nil if they cannot be encoded (see Writer.Err).
 func EncodeRequest(hdr *RequestHeader, body Message) []byte {
 	var w Writer
 	hdr.Encode(&w)
 	body.Encode(&w)
+	if w.err != nil {
+		return nil
+	}
 	return w.Bytes()
 }
 
-// EncodeResponse serialises a correlation id + body into one payload.
+// EncodeResponse serialises a correlation id + body into one payload, or
+// returns nil if the body cannot be encoded (see Writer.Err).
 func EncodeResponse(correlationID int32, body Message) []byte {
 	var w Writer
 	w.Int32(correlationID)
 	body.Encode(&w)
+	if w.err != nil {
+		return nil
+	}
 	return w.Bytes()
 }
 
@@ -84,52 +92,4 @@ func DecodeResponse(payload []byte) (int32, *Reader, error) {
 		return 0, nil, err
 	}
 	return id, r, nil
-}
-
-// NewRequestBody returns a zero value of the request type for an API key,
-// used by the broker's dispatch loop.
-func NewRequestBody(api APIKey) (Message, bool) {
-	switch api {
-	case APIProduce:
-		return &ProduceRequest{}, true
-	case APIFetch:
-		return &FetchRequest{}, true
-	case APIListOffsets:
-		return &ListOffsetsRequest{}, true
-	case APIMetadata:
-		return &MetadataRequest{}, true
-	case APICreateTopics:
-		return &CreateTopicsRequest{}, true
-	case APIDeleteTopics:
-		return &DeleteTopicsRequest{}, true
-	case APIOffsetCommit:
-		return &OffsetCommitRequest{}, true
-	case APIOffsetFetch:
-		return &OffsetFetchRequest{}, true
-	case APIFindCoordinator:
-		return &FindCoordinatorRequest{}, true
-	case APIJoinGroup:
-		return &JoinGroupRequest{}, true
-	case APIHeartbeat:
-		return &HeartbeatRequest{}, true
-	case APILeaveGroup:
-		return &LeaveGroupRequest{}, true
-	case APISyncGroup:
-		return &SyncGroupRequest{}, true
-	case APIOffsetQuery:
-		return &OffsetQueryRequest{}, true
-	case APITierStatus:
-		return &TierStatusRequest{}, true
-	case APIDescribeQuotas:
-		return &DescribeQuotasRequest{}, true
-	case APIAlterQuotas:
-		return &AlterQuotasRequest{}, true
-	case APITableGet:
-		return &TableGetRequest{}, true
-	case APITableRange:
-		return &TableRangeRequest{}, true
-	case APIInitProducer:
-		return &InitProducerRequest{}, true
-	}
-	return nil, false
 }

@@ -36,12 +36,16 @@ func PutWriter(w *Writer) {
 
 // writeFramed encodes a payload via fill into a pooled buffer with the
 // 4-byte length prefix in place, and writes the whole frame with a single
-// Write call — one buffer, one copy, no per-frame allocation.
+// Write call — one buffer, one copy, no per-frame allocation. A payload
+// that cannot be encoded (Writer.Err) writes nothing and returns the error.
 func writeFramed(dst io.Writer, fill func(*Writer)) error {
 	w := GetWriter()
 	defer PutWriter(w)
 	w.Int32(0) // length prefix placeholder
 	fill(w)
+	if w.err != nil {
+		return w.err
+	}
 	if len(w.splices) > 0 {
 		return writeSpliced(dst, w)
 	}

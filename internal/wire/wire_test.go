@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +72,35 @@ func TestReaderStickyError(t *testing.T) {
 	}
 }
 
+// TestWriterRefusesLongString: a string longer than its int16 length prefix
+// can say is not cut (which could split a rune and still decode cleanly):
+// the Writer's sticky error reports it, and the framed write sends nothing.
+func TestWriterRefusesLongString(t *testing.T) {
+	long := strings.Repeat("é", 20000) // 40 000 bytes
+	var w Writer
+	w.String(long)
+	if !errors.Is(w.Err(), ErrEncode) || w.Len() != 0 {
+		t.Fatalf("String(%d bytes): err %v, %d bytes written", len(long), w.Err(), w.Len())
+	}
+	hdr := &RequestHeader{API: APIOffsetCommit, CorrelationID: 1}
+	req := &OffsetCommitRequest{Group: "g", Topics: []OffsetCommitTopic{{
+		Name: "t", Partitions: []OffsetCommitPartition{{Partition: 0, Offset: 1, Metadata: long}},
+	}}}
+	var out bytes.Buffer
+	if err := WriteRequestFrame(&out, hdr, req); !errors.Is(err, ErrEncode) || out.Len() != 0 {
+		t.Fatalf("WriteRequestFrame: err %v, %d bytes written", err, out.Len())
+	}
+	if b := EncodeRequest(hdr, req); b != nil {
+		t.Fatalf("EncodeRequest returned %d bytes", len(b))
+	}
+	// The pooled writer that failed carries no error into the next frame.
+	for i := 0; i < 4; i++ {
+		if err := WriteRequestFrame(&out, hdr, &MetadataRequest{}); err != nil {
+			t.Fatalf("next frame: %v", err)
+		}
+	}
+}
+
 func TestReaderTrailingBytes(t *testing.T) {
 	var w Writer
 	w.Int32(1)
@@ -128,8 +160,15 @@ func roundTrip(t *testing.T, in, out Message) {
 	}
 }
 
-func TestMessageRoundTrips(t *testing.T) {
-	roundTrip(t, &ProduceRequest{
+// goldenCases pins the wire bytes of every message type and the request
+// header: hex is what the codec produced before each message's field list
+// was declared once, and every case must still encode to exactly those
+// bytes and decode back to msg.
+var goldenCases = []struct {
+	hex string
+	msg Message
+}{
+	{"ffff000013880000000100066576656e747300000002000000000000000a6261746368627974657300000003ffffffff", &ProduceRequest{
 		RequiredAcks: -1,
 		TimeoutMs:    5000,
 		Topics: []ProduceTopic{{
@@ -139,9 +178,8 @@ func TestMessageRoundTrips(t *testing.T) {
 				{Partition: 3, Records: nil},
 			},
 		}},
-	}, &ProduceRequest{})
-
-	roundTrip(t, &ProduceResponse{
+	}},
+	{"000000fa0000000100066576656e74730000000200000000000000000000000000110000000000000014000000010005ffffffffffffffff0000000000000000", &ProduceResponse{
 		ThrottleTimeMs: 250,
 		Topics: []ProduceRespTopic{{
 			Name: "events",
@@ -150,17 +188,15 @@ func TestMessageRoundTrips(t *testing.T) {
 				{Partition: 1, Err: ErrNotLeaderForPartition, BaseOffset: -1},
 			},
 		}},
-	}, &ProduceResponse{})
-
-	roundTrip(t, &FetchRequest{
+	}},
+	{"ffffffff0000006400000001001000000000000100066576656e74730000000100000002000000000000006300001000", &FetchRequest{
 		ReplicaID: -1, MaxWaitMs: 100, MinBytes: 1, MaxBytes: 1 << 20,
 		Topics: []FetchTopic{{
 			Name:       "events",
 			Partitions: []FetchPartition{{Partition: 2, Offset: 99, MaxBytes: 4096}},
 		}},
-	}, &FetchRequest{})
-
-	roundTrip(t, &FetchResponse{
+	}},
+	{"0000007d0000000100066576656e7473000000010000000200000000000000000078000000000000000500000003010203", &FetchResponse{
 		ThrottleTimeMs: 125,
 		Topics: []FetchRespTopic{{
 			Name: "events",
@@ -169,25 +205,21 @@ func TestMessageRoundTrips(t *testing.T) {
 				LogStartOffset: 5, Records: []byte{1, 2, 3},
 			}},
 		}},
-	}, &FetchResponse{})
-
-	roundTrip(t, &ListOffsetsRequest{
+	}},
+	{"000000010001740000000100000000ffffffffffffffff", &ListOffsetsRequest{
 		Topics: []ListOffsetsTopic{{
 			Name:       "t",
 			Partitions: []ListOffsetsPartition{{Partition: 0, Timestamp: TimestampLatest}},
 		}},
-	}, &ListOffsetsRequest{})
-
-	roundTrip(t, &ListOffsetsResponse{
+	}},
+	{"000000010001740000000100000000000000000000000000580000000000000003", &ListOffsetsResponse{
 		Topics: []ListOffsetsRespTopic{{
 			Name:       "t",
 			Partitions: []ListOffsetsRespPartition{{Partition: 0, Timestamp: 88, Offset: 3}},
 		}},
-	}, &ListOffsetsResponse{})
-
-	roundTrip(t, &MetadataRequest{Topics: []string{"a", "b"}}, &MetadataRequest{})
-
-	roundTrip(t, &MetadataResponse{
+	}},
+	{"00000002000161000162", &MetadataRequest{Topics: []string{"a", "b"}}},
+	{"000000010000000100096c6f63616c686f7374000023840000000000010000000100000001610100000001000000000000000000010000000400000003000000010000000200000003000000020000000100000002", &MetadataResponse{
 		Brokers:      []BrokerMeta{{ID: 1, Host: "localhost", Port: 9092}},
 		ControllerID: 1,
 		Topics: []TopicMeta{{
@@ -197,25 +229,21 @@ func TestMessageRoundTrips(t *testing.T) {
 				Replicas: []int32{1, 2, 3}, ISR: []int32{1, 2},
 			}},
 		}},
-	}, &MetadataResponse{})
-
-	roundTrip(t, &CreateTopicsRequest{
+	}},
+	{"0000000100036e6577000000080003000000000036ee80ffffffffffffffff0010000001000000000000000000000000000000000000", &CreateTopicsRequest{
 		Topics: []TopicSpec{{
 			Name: "new", NumPartitions: 8, ReplicationFactor: 3,
 			RetentionMs: 3600_000, RetentionBytes: -1, SegmentBytes: 1 << 20, Compacted: true,
 		}},
-	}, &CreateTopicsRequest{})
-
-	roundTrip(t, &CreateTopicsResponse{
+	}},
+	{"0000000100036e6577000e", &CreateTopicsResponse{
 		Results: []TopicResult{{Name: "new", Err: ErrTopicAlreadyExists}},
-	}, &CreateTopicsResponse{})
-
-	roundTrip(t, &DeleteTopicsRequest{Names: []string{"old"}}, &DeleteTopicsRequest{})
-	roundTrip(t, &DeleteTopicsResponse{
+	}},
+	{"0000000100036f6c64", &DeleteTopicsRequest{Names: []string{"old"}}},
+	{"0000000100036f6c640000", &DeleteTopicsResponse{
 		Results: []TopicResult{{Name: "old", Err: ErrNone}},
-	}, &DeleteTopicsResponse{})
-
-	roundTrip(t, &OffsetCommitRequest{
+	}},
+	{"0001670000000200036d2d31000000010001740000000100000000000000000000002a00107b2276657273696f6e223a227632227d", &OffsetCommitRequest{
 		Group: "g", Generation: 2, MemberID: "m-1",
 		Topics: []OffsetCommitTopic{{
 			Name: "t",
@@ -223,21 +251,18 @@ func TestMessageRoundTrips(t *testing.T) {
 				{Partition: 0, Offset: 42, Metadata: `{"version":"v2"}`},
 			},
 		}},
-	}, &OffsetCommitRequest{})
-
-	roundTrip(t, &OffsetCommitResponse{
+	}},
+	{"0000000100017400000001000000000000", &OffsetCommitResponse{
 		Topics: []OffsetCommitRespTopic{{
 			Name:       "t",
 			Partitions: []OffsetCommitRespPartition{{Partition: 0, Err: ErrNone}},
 		}},
-	}, &OffsetCommitResponse{})
-
-	roundTrip(t, &OffsetFetchRequest{
+	}},
+	{"00016700000001000174000000020000000000000001", &OffsetFetchRequest{
 		Group:  "g",
 		Topics: []OffsetFetchTopic{{Name: "t", Partitions: []int32{0, 1}}},
-	}, &OffsetFetchRequest{})
-
-	roundTrip(t, &OffsetFetchResponse{
+	}},
+	{"0000000100017400000002000000000000000000000000002a00016d000000010000ffffffffffffffff0000", &OffsetFetchResponse{
 		Topics: []OffsetFetchRespTopic{{
 			Name: "t",
 			Partitions: []OffsetFetchRespPartition{
@@ -245,67 +270,54 @@ func TestMessageRoundTrips(t *testing.T) {
 				{Partition: 1, Offset: -1},
 			},
 		}},
-	}, &OffsetFetchResponse{})
-
-	roundTrip(t, &OffsetQueryRequest{
+	}},
+	{"00016700017400000001000776657273696f6e00027631", &OffsetQueryRequest{
 		Group: "g", Topic: "t", Partition: 1,
 		AnnotationKey: "version", AnnotationValue: "v1",
-	}, &OffsetQueryRequest{})
-
-	roundTrip(t, &OffsetQueryResponse{
+	}},
+	{"000001000000000000001f00107b2276657273696f6e223a227631227d", &OffsetQueryResponse{
 		Found: true, Offset: 31, Metadata: `{"version":"v1"}`,
-	}, &OffsetQueryResponse{})
-
-	roundTrip(t, &FindCoordinatorRequest{Key: "g"}, &FindCoordinatorRequest{})
-	roundTrip(t, &FindCoordinatorResponse{NodeID: 2, Host: "h", Port: 1}, &FindCoordinatorResponse{})
-
-	roundTrip(t, &JoinGroupRequest{
+	}},
+	{"000167", &FindCoordinatorRequest{Key: "g"}},
+	{"00000000000200016800000001", &FindCoordinatorResponse{NodeID: 2, Host: "h", Port: 1}},
+	{"00016700002710000075300000000572616e676500000006746f70696373", &JoinGroupRequest{
 		Group: "g", SessionTimeoutMs: 10000, RebalanceTimeoutMs: 30000,
 		MemberID: "", Protocol: "range", Metadata: []byte("topics"),
-	}, &JoinGroupRequest{})
-
-	roundTrip(t, &JoinGroupResponse{
+	}},
+	{"000000000001000572616e676500036d2d3100036d2d310000000100036d2d3100000006746f70696373", &JoinGroupResponse{
 		Generation: 1, Protocol: "range", LeaderID: "m-1", MemberID: "m-1",
 		Members: []GroupMember{{MemberID: "m-1", Metadata: []byte("topics")}},
-	}, &JoinGroupResponse{})
-
-	roundTrip(t, &SyncGroupRequest{
+	}},
+	{"0001670000000100036d2d310000000100036d2d3100000005743a302c31", &SyncGroupRequest{
 		Group: "g", Generation: 1, MemberID: "m-1",
 		Assignments: []GroupAssignment{{MemberID: "m-1", Assignment: []byte("t:0,1")}},
-	}, &SyncGroupRequest{})
-
-	roundTrip(t, &SyncGroupResponse{Assignment: []byte("t:0,1")}, &SyncGroupResponse{})
-	roundTrip(t, &HeartbeatRequest{Group: "g", Generation: 1, MemberID: "m"}, &HeartbeatRequest{})
-	roundTrip(t, &HeartbeatResponse{Err: ErrRebalanceInProgress}, &HeartbeatResponse{})
-	roundTrip(t, &LeaveGroupRequest{Group: "g", MemberID: "m"}, &LeaveGroupRequest{})
-	roundTrip(t, &LeaveGroupResponse{}, &LeaveGroupResponse{})
-
-	roundTrip(t, &CreateTopicsRequest{
+	}},
+	{"000000000005743a302c31", &SyncGroupResponse{Assignment: []byte("t:0,1")}},
+	{"0001670000000100016d", &HeartbeatRequest{Group: "g", Generation: 1, MemberID: "m"}},
+	{"000c", &HeartbeatResponse{Err: ErrRebalanceInProgress}},
+	{"00016700016d", &LeaveGroupRequest{Group: "g", MemberID: "m"}},
+	{"0000", &LeaveGroupResponse{}},
+	{"00000001000374626c000000040002000000000000000000000000000000000000000001000000000000000000000000000000000001", &CreateTopicsRequest{
 		Topics: []TopicSpec{{
 			Name: "tbl", NumPartitions: 4, ReplicationFactor: 2,
 			Compacted: true, Table: true,
 		}},
-	}, &CreateTopicsRequest{})
-
-	roundTrip(t, &TableGetRequest{
+	}},
+	{"000374626c0000000200000007757365722d3137ffffffffffffffff", &TableGetRequest{
 		Topic: "tbl", Partition: 2, Key: []byte("user-17"), MaxLagOffsets: -1,
-	}, &TableGetRequest{})
-
-	roundTrip(t, &TableGetResponse{
+	}},
+	{"00000100000001760000000000000029000000000000002900000003", &TableGetResponse{
 		Err: ErrNone, Found: true, Value: []byte("v"),
 		AppliedOffset: 41, HighWatermark: 41, LeaderEpoch: 3,
-	}, &TableGetResponse{})
-
-	roundTrip(t, &TableGetResponse{
+	}},
+	{"001600ffffffff000000000000000a000000000000002800000001", &TableGetResponse{
 		Err: ErrTableStale, AppliedOffset: 10, HighWatermark: 40, LeaderEpoch: 1,
-	}, &TableGetResponse{})
-
-	roundTrip(t, &TableRangeRequest{
+	}},
+	{"000374626c000000000000000161ffffffff000000640000000000000000", &TableRangeRequest{
 		Topic: "tbl", Partition: 0, From: []byte("a"), To: nil,
 		Limit: 100, MaxLagOffsets: 0,
-	}, &TableRangeRequest{})
-
-	roundTrip(t, &TableRangeResponse{
+	}},
+	{"00000000000200000001610000000131000000016200000001320100000000000004d20000000000000009000000000000000900000002", &TableRangeResponse{
 		Err: ErrNone,
 		Entries: []TableEntry{
 			{Key: []byte("a"), Value: []byte("1")},
@@ -313,7 +325,72 @@ func TestMessageRoundTrips(t *testing.T) {
 		},
 		More: true, ApproxLen: 1234,
 		AppliedOffset: 9, HighWatermark: 9, LeaderEpoch: 2,
-	}, &TableRangeResponse{})
+	}},
+	{"002e000000070008636c69656e742d61", &RequestHeader{API: APIInitProducer, CorrelationID: 7, ClientID: "client-a"}},
+	{"0000000100066576656e7473", &TierStatusRequest{Topics: []string{"events"}}},
+	{"0000000100066576656e747300000001000000010000010000000000000000000000000000012c000000000000038400000000000001400000000200000000000010000000000500000000000100000000000000000140", &TierStatusResponse{
+		Topics: []TierStatusTopic{{
+			Name: "events",
+			Partitions: []TierStatusPartition{{
+				Partition: 1, Err: ErrNone, Tiered: true,
+				EarliestOffset: 0, LocalStartOffset: 300, NextOffset: 900,
+				TieredNextOffset: 320, LocalSegments: 2, LocalBytes: 4096,
+				TieredSegments: 5, TieredBytes: 65536, TieredRecords: 320,
+			}},
+		}},
+	}},
+	{"00000001000874656e616e742d61", &DescribeQuotasRequest{Principals: []string{"tenant-a"}}},
+	{"000000000001000874656e616e742d61000000000010000000000000002000000000000000000032", &DescribeQuotasResponse{
+		Err: ErrNone,
+		Entries: []QuotaEntry{
+			{Principal: "tenant-a", ProduceBytesPerSec: 1 << 20, FetchBytesPerSec: 2 << 20, RequestsPerSec: 50},
+		},
+	}},
+	{"00000002000874656e616e742d6100000000000000000000000000000000000000000000000a00000874656e616e742d6200000000000000000000000000000000000000000000000001", &AlterQuotasRequest{
+		Ops: []AlterQuotaOp{
+			{Entry: QuotaEntry{Principal: "tenant-a", RequestsPerSec: 10}},
+			{Entry: QuotaEntry{Principal: "tenant-b"}, Remove: true},
+		},
+	}},
+	{"00000002000874656e616e742d610000000874656e616e742d620010", &AlterQuotasResponse{Results: []TopicResult{{Name: "tenant-a"}, {Name: "tenant-b", Err: ErrInvalidRequest}}}},
+	{"000d6f72646572732d777269746572", &InitProducerRequest{Name: "orders-writer"}},
+	{"0000000000020000000000000004", &InitProducerResponse{Err: ErrNone, ProducerID: 1 << 33, Epoch: 4}},
+}
+
+func TestMessageRoundTrips(t *testing.T) {
+	for _, tc := range goldenCases {
+		var w Writer
+		tc.msg.Encode(&w)
+		if got := hex.EncodeToString(w.Bytes()); got != tc.hex {
+			t.Errorf("%T encodes to\n %s\nwant\n %s", tc.msg, got, tc.hex)
+		}
+		roundTrip(t, tc.msg, reflect.New(reflect.TypeOf(tc.msg).Elem()).Interface().(Message))
+	}
+}
+
+// TestGoldenCoversEveryMessage holds goldenCases to the whole protocol: the
+// request body of every API, its response and the request header.
+func TestGoldenCoversEveryMessage(t *testing.T) {
+	have := map[string]bool{}
+	for _, tc := range goldenCases {
+		have[reflect.TypeOf(tc.msg).Elem().Name()] = true
+	}
+	apiCount := 0
+	for k := range apis {
+		body, ok := NewRequestBody(APIKey(k))
+		if !ok {
+			continue
+		}
+		apiCount++
+		req := reflect.TypeOf(body).Elem().Name()
+		resp := strings.TrimSuffix(req, "Request") + "Response"
+		if !have[req] || !have[resp] {
+			t.Errorf("API %v: golden case for %s: %v, for %s: %v", APIKey(k), req, have[req], resp, have[resp])
+		}
+	}
+	if !have["RequestHeader"] || len(have) != 2*apiCount+1 {
+		t.Errorf("golden cases cover %d types, want %d messages and the request header", len(have), 2*apiCount)
+	}
 }
 
 func TestRequestEnvelope(t *testing.T) {
