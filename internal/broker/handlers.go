@@ -483,11 +483,16 @@ func (b *Broker) handleListOffsets(req *wire.ListOffsetsRequest) *wire.ListOffse
 			} else {
 				r.mu.Lock()
 				isLeader := r.isLeader
-				hw := r.hw
+				hw, epochStart := r.hw, r.epochStart
 				r.mu.Unlock()
 				switch {
 				case !isLeader:
 					rp.Err = wire.ErrNotLeaderForPartition
+				case p.Timestamp == wire.TimestampLatest && hw < epochStart:
+					// A new leader's hw may trail the old leader's
+					// until it reaches the epoch start: answering it
+					// would move the committed end backwards (KIP-207).
+					rp.Err = wire.ErrLeaderNotAvailable
 				case p.Timestamp == wire.TimestampEarliest:
 					// Earliest means tiered-earliest on tiered topics:
 					// the oldest offset a consumer can actually rewind

@@ -50,6 +50,7 @@ type replica struct {
 	leaderID     int32
 	epoch        int32
 	hw           int64
+	epochStart   int64 // log end when last elected leader: see becomeLeader
 	replicas     []int32
 	isr          []int32
 	stateVersion int64
@@ -112,6 +113,11 @@ func (r *replica) becomeLeader(epoch int32, replicas, isr []int32, stateVersion 
 	r.isr = append([]int32(nil), isr...)
 	r.stateVersion = stateVersion
 	if !wasLeader {
+		// hw starts at what this replica learned as a follower, a fetch
+		// round behind the old leader's. Once it reaches the log end at
+		// election it covers all the old leader can have committed;
+		// until then the committed end is not answered (KIP-207).
+		r.epochStart = r.log.NextOffset()
 		r.followers = make(map[int32]*followerState)
 		for _, id := range replicas {
 			if id != r.brokerID {

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -109,14 +110,9 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(int64(time.Since(start)))
 }
 
-// bits64 returns the index of the highest set bit (floor(log2(v))).
+// bits64 returns the index of the highest set bit (floor(log2(v))), 0 for 0.
 func bits64(v uint64) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return bits.Len64(v|1) - 1
 }
 
 // Count returns the number of observations.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -184,5 +185,27 @@ func TestSnapshotFields(t *testing.T) {
 	}
 	if s.P50 > s.P95 || s.P95 > s.P99 {
 		t.Fatalf("quantiles not monotone: %+v", s)
+	}
+}
+
+// The histogram's bucket index is floor(log2(v)): pinned at each power of
+// two and its neighbours against the shift loop it replaced.
+func TestBits64MatchesShiftLoop(t *testing.T) {
+	loop := func(v uint64) int {
+		n := 0
+		for v > 1 {
+			v >>= 1
+			n++
+		}
+		return n
+	}
+	vs := []uint64{0, 1, math.MaxInt64, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		vs = append(vs, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, v := range vs {
+		if got, want := bits64(v), loop(v); got != want {
+			t.Errorf("bits64(%d) = %d, want %d", v, got, want)
+		}
 	}
 }

@@ -101,25 +101,21 @@ func CompressRaw(codec Codec, body []byte) ([]byte, error) {
 // maxInflatedBody bounds how far a compressed record region may inflate
 // (matching the wire layer's 64 MiB frame bound), so a stored deflate bomb
 // cannot OOM readers: inflation stops at the bound and the batch is
-// reported corrupt.
+// reported corrupt. The scratch never grows past it.
 const maxInflatedBody = 64 << 20
 
 // inflater is everything one inflation needs, pooled as a unit so that a
-// steady-state inflate allocates nothing of its own: the source reader, the
-// flate decompressor and the scratch the region inflates into. A caller that
-// only looks at the inflated bytes (ValidateBatch) walks the scratch; one
-// that keeps them copies out a single exact-size buffer.
+// steady-state inflate allocates nothing: the Huffman tables of the block
+// being decoded (inflate.go) and the scratch the region inflates into. A
+// caller that only looks at the inflated bytes (ValidateBatch) walks the
+// scratch; one that keeps them copies out a single exact-size buffer.
 type inflater struct {
-	src   bytes.Reader
-	flate io.ReadCloser
-	buf   []byte
+	lit, dist, clen huffTable
+	lens            [maxLitSyms + maxDistSyms]uint8
+	buf             []byte
 }
 
-var inflaters = sync.Pool{New: func() any {
-	in := new(inflater)
-	in.flate = flate.NewReader(&in.src)
-	return in
-}}
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
 // maxPooledScratch is the largest scratch an inflater reuses, so one huge
 // batch does not pin its scratch for the life of the process.
@@ -133,35 +129,15 @@ func (in *inflater) inflate(codec Codec, body []byte) ([]byte, error) {
 	if codec != CodecFlate {
 		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
 	}
-	in.src.Reset(body)
-	err := in.flate.(flate.Resetter).Reset(&in.src, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, codec, err)
-	}
 	if cap(in.buf) > maxPooledScratch {
 		in.buf = nil
 	}
-	buf := in.buf[:0]
-	for err == nil && len(buf) <= maxInflatedBody {
-		if len(buf) == cap(buf) {
-			// Double, from one default producer batch to at most one byte
-			// past the bound: the byte that tells a bomb from a region of
-			// exactly the bound.
-			in.buf = make([]byte, len(buf), min(max(2*cap(buf), 64<<10), maxInflatedBody+1))
-			copy(in.buf, buf)
-			buf = in.buf
-		}
-		var n int
-		n, err = in.flate.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
+	out, err := in.inflateInto(in.buf, body)
+	in.buf = out[:0]
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, codec, err)
 	}
-	if len(buf) > maxInflatedBody {
-		return nil, fmt.Errorf("%w: %s: inflates beyond %d bytes", ErrCorrupt, codec, maxInflatedBody)
-	}
-	if err != io.EOF {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, codec, err)
-	}
-	return buf, nil
+	return out, nil
 }
 
 // DecompressRaw inflates a region produced by CompressRaw into a buffer of

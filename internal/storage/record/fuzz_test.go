@@ -151,3 +151,16 @@ func FuzzValidateDecompress(f *testing.F) {
 		}
 	})
 }
+
+// FuzzInflate holds the inflater to compress/flate, differentially: it never
+// panics, accepts exactly the streams compress/flate inflates within
+// maxInflatedBody, to the same bytes, never grows its scratch past the bound,
+// and wraps every rejection in ErrCorrupt. Seeds (inflateSeeds): RUM
+// batches, every compress/flate level on every block type, a stored block
+// after a Huffman block, truncated final blocks and a bomb past the bound.
+func FuzzInflate(f *testing.F) {
+	for _, s := range inflateSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(checkInflate)
+}

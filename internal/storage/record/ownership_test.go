@@ -96,7 +96,8 @@ func TestNilVsEmptyPreservedAcrossCodecs(t *testing.T) {
 }
 
 // A region that inflates to exactly the bound is accepted; one byte more is
-// a bomb, rejected as corrupt with the scratch never grown past bound+1.
+// a bomb, rejected as corrupt with the scratch never grown past the bound.
+// So is the hand-made bomb of about 64 KiB that FuzzInflate starts from.
 func TestInflateStopsAtBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("inflates 2 x 64 MiB")
@@ -115,10 +116,12 @@ func TestInflateStopsAtBound(t *testing.T) {
 	if out, err := in.inflate(codec, atBound); err != nil || len(out) != maxInflatedBody {
 		t.Errorf("%s: region of exactly the bound: %d bytes, %v", codec, len(out), err)
 	}
-	if _, err := in.inflate(codec, bomb); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("%s: bomb of %d compressed bytes: %v, want ErrCorrupt", codec, len(bomb), err)
+	for _, b := range [][]byte{bomb, deflateBomb()} {
+		if _, err := in.inflate(codec, b); !errors.Is(err, ErrCorrupt) || !errors.Is(err, errTooLarge) {
+			t.Errorf("%s: bomb of %d compressed bytes: %v, want ErrCorrupt beyond the bound", codec, len(b), err)
+		}
 	}
-	if cap(in.buf) > maxInflatedBody+1 {
+	if cap(in.buf) > maxInflatedBody {
 		t.Errorf("%s: scratch grew to %d, beyond the bound", codec, cap(in.buf))
 	}
 	inflaters.Put(in)
