@@ -3,6 +3,7 @@ package archive
 import (
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
@@ -36,15 +37,41 @@ func MRInput(fs *dfs.FS, root, topic string) ([]string, func([]byte) ([]mapreduc
 }
 
 // DecodeKV parses one segment file into MapReduce records, straight from
-// its batches. Corruption fails the map task — an offline scan must never
-// silently undercount.
+// its batches. The []KV is sized once from the batch headers. Each batch is
+// decoded once, into a []Record reused across the segment, and its keys and
+// values are copied into one string that its KVs are substrings of: a
+// retained KV pins its batch's string, as a record.Record pins its arena.
+// Corruption fails the map task — an offline scan must never silently
+// undercount.
 func DecodeKV(data []byte) ([]mapreduce.KV, error) {
-	var out []mapreduce.KV
-	err := scanSegment(data, func(b record.Batch) {
-		out = slices.Grow(out, len(b.Records))
-		for i := range b.Records {
-			out = append(out, mapreduce.KV{Key: string(b.Records[i].Key), Value: string(b.Records[i].Value)})
+	out := make([]mapreduce.KV, 0, record.ClaimedRecords(data))
+	var recs []record.Record
+	err := scanSegment(data, func(batch []byte) error {
+		rs, _, err := record.DecodeRecords(batch)
+		if err != nil {
+			return err
 		}
+		recs = slices.Grow(recs[:0], rs.Len())[:rs.Len()]
+		size := 0
+		for i := range recs {
+			if err := rs.Next(&recs[i]); err != nil {
+				return err
+			}
+			size += len(recs[i].Key) + len(recs[i].Value)
+		}
+		var sb strings.Builder
+		sb.Grow(size)
+		for _, r := range recs {
+			sb.Write(r.Key)
+			sb.Write(r.Value)
+		}
+		s := sb.String()
+		for _, r := range recs {
+			k, v := len(r.Key), len(r.Key)+len(r.Value)
+			out = append(out, mapreduce.KV{Key: s[:k], Value: s[k:v]})
+			s = s[v:]
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

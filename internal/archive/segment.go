@@ -26,11 +26,11 @@ var ErrBadSegment = errors.New("archive: corrupt segment")
 // such a file is refused by name.
 var retiredFormats = [][]byte{[]byte("LIQARCH1"), []byte("LIQARCH2")}
 
-// scanSegment calls fn with each batch of a segment file, decoded. The file
-// comes from the DFS, so it is refused with ErrBadSegment unless it is a
-// run of whole batches with ascending offsets (one header walk), each
-// passing its CRC as record.Scan decodes it.
-func scanSegment(data []byte, fn func(record.Batch)) error {
+// scanSegment calls fn with each batch of a segment file, to decode. The
+// file comes from the DFS, so it is refused with ErrBadSegment unless it is
+// a run of whole batches with ascending offsets (one header walk), each
+// passing its CRC and decoding whole in fn.
+func scanSegment(data []byte, fn func(batch []byte) error) error {
 	for _, magic := range retiredFormats {
 		if bytes.HasPrefix(data, magic) {
 			return fmt.Errorf("%w: %s is a retired segment format; re-archive the feed", ErrBadSegment, magic)
@@ -40,16 +40,13 @@ func scanSegment(data []byte, fn func(record.Batch)) error {
 		return fmt.Errorf("%w: empty", ErrBadSegment)
 	}
 	last := int64(-1)
-	err := record.WalkBatches(data, func(_ int, b record.BatchInfo) error {
+	err := record.WalkBatches(data, func(pos int, b record.BatchInfo) error {
 		if b.BaseOffset <= last {
 			return fmt.Errorf("batch [%d, %d] after offset %d", b.BaseOffset, b.LastOffset, last)
 		}
 		last = b.LastOffset
-		return nil
+		return fn(data[pos : pos+b.Length])
 	})
-	if err == nil {
-		err = record.Scan(data, func(b record.Batch) error { fn(b); return nil })
-	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSegment, err)
 	}
@@ -59,7 +56,12 @@ func scanSegment(data []byte, fn func(record.Batch)) error {
 // DecodeSegment returns every record of a segment file (see scanSegment).
 func DecodeSegment(data []byte) ([]record.Record, error) {
 	var out []record.Record
-	if err := scanSegment(data, func(b record.Batch) { out = append(out, b.Records...) }); err != nil {
+	err := scanSegment(data, func(batch []byte) error {
+		b, _, err := record.DecodeBatch(batch)
+		out = append(out, b.Records...)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

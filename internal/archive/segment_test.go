@@ -2,11 +2,16 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/dfs"
+	"repro/internal/mapreduce"
 	"repro/internal/storage/record"
 )
 
@@ -246,5 +251,64 @@ func TestManifestCommitFencing(t *testing.T) {
 	}
 	if _, err := fs.Stat(man.Segments[0].Path); err != nil {
 		t.Fatalf("winner's segment gone: %v", err)
+	}
+}
+
+// decodeKVPerRecord is DecodeKV as it was written, two string copies per
+// record over record.DecodeBatch: the reference for the batch-string decode.
+func decodeKVPerRecord(t *testing.T, data []byte) []mapreduce.KV {
+	t.Helper()
+	var out []mapreduce.KV
+	for len(data) > 0 {
+		b, n, err := record.DecodeBatch(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range b.Records {
+			out = append(out, mapreduce.KV{Key: string(r.Key), Value: string(r.Value)})
+		}
+		data = data[n:]
+	}
+	return out
+}
+
+func TestDecodeKVMatchesPerRecordDecode(t *testing.T) {
+	var recs []record.Record
+	for i := 0; i < 40; i++ {
+		r := record.Record{Offset: int64(3 * i), Timestamp: int64(i), Key: []byte(fmt.Sprintf("key-%d", i)), Value: bytes.Repeat([]byte("v"), i)}
+		switch i % 5 {
+		case 1:
+			r.Key = nil
+		case 2:
+			r.Key, r.Value = []byte{}, nil
+		case 3:
+			r.Headers = []record.Header{{Key: "h", Value: []byte("hv")}}
+		}
+		recs = append(recs, r)
+	}
+	var batches []client.Batch
+	for i := 0; i < len(recs); i += 7 {
+		batches = append(batches, sealBatch(t, []record.Codec{record.CodecNone, record.CodecFlate}[i/7%2], recs[i:min(i+7, len(recs))]))
+	}
+	data := concat(batches)
+	got, err := DecodeKV(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := decodeKVPerRecord(t, data); !slices.Equal(got, want) {
+		t.Fatalf("DecodeKV = %q, per record %q", got, want)
+	}
+
+	// A batch whose count outruns its records passes the header walk and
+	// its CRC, and fails the decode.
+	short := bytes.Clone(batches[0].Data)
+	binary.BigEndian.PutUint32(short[58:], 8) // recordCount: one past the batch's 7
+	binary.BigEndian.PutUint32(short[32:], crc32.Checksum(short[36:], crc32.MakeTable(crc32.Castagnoli)))
+	garbled := bytes.Clone(data)
+	garbled[len(batches[0].Data)+record.HeaderLen+2] ^= 0xFF // inside batch 1's compressed records
+	for name, bad := range map[string][]byte{"short batch": short, "garbled": garbled} {
+		if _, err := DecodeKV(bad); !errors.Is(err, ErrBadSegment) {
+			t.Errorf("%s: DecodeKV = %v, want ErrBadSegment", name, err)
+		}
 	}
 }

@@ -56,7 +56,7 @@ type replica struct {
 	stateVersion int64
 	followers    map[int32]*followerState
 	waiters      []ackWaiter
-	notify       [2]chan struct{} // by readView: closed and replaced when the view's bound moves
+	notify       [2]chan struct{} // by readView: made when a waiter asks, closed and cleared when the view's bound moves
 	closed       bool
 	// tier is the partition's cold-tier engine, attached while this
 	// replica leads a tiered partition (leadership hand-over recovers it
@@ -71,25 +71,30 @@ func newReplica(t tp, l *log.Log, brokerID int32) *replica {
 		brokerID: brokerID,
 		leaderID: -1,
 		hw:       l.NextOffset(), // standalone logs start fully committed
-		notify:   [2]chan struct{}{make(chan struct{}), make(chan struct{})},
 	}
 }
 
 // notifyLocked wakes the long-polls of the given views: what they can read
 // moved (the log end for followers, the high watermark for consumers) or the
-// replica changed role.
+// replica changed role. A view whose channel no one has taken since the last
+// wake-up has nothing to close, and an append allocates nothing for it.
 func (r *replica) notifyLocked(views ...readView) {
 	for _, v := range views {
-		close(r.notify[v])
-		r.notify[v] = make(chan struct{})
+		if r.notify[v] != nil {
+			close(r.notify[v])
+			r.notify[v] = nil
+		}
 	}
 }
 
-// notifyChan returns the view's current broadcast channel; it is closed the
-// next time the view's bound moves.
+// notifyChan returns the view's current broadcast channel, making it if no
+// one holds one; it is closed the next time the view's bound moves.
 func (r *replica) notifyChan(v readView) <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.notify[v] == nil {
+		r.notify[v] = make(chan struct{})
+	}
 	return r.notify[v]
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/storage/record"
 	"repro/internal/wire"
 )
@@ -379,7 +380,8 @@ func (c *Consumer) deliver(resp *wire.FetchResponse, pos map[string]int64, take 
 }
 
 // fetchMessages is Poll's fetch: one leader's response decoded into
-// messages, in a slice sized once from every partition's batch headers.
+// messages, in a slice sized once from every partition's batch headers. Each
+// batch's CRC is checked once, by its decode.
 func (c *Consumer) fetchMessages(leader int32, parts []*consumerTP, maxWait time.Duration) ([]Message, error) {
 	resp, pos, err := c.fetchFrom(leader, parts, maxWait)
 	if resp == nil {
@@ -388,8 +390,7 @@ func (c *Consumer) fetchMessages(leader int32, parts []*consumerTP, maxWait time
 	total := 0
 	for _, t := range resp.Topics {
 		for _, p := range t.Partitions {
-			n, _ := record.CountRecords(p.Records) // an error is decodeFetched's to report
-			total += n
+			total += record.ClaimedRecords(p.Records)
 		}
 	}
 	out := make([]Message, 0, total)
@@ -405,16 +406,13 @@ func (c *Consumer) fetchMessages(leader int32, parts []*consumerTP, maxWait time
 			// to decode time. Clock skew can make it negative on
 			// multi-host setups; clamp rather than pollute the histogram.
 			nowMs := time.Now().UnixMilli()
-			h := m.e2eLatency.With(topic)
+			var lat metrics.LocalHistogram
 			for i := range msgs {
 				if ts := msgs[i].Timestamp; ts > 0 {
-					lat := (nowMs - ts) * int64(time.Millisecond)
-					if lat < 0 {
-						lat = 0
-					}
-					h.Observe(lat)
+					lat.Observe(max(nowMs-ts, 0) * int64(time.Millisecond))
 				}
 			}
+			m.e2eLatency.With(topic).Merge(&lat)
 		}
 		return next, nil
 	})

@@ -16,9 +16,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -348,42 +350,29 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 	return w.Close()
 }
 
-// Open opens a file for reading.
-func (fs *FS) Open(path string) (*Reader, error) {
+// ReadFile returns a file's full contents: its chunks as of the call, each
+// read straight into the one output buffer.
+func (fs *FS) ReadFile(path string) ([]byte, error) {
 	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.closed {
+		fs.mu.Unlock()
 		return nil, ErrClosed
 	}
 	fs.stats.MetadataOps++
 	meta, ok := fs.files[path]
+	fs.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	chunks := append([]string(nil), meta.chunks...)
-	return &Reader{fs: fs, chunks: chunks, size: meta.size}, nil
-}
-
-// ReadFile returns a file's full contents.
-func (fs *FS) ReadFile(path string) ([]byte, error) {
-	r, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	out := make([]byte, 0, r.size)
-	buf := make([]byte, fs.cfg.ChunkBytes)
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if err != nil {
-			if errors.Is(err, errEOF) {
-				return out, nil
-			}
-			return out, err
+	out := make([]byte, 0, meta.size)
+	for _, name := range meta.chunks {
+		var err error
+		if out, err = fs.readChunk(name, out); err != nil {
+			return nil, err
 		}
 	}
+	return out, nil
 }
 
 // List returns files whose paths start with prefix, sorted.
@@ -523,11 +512,6 @@ func (fs *FS) Close() error {
 	return nil
 }
 
-var errEOF = errors.New("dfs: EOF")
-
-// IsEOF reports whether err marks the end of a file.
-func IsEOF(err error) bool { return errors.Is(err, errEOF) }
-
 // Writer accumulates chunks; Close commits the file to the namenode.
 type Writer struct {
 	fs     *FS
@@ -611,45 +595,26 @@ func (w *Writer) Abort() {
 	w.fs.removeChunks(w.chunks)
 }
 
-// Reader streams a file chunk by chunk.
-type Reader struct {
-	fs     *FS
-	chunks []string
-	size   int64
-	idx    int
-	cur    []byte
-	done   bool
-}
-
-// Read fills p from the file, returning errEOF (test with IsEOF) at the
-// end.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.done {
-		return 0, ErrClosed
+// readChunk appends one chunk's bytes to dst, paying and counting the read.
+func (fs *FS) readChunk(name string, dst []byte) ([]byte, error) {
+	f, err := os.Open(fs.chunkPath(name))
+	if err != nil {
+		return dst, err
 	}
-	for len(r.cur) == 0 {
-		if r.idx >= len(r.chunks) {
-			return 0, errEOF
-		}
-		data, err := os.ReadFile(r.fs.chunkPath(r.chunks[r.idx]))
-		if err != nil {
-			return 0, err
-		}
-		r.idx++
-		r.fs.cfg.Cost.chargeRead(int64(len(data)))
-		r.fs.mu.Lock()
-		r.fs.stats.BytesRead += int64(len(data))
-		r.fs.stats.ChunksRead++
-		r.fs.mu.Unlock()
-		r.cur = data
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return dst, err
 	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
-}
-
-// Close releases the reader.
-func (r *Reader) Close() error {
-	r.done = true
-	return nil
+	n := int(info.Size())
+	dst = slices.Grow(dst, n)
+	if _, err := io.ReadFull(f, dst[len(dst):len(dst)+n]); err != nil {
+		return dst, err
+	}
+	fs.cfg.Cost.chargeRead(int64(n))
+	fs.mu.Lock()
+	fs.stats.BytesRead += int64(n)
+	fs.stats.ChunksRead++
+	fs.mu.Unlock()
+	return dst[:len(dst)+n], nil
 }

@@ -60,13 +60,13 @@ func TestFileInvisibleUntilClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Write([]byte("partial"))
-	if _, err := fs.Open("/pending"); !errors.Is(err, ErrNotFound) {
+	if _, err := fs.ReadFile("/pending"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("uncommitted file visible: %v", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Open("/pending"); err != nil {
+	if _, err := fs.ReadFile("/pending"); err != nil {
 		t.Fatalf("committed file not visible: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestAbortDiscards(t *testing.T) {
 	w, _ := fs.Create("/a")
 	w.Write([]byte("12345678")) // spills chunks
 	w.Abort()
-	if _, err := fs.Open("/a"); !errors.Is(err, ErrNotFound) {
+	if _, err := fs.ReadFile("/a"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("aborted file visible: %v", err)
 	}
 }
@@ -174,7 +174,7 @@ func TestRename(t *testing.T) {
 	if err := fs.Rename("/tmp/x", "/out/x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Open("/tmp/x"); !errors.Is(err, ErrNotFound) {
+	if _, err := fs.ReadFile("/tmp/x"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("old path still visible")
 	}
 	got, err := fs.ReadFile("/out/x")
@@ -274,7 +274,7 @@ func TestClosedFS(t *testing.T) {
 	if _, err := fs.Create("/x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("create on closed: %v", err)
 	}
-	if _, err := fs.Open("/x"); !errors.Is(err, ErrClosed) {
+	if _, err := fs.ReadFile("/x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("open on closed: %v", err)
 	}
 	// Mutations after Close must not touch the fsimage: the directory
@@ -328,10 +328,10 @@ func TestNamenodePersistsAcrossReopen(t *testing.T) {
 	if err != nil || string(got) != "beta" {
 		t.Fatalf("reopen read /keep/c = %q, %v", got, err)
 	}
-	if _, err := fs2.Open("/drop"); !errors.Is(err, ErrNotFound) {
+	if _, err := fs2.ReadFile("/drop"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted file visible after reopen: %v", err)
 	}
-	if _, err := fs2.Open("/keep/b"); !errors.Is(err, ErrNotFound) {
+	if _, err := fs2.ReadFile("/keep/b"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("renamed-away path visible after reopen: %v", err)
 	}
 	// New writes must not collide with chunk names from the first run.

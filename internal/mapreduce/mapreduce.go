@@ -8,11 +8,12 @@
 package mapreduce
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/dfs"
@@ -30,7 +31,7 @@ type KV struct {
 type Mapper func(key, value string, emit func(k, v string)) error
 
 // Reducer folds all intermediate values of one key into zero or more
-// output records.
+// output records. A job's reducers run concurrently, one per partition.
 type Reducer func(key string, values []string, emit func(k, v string)) error
 
 // IdentityMapper passes records through.
@@ -68,7 +69,8 @@ type JobSpec struct {
 	// Map and Reduce are the job's logic; nil selects identity.
 	Map    Mapper
 	Reduce Reducer
-	// NumReducers is the reduce-side parallelism (default 2).
+	// NumReducers is the number of reduce partitions and part files
+	// (default 2); each reducer runs on its own goroutine.
 	NumReducers int
 }
 
@@ -93,10 +95,12 @@ type JobStats struct {
 	MapInputRecords     int
 	IntermediateRecords int
 	OutputRecords       int
-	MapDuration         time.Duration
-	ShuffleDuration     time.Duration
-	ReduceDuration      time.Duration
-	Total               time.Duration
+	MapDuration         time.Duration // the map phase's wall time
+	// The longest any one reducer (they run concurrently) spent gathering
+	// and grouping its partition, and in Reduce calls.
+	ShuffleDuration time.Duration
+	ReduceDuration  time.Duration
+	Total           time.Duration
 }
 
 // EngineConfig parameterises the MR engine.
@@ -140,39 +144,56 @@ func NewEngine(fs *dfs.FS, cfg EngineConfig) *Engine {
 	return &Engine{fs: fs, cfg: cfg.withDefaults()}
 }
 
-// EncodeLines renders records as file content.
+// EncodeLines renders records as file content, in one allocation of the
+// final size.
 func EncodeLines(records []KV) []byte {
-	var b strings.Builder
+	size := 0
 	for _, r := range records {
-		b.WriteString(r.Key)
-		b.WriteByte('\t')
-		b.WriteString(r.Value)
-		b.WriteByte('\n')
+		size += len(r.Key) + len(r.Value) + 2
 	}
-	return []byte(b.String())
-}
-
-// DecodeLines parses file content into records. Malformed lines (no tab)
-// become records with an empty value.
-func DecodeLines(data []byte) []KV {
-	var out []KV
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, found := strings.Cut(line, "\t")
-		if !found {
-			out = append(out, KV{Key: line})
-			continue
-		}
-		out = append(out, KV{Key: k, Value: v})
+	out := make([]byte, 0, size)
+	for _, r := range records {
+		out = append(out, r.Key...)
+		out = append(out, '\t')
+		out = append(out, r.Value...)
+		out = append(out, '\n')
 	}
 	return out
 }
 
+// DecodeLines parses file content into records. Empty lines are skipped, a
+// final line needs no newline, a line's first tab splits key from value
+// (later tabs stay in the value), and a line without a tab becomes a record
+// with an empty value. Every record is a substring of one copy of data.
+func DecodeLines(data []byte) []KV {
+	out := make([]KV, 0, bytes.Count(data, []byte{'\n'})+1)
+	for s := string(data); s != ""; {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		if line != "" {
+			k, v, _ := strings.Cut(line, "\t")
+			out = append(out, KV{Key: k, Value: v})
+		}
+	}
+	return out
+}
+
+// fnv32a is hash/fnv's 32-bit FNV-1a over a string, with no hash.Hash32 and
+// no []byte conversion of the key.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
 // Run executes one job: map over every input file (intermediates
 // materialised to the DFS, partitioned for the reducers), a barrier, then
-// reduce each partition into an output file.
+// one goroutine per reducer shuffles and reduces its partition into a tmp
+// part. The job commits, renaming the tmp parts into OutputDir, only once
+// every reducer has succeeded; a failed job leaves no output.
 func (e *Engine) Run(spec JobSpec) (JobStats, error) {
 	spec = spec.withDefaults()
 	var stats JobStats
@@ -189,82 +210,74 @@ func (e *Engine) Run(spec JobSpec) (JobStats, error) {
 	if len(inputs) == 0 {
 		return stats, fmt.Errorf("mapreduce: no input under %q", spec.InputPrefix)
 	}
+	tmpDir := fmt.Sprintf("tmp/%s/", spec.Name)
+	tmpParts := spec.OutputDir + "_tmp-part-"
+	abort := func(err error) (JobStats, error) {
+		e.fs.DeletePrefix(tmpDir)
+		e.fs.DeletePrefix(tmpParts)
+		return stats, err
+	}
 
 	// Job launch: scheduler allocates containers.
 	e.cfg.pause()
 
-	// ---- Map phase: parallel over input files.
+	// ---- Map phase: parallel over input files, every task waited for so
+	// that none writes an intermediate after a failure has cleaned up.
 	mapStart := time.Now()
-	tmpDir := fmt.Sprintf("tmp/%s/", spec.Name)
-	type mapResult struct {
-		inRecords  int
-		outRecords int
-		err        error
-	}
 	sem := make(chan struct{}, e.cfg.MapParallelism)
-	results := make(chan mapResult, len(inputs))
+	maps := make([]taskResult, len(inputs))
+	var wg sync.WaitGroup
 	for m, path := range inputs {
 		sem <- struct{}{}
-		go func(m int, path string) {
-			defer func() { <-sem }()
-			res := e.runMapTask(spec, tmpDir, m, path)
-			results <- res
-		}(m, path)
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			maps[m] = e.runMapTask(spec, tmpDir, m, path)
+		}()
 	}
-	for range inputs {
-		res := <-results
+	wg.Wait()
+	for _, res := range maps {
 		if res.err != nil {
-			e.fs.DeletePrefix(tmpDir)
-			return stats, res.err
+			return abort(res.err)
 		}
-		stats.MapInputRecords += res.inRecords
-		stats.IntermediateRecords += res.outRecords
+		stats.MapInputRecords += res.in
+		stats.IntermediateRecords += res.out
 	}
 	stats.MapDuration = time.Since(mapStart)
 
 	// ---- Barrier: reducers start only after every mapper finished.
 	e.cfg.pause()
 
-	// ---- Shuffle + reduce phase.
-	shuffleStart := time.Now()
-	var reduceDur time.Duration
-	for r := 0; r < spec.NumReducers; r++ {
-		groups, err := e.shuffle(tmpDir, len(inputs), r)
-		if err != nil {
-			e.fs.DeletePrefix(tmpDir)
-			return stats, err
+	// ---- Shuffle + reduce phase: one goroutine per reducer.
+	reduces := make([]taskResult, spec.NumReducers)
+	for r := range reduces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reduces[r] = e.runReduceTask(spec, tmpDir, len(inputs), r, fmt.Sprintf("%s%05d", tmpParts, r))
+		}()
+	}
+	wg.Wait()
+	for _, res := range reduces {
+		if res.err != nil {
+			return abort(res.err)
 		}
-		rs := time.Now()
-		var out []KV
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		emit := func(k, v string) { out = append(out, KV{Key: k, Value: v}) }
-		for _, k := range keys {
-			if err := spec.Reduce(k, groups[k], emit); err != nil {
-				e.fs.DeletePrefix(tmpDir)
-				return stats, fmt.Errorf("mapreduce: reduce %q: %w", k, err)
+		stats.OutputRecords += res.out
+		stats.ShuffleDuration = max(stats.ShuffleDuration, res.shuffle)
+		stats.ReduceDuration = max(stats.ReduceDuration, res.reduce)
+	}
+
+	// ---- Job commit: every part renamed from its tmp name, the standard
+	// output-committer protocol. A rename that fails takes back the ones
+	// already done.
+	for r := range reduces {
+		if err := e.fs.Rename(fmt.Sprintf("%s%05d", tmpParts, r), fmt.Sprintf("%s/part-%05d", spec.OutputDir, r)); err != nil {
+			for done := range r {
+				e.fs.Delete(fmt.Sprintf("%s/part-%05d", spec.OutputDir, done))
 			}
-		}
-		reduceDur += time.Since(rs)
-		stats.OutputRecords += len(out)
-		// Write to a temporary name, then commit by rename — the
-		// standard output-committer protocol.
-		tmpOut := fmt.Sprintf("%s_tmp-part-%05d", spec.OutputDir, r)
-		finalOut := fmt.Sprintf("%s/part-%05d", spec.OutputDir, r)
-		if err := e.fs.WriteFile(tmpOut, EncodeLines(out)); err != nil {
-			e.fs.DeletePrefix(tmpDir)
-			return stats, err
-		}
-		if err := e.fs.Rename(tmpOut, finalOut); err != nil {
-			e.fs.DeletePrefix(tmpDir)
-			return stats, err
+			return abort(err)
 		}
 	}
-	stats.ShuffleDuration = time.Since(shuffleStart) - reduceDur
-	stats.ReduceDuration = reduceDur
 
 	// Intermediates are garbage once the job commits.
 	e.fs.DeletePrefix(tmpDir)
@@ -272,13 +285,16 @@ func (e *Engine) Run(spec JobSpec) (JobStats, error) {
 	return stats, nil
 }
 
+// taskResult is what a map or a reduce task reports.
+type taskResult struct {
+	in, out         int
+	shuffle, reduce time.Duration
+	err             error
+}
+
 // runMapTask maps one input file, materialising one intermediate file per
 // reduce partition.
-func (e *Engine) runMapTask(spec JobSpec, tmpDir string, m int, path string) (res struct {
-	inRecords  int
-	outRecords int
-	err        error
-}) {
+func (e *Engine) runMapTask(spec JobSpec, tmpDir string, m int, path string) (res taskResult) {
 	data, err := e.fs.ReadFile(path)
 	if err != nil {
 		res.err = err
@@ -289,15 +305,9 @@ func (e *Engine) runMapTask(spec JobSpec, tmpDir string, m int, path string) (re
 		res.err = fmt.Errorf("mapreduce: decode %s: %w", path, err)
 		return res
 	}
-	res.inRecords = len(records)
-	parts := make([][]KV, spec.NumReducers)
-	emit := func(k, v string) {
-		h := fnv.New32a()
-		h.Write([]byte(k))
-		p := int(h.Sum32() % uint32(spec.NumReducers))
-		parts[p] = append(parts[p], KV{Key: k, Value: v})
-		res.outRecords++
-	}
+	res.in = len(records)
+	parts := make(partitions, spec.NumReducers)
+	emit := parts.emit
 	for _, rec := range records {
 		if err := spec.Map(rec.Key, rec.Value, emit); err != nil {
 			res.err = fmt.Errorf("mapreduce: map %s: %w", path, err)
@@ -307,8 +317,8 @@ func (e *Engine) runMapTask(spec JobSpec, tmpDir string, m int, path string) (re
 	// Materialise every partition — this DFS round trip per stage is the
 	// latency the paper's nearline path eliminates.
 	for p, recs := range parts {
-		name := fmt.Sprintf("%smap-%05d-part-%05d", tmpDir, m, p)
-		if err := e.fs.WriteFile(name, EncodeLines(recs)); err != nil {
+		res.out += len(recs)
+		if err := e.fs.WriteFile(fmt.Sprintf("%smap-%05d-part-%05d", tmpDir, m, p), EncodeLines(recs)); err != nil {
 			res.err = err
 			return res
 		}
@@ -316,24 +326,53 @@ func (e *Engine) runMapTask(spec JobSpec, tmpDir string, m int, path string) (re
 	return res
 }
 
-// shuffle gathers one reducer's partition from every map task and groups
-// values by key.
-func (e *Engine) shuffle(tmpDir string, numMaps, r int) (map[string][]string, error) {
+// partitions is a map task's output by reduce partition.
+type partitions [][]KV
+
+// emit routes a record to the partition its key's FNV-1a hash picks.
+func (ps partitions) emit(k, v string) {
+	p := fnv32a(k) % uint32(len(ps))
+	ps[p] = append(ps[p], KV{Key: k, Value: v})
+}
+
+// runReduceTask gathers partition r from every map task, grouping values by
+// key, reduces it in key order and writes the output to tmpPart,
+// uncommitted.
+func (e *Engine) runReduceTask(spec JobSpec, tmpDir string, numMaps, r int, tmpPart string) (res taskResult) {
+	start := time.Now()
 	groups := make(map[string][]string)
 	for m := 0; m < numMaps; m++ {
-		name := fmt.Sprintf("%smap-%05d-part-%05d", tmpDir, m, r)
-		data, err := e.fs.ReadFile(name)
+		data, err := e.fs.ReadFile(fmt.Sprintf("%smap-%05d-part-%05d", tmpDir, m, r))
+		if errors.Is(err, dfs.ErrNotFound) {
+			continue // mapper emitted nothing for this partition
+		}
 		if err != nil {
-			if errors.Is(err, dfs.ErrNotFound) {
-				continue // mapper emitted nothing for this partition
-			}
-			return nil, err
+			res.err = err
+			return res
 		}
 		for _, rec := range DecodeLines(data) {
 			groups[rec.Key] = append(groups[rec.Key], rec.Value)
 		}
 	}
-	return groups, nil
+	res.shuffle = time.Since(start)
+	start = time.Now()
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]KV, 0, len(keys))
+	emit := func(k, v string) { out = append(out, KV{Key: k, Value: v}) }
+	for _, k := range keys {
+		if err := spec.Reduce(k, groups[k], emit); err != nil {
+			res.err = fmt.Errorf("mapreduce: reduce %q: %w", k, err)
+			return res
+		}
+	}
+	res.reduce = time.Since(start)
+	res.out = len(out)
+	res.err = e.fs.WriteFile(tmpPart, EncodeLines(out))
+	return res
 }
 
 // Pipeline chains jobs: each stage's output directory is the next stage's

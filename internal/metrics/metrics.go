@@ -87,22 +87,55 @@ type Histogram struct {
 
 // Observe records a single observation. Values below 1 are clamped to 1.
 func (h *Histogram) Observe(v int64) {
-	if v < 1 {
-		v = 1
-	}
+	v = max(v, 1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+	h.buckets[bucket(v)].Add(1)
+}
+
+func (h *Histogram) raiseMax(v int64) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
+			return
 		}
 	}
-	b := bits64(uint64(v))
-	if b >= histBuckets {
-		b = histBuckets - 1
+}
+
+// bucket returns the bucket of an observation of at least 1.
+func bucket(v int64) int { return min(bits64(uint64(v)), histBuckets-1) }
+
+// LocalHistogram gathers observations for a Histogram on one goroutine,
+// without atomics, for a caller that records many at once: it observes into
+// a LocalHistogram and then merges it into the Histogram in one step.
+type LocalHistogram struct {
+	count, sum, max int64
+	buckets         [histBuckets]int64
+}
+
+// Observe records a single observation, clamped as Histogram.Observe does.
+func (l *LocalHistogram) Observe(v int64) {
+	v = max(v, 1)
+	l.count++
+	l.sum += v
+	l.max = max(l.max, v)
+	l.buckets[bucket(v)]++
+}
+
+// Merge adds every observation l holds to h.
+func (h *Histogram) Merge(l *LocalHistogram) {
+	if l.count == 0 {
+		return
 	}
-	h.buckets[b].Add(1)
+	h.count.Add(l.count)
+	h.sum.Add(l.sum)
+	h.raiseMax(l.max)
+	for i, n := range l.buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
 }
 
 // ObserveSince records the time elapsed since start in nanoseconds.

@@ -142,6 +142,31 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
+// Observing into a LocalHistogram and merging it leaves a Histogram exactly
+// as observing each value into it would, onto earlier observations too.
+func TestLocalHistogramMergeMatchesObserve(t *testing.T) {
+	vals := []int64{-5, 0, 1, 2, 3, 1000, 1 << 40, math.MaxInt64, 77}
+	var direct, merged Histogram
+	direct.Observe(9)
+	merged.Observe(9)
+	var l LocalHistogram
+	merged.Merge(&l) // empty: a no-op
+	for _, v := range vals {
+		direct.Observe(v)
+		l.Observe(v)
+	}
+	merged.Merge(&l)
+	if direct.Count() != merged.Count() || direct.Sum() != merged.Sum() || direct.Max() != merged.Max() {
+		t.Fatalf("merged count/sum/max %d/%d/%d, observed %d/%d/%d",
+			merged.Count(), merged.Sum(), merged.Max(), direct.Count(), direct.Sum(), direct.Max())
+	}
+	for i := range direct.buckets {
+		if a, b := direct.buckets[i].Load(), merged.buckets[i].Load(); a != b {
+			t.Fatalf("bucket %d: merged %d, observed %d", i, b, a)
+		}
+	}
+}
+
 func TestRegistryReturnsSameInstance(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("x")

@@ -301,11 +301,21 @@ func TestTaskRestartAfterProcessingFailure(t *testing.T) {
 		}
 	}
 	// All 10 messages eventually come out (at-least-once: duplicates
-	// possible around the failure, loss is not).
-	got := drain(t, s, "survived", 1, 10, 15*time.Second)
+	// possible around the failure, loss is not). Read until every value
+	// has been seen, not until ten messages have: a restart that replays
+	// from offset 0 re-sends m0..m4 first, and those duplicates can make
+	// up ten messages before m6..m9 arrive.
+	cons := s.NewConsumer(client.ConsumerConfig{})
+	defer cons.Close()
+	if err := cons.Assign("survived", 0, client.StartEarliest); err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
-	for _, m := range got {
-		seen[string(m.Value)] = true
+	for deadline := time.Now().Add(15 * time.Second); len(seen) < 10 && time.Now().Before(deadline); {
+		msgs, _ := cons.Poll(200 * time.Millisecond)
+		for _, m := range msgs {
+			seen[string(m.Value)] = true
+		}
 	}
 	for i := 0; i < 10; i++ {
 		v := fmt.Sprintf("m%d", i)

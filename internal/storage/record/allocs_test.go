@@ -26,6 +26,29 @@ func TestDecodeBatchAllocsIndependentOfRecordCount(t *testing.T) {
 	}
 }
 
+// DecodeRecords is DecodeBatch without the []Record: decoding a batch and
+// walking every record allocates the arena alone.
+func TestDecodeRecordsAllocatesTheArenaAlone(t *testing.T) {
+	for _, codec := range allCodecs {
+		for _, n := range []int{10, 1000} {
+			sealed := seal(t, EncodeBatch(0, benchCompressible(n, 100)), codec)
+			var r Record
+			allocs := testing.AllocsPerRun(50, func() {
+				rs, _, err := DecodeRecords(sealed)
+				for err == nil && rs.Len() > 0 {
+					err = rs.Next(&r)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", codec, err)
+				}
+			})
+			if allocs != 1 {
+				t.Errorf("%s, %d records: %v allocations per decode, want 1", codec, n, allocs)
+			}
+		}
+	}
+}
+
 // The leader's produce-path validation only looks at the inflated bytes: it
 // inflates into the pooled scratch with the pooled tables, walks it and,
 // once the pool is warm, allocates nothing.

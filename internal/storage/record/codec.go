@@ -104,6 +104,11 @@ func CompressRaw(codec Codec, body []byte) ([]byte, error) {
 // reported corrupt. The scratch never grows past it.
 const maxInflatedBody = 64 << 20
 
+// maxDeflateRatio bounds what one byte of a deflate stream can inflate to: a
+// 258-byte match costs at least a 1-bit length code and a 1-bit distance
+// code. Header-only record counts use it to clip a compressed batch's claim.
+const maxDeflateRatio = 1032
+
 // inflater is everything one inflation needs, pooled as a unit so that a
 // steady-state inflate allocates nothing: the Huffman tables of the block
 // being decoded (inflate.go) and the scratch the region inflates into. A

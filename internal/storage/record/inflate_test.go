@@ -410,3 +410,22 @@ func BenchmarkInflate(b *testing.B) {
 		}
 	})
 }
+
+// No deflate stream inflates past maxDeflateRatio, the bound header-only
+// record counts clip a compressed claim to: neither compress/flate's best on
+// a run of one byte nor the hand-made bomb of two-bit 258-byte matches.
+func TestDeflateRatioBound(t *testing.T) {
+	for _, n := range []int{1, 258, 1 << 16, 8 << 20} {
+		if deflated := deflate(t, flate.BestCompression, make([]byte, n)); n > maxDeflateRatio*len(deflated) {
+			t.Fatalf("%d bytes deflate to %d: ratio over %d", n, len(deflated), maxDeflateRatio)
+		}
+	}
+	bomb := deflateBomb()
+	n, err := io.Copy(io.Discard, flate.NewReader(bytes.NewReader(bomb)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > int64(maxDeflateRatio*len(bomb)) {
+		t.Fatalf("the %d-byte bomb inflates to %d bytes: ratio over %d", len(bomb), n, maxDeflateRatio)
+	}
+}

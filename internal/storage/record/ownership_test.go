@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -156,9 +157,10 @@ func TestTruncatedStreamIsCorrupt(t *testing.T) {
 	}
 }
 
-// CountRecords sizes a consumer's output from headers: it must agree with a
-// full decode on mixed-codec input, stop at a trailing partial batch, and
-// refuse a corrupt one.
+// ClaimedRecords sizes a consumer's output from headers: it must agree with
+// a full decode on mixed-codec input, stop at a trailing partial batch, count
+// a batch whose CRC fails (the decode that follows refuses it), and clip a
+// header's claim to what its bytes could hold.
 func TestCountRecordsFromHeaders(t *testing.T) {
 	var buf []byte
 	want := 0
@@ -166,23 +168,24 @@ func TestCountRecordsFromHeaders(t *testing.T) {
 		buf = append(buf, seal(t, EncodeBatch(int64(want), testRecords(3+i)), codec)...)
 		want += 3 + i
 	}
-	for _, data := range [][]byte{buf, append(append([]byte(nil), buf...), buf[:40]...), append(append([]byte(nil), buf...), buf[:batchHeaderLen+5]...)} {
-		if n, err := CountRecords(data); err != nil || n != want {
-			t.Fatalf("CountRecords = %d, %v; want %d", n, err, want)
+	bad := bytes.Clone(buf)
+	bad[len(bad)-1] ^= 1
+	for _, data := range [][]byte{buf, bad, append(bytes.Clone(buf), buf[:40]...), append(bytes.Clone(buf), buf[:batchHeaderLen+5]...)} {
+		if n := ClaimedRecords(data); n != want {
+			t.Fatalf("ClaimedRecords = %d, want %d", n, want)
 		}
 	}
-	bad := append([]byte(nil), buf...)
-	bad[len(bad)-1] ^= 1
-	if n, err := CountRecords(bad); !errors.Is(err, ErrCorrupt) || n != want-6 {
-		t.Fatalf("CountRecords over a corrupt last batch = %d, %v; want %d, ErrCorrupt", n, err, want-6)
-	}
-	// A CRC-valid header that claims more than its bytes could hold is
-	// clipped, not believed.
 	liar := EncodeBatch(0, testRecords(2))
 	liar[attrsOffset+22] = 0x7F // recordCount high byte
-	fixCRC(liar)
-	if n, err := CountRecords(liar); err != nil || n > len(liar)/minRecordLen {
-		t.Fatalf("CountRecords of an over-claiming header = %d, %v; want at most %d", n, err, len(liar)/minRecordLen)
+	if n := ClaimedRecords(liar); n != (len(liar)-batchHeaderLen)/minRecordLen {
+		t.Fatalf("ClaimedRecords of an over-claiming header = %d, want %d", n, (len(liar)-batchHeaderLen)/minRecordLen)
+	}
+	// A compressed batch's claim is clipped to what its bytes could inflate to.
+	liar = seal(t, EncodeBatch(0, testRecords(2)), CodecFlate)
+	liar[attrsOffset+22] = 0x7F
+	body := len(liar) - batchHeaderLen
+	if n := ClaimedRecords(liar); n != maxDeflateRatio*body/minRecordLen {
+		t.Fatalf("ClaimedRecords of an over-claiming compressed header = %d, want %d", n, maxDeflateRatio*body/minRecordLen)
 	}
 }
 
@@ -218,5 +221,56 @@ func TestOffsetForTimestamp(t *testing.T) {
 	}
 	if got, err := OffsetForTimestamp(buf[:len(buf)-4], 115); err != nil || got != -1 {
 		t.Errorf("lookup ending in a partial batch = %d, %v; want -1", got, err)
+	}
+}
+
+// DecodeRecords hands out exactly DecodeBatch's records, in order, under the
+// same ownership rule; a Record reused across Next calls loses the headers
+// of the one before, and a call past the end is ErrCorrupt.
+func TestDecodeRecordsMatchesDecodeBatch(t *testing.T) {
+	recs := testRecords(7)
+	recs[2].Headers = nil
+	recs[3].Key = nil
+	recs[4].Value = []byte{}
+	for _, codec := range allCodecs {
+		sealed := seal(t, EncodeBatch(40, recs), codec)
+		want, wantN, err := DecodeBatch(sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, n, err := DecodeRecords(sealed)
+		if err != nil || n != wantN || rs.Len() != len(want.Records) {
+			t.Fatalf("%s: DecodeRecords = %d records, %d bytes, %v; want %d, %d", codec, rs.Len(), n, err, len(want.Records), wantN)
+		}
+		var r Record
+		for i := range want.Records {
+			if err := rs.Next(&r); err != nil {
+				t.Fatalf("%s: record %d: %v", codec, i, err)
+			}
+			if !reflect.DeepEqual(r, want.Records[i]) {
+				t.Fatalf("%s: record %d = %v, want %v", codec, i, r, want.Records[i])
+			}
+		}
+		if err := rs.Next(&r); !errors.Is(err, ErrCorrupt) || rs.Len() != 0 {
+			t.Fatalf("%s: Next past the end: %v, Len %d", codec, err, rs.Len())
+		}
+	}
+	// A count the records do not fill passed the CRC: the decode fails at
+	// the first record the arena cannot hold.
+	liar := EncodeBatch(0, testRecords(2))
+	liar[attrsOffset+25]++ // recordCount low byte: 3
+	fixCRC(liar)
+	rs, _, err := DecodeRecords(liar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Record
+	for i := 0; i < 2; i++ {
+		if err := rs.Next(&r); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if err := rs.Next(&r); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("record past the body: %v, want ErrCorrupt", err)
 	}
 }

@@ -148,7 +148,7 @@ func EncodeBatchKeepOffsets(records []Record) []byte {
 // OffsetForTimestamp returns the offset of the first record in buf whose
 // timestamp is at or after ts, or -1 when there is none. It decodes only a
 // batch whose header MaxTimestamp reaches ts; the ones it skips are neither
-// CRC-checked nor inflated. A trailing partial batch is tolerated as in Scan.
+// CRC-checked nor inflated. A trailing partial batch is tolerated as in ScanRecords.
 func OffsetForTimestamp(buf []byte, ts int64) (int64, error) {
 	for len(buf) > 0 {
 		if info, err := PeekBatchInfo(buf); err == nil && info.Length <= len(buf) && info.MaxTimestamp < ts {

@@ -275,25 +275,49 @@ func StampProducer(buf []byte, id int64, epoch int32, baseSeq int64) error {
 // retained record pins at most its own batch, so a long-lived structure
 // clones what it keeps; appending to one field cannot reach its neighbour.
 func DecodeBatch(buf []byte) (Batch, int, error) {
-	total, err := PeekBatchLen(buf)
+	rs, total, err := DecodeRecords(buf)
 	if err != nil {
 		return Batch{}, 0, err
+	}
+	records := make([]Record, rs.Len())
+	for i := range records {
+		if err := rs.Next(&records[i]); err != nil {
+			return Batch{}, 0, err
+		}
+	}
+	return Batch{BaseOffset: rs.base, Records: records}, total, nil
+}
+
+// Records hands out the records of one batch decoded by DecodeRecords, one
+// at a time, each decoded from the batch's arena when asked for.
+type Records struct {
+	arena        []byte
+	pos, left    int
+	base, baseTS int64
+}
+
+// DecodeRecords is DecodeBatch without the []Record: it checks the CRC,
+// inflates or copies the body into the batch's one private arena and returns
+// the records as an iterator, with the number of bytes consumed. The records
+// Next fills in follow DecodeBatch's ownership rule.
+func DecodeRecords(buf []byte) (Records, int, error) {
+	total, err := PeekBatchLen(buf)
+	if err != nil {
+		return Records{}, 0, err
 	}
 	b := buf[:total]
 	wantCRC := binary.BigEndian.Uint32(b[crcOffset:])
 	if crc32.Checksum(b[crcDataOffset:], castagnoli) != wantCRC {
-		return Batch{}, 0, ErrCorrupt
+		return Records{}, 0, ErrCorrupt
 	}
-	baseOffset := int64(binary.BigEndian.Uint64(b[0:]))
-	baseTS := int64(binary.BigEndian.Uint64(b[attrsOffset+6:]))
 	count := int(int32(binary.BigEndian.Uint32(b[attrsOffset+22:])))
 	if count < 0 {
-		return Batch{}, 0, ErrCorrupt
+		return Records{}, 0, ErrCorrupt
 	}
 	var arena []byte
 	if codec := Codec(int16(binary.BigEndian.Uint16(b[attrsOffset:])) & codecMask); codec != CodecNone {
 		if arena, err = DecompressRaw(codec, b[batchHeaderLen:]); err != nil {
-			return Batch{}, 0, err
+			return Records{}, 0, err
 		}
 	} else {
 		arena = make([]byte, total-batchHeaderLen)
@@ -303,16 +327,32 @@ func DecodeBatch(buf []byte) (Batch, int, error) {
 	// The count is header data, not yet proven against the body: one the
 	// region could not possibly hold is corrupt, not a huge allocation.
 	if count > len(arena)/minRecordLen {
-		return Batch{}, 0, ErrCorrupt
+		return Records{}, 0, ErrCorrupt
 	}
-	records := make([]Record, count)
-	pos := 0
-	for i := range records {
-		if pos, err = decodeRecord(arena, pos, baseOffset, baseTS, &records[i]); err != nil {
-			return Batch{}, 0, err
-		}
+	return Records{
+		arena:  arena,
+		left:   count,
+		base:   int64(binary.BigEndian.Uint64(b[0:])),
+		baseTS: int64(binary.BigEndian.Uint64(b[attrsOffset+6:])),
+	}, total, nil
+}
+
+// Len reports how many records Next has yet to hand out.
+func (rs *Records) Len() int { return rs.left }
+
+// Next decodes the next record into r, overwriting every field. A record
+// that runs past the arena, or a call once Len is 0, is ErrCorrupt.
+func (rs *Records) Next(r *Record) error {
+	if rs.left == 0 {
+		return ErrCorrupt
 	}
-	return Batch{BaseOffset: baseOffset, Records: records}, total, nil
+	pos, err := decodeRecord(rs.arena, rs.pos, rs.base, rs.baseTS, r)
+	if err != nil {
+		return err
+	}
+	rs.pos = pos
+	rs.left--
+	return nil
 }
 
 // minRecordLen is the encoded size of a record with a nil key, a nil value
@@ -330,6 +370,7 @@ func decodeRecord(b []byte, pos int, baseOffset, baseTS int64, r *Record) (int, 
 	var err error
 	r.Offset = baseOffset + int64(offsetDelta)
 	r.Timestamp = baseTS + tsDelta
+	r.Headers = nil
 	r.Key, pos, err = getBytes(b, pos)
 	if err != nil {
 		return 0, err
@@ -382,20 +423,27 @@ func getBytes(b []byte, pos int) ([]byte, int, error) {
 	return b[pos:end:end], end, nil
 }
 
-// Scan iterates over consecutive batches in buf, invoking fn for each. It
-// stops early if fn returns an error (which is then returned) and tolerates
-// a trailing partial batch, which is common when a fetch response was cut at
-// a byte limit.
-func Scan(buf []byte, fn func(Batch) error) error {
+// ScanRecords iterates over every record in every complete batch in buf,
+// decoding each batch once, with no []Record (see DecodeRecords). It stops
+// early if fn returns an error (which is then returned) and tolerates a
+// trailing partial batch, which is common when a fetch response was cut at a
+// byte limit. A batch's CRC and inflation are checked before fn sees any of
+// its records, but its records are decoded as fn is called: if one fails to
+// parse in a batch that passed its CRC (the leader's ValidateBatch refuses
+// such a batch), fn has already seen the records before it.
+func ScanRecords(buf []byte, fn func(Record) error) error {
 	for len(buf) > 0 {
-		b, n, err := DecodeBatch(buf)
+		rs, n, err := DecodeRecords(buf)
 		if err == ErrShort {
 			return nil // trailing partial batch: normal at fetch boundaries
 		}
-		if err != nil {
-			return err
+		for err == nil && rs.Len() > 0 {
+			var r Record
+			if err = rs.Next(&r); err == nil {
+				err = fn(r)
+			}
 		}
-		if err := fn(b); err != nil {
+		if err != nil {
 			return err
 		}
 		buf = buf[n:]
@@ -403,40 +451,24 @@ func Scan(buf []byte, fn func(Batch) error) error {
 	return nil
 }
 
-// ScanRecords iterates over every record in every complete batch in buf.
-func ScanRecords(buf []byte, fn func(Record) error) error {
-	return Scan(buf, func(b Batch) error {
-		for i := range b.Records {
-			if err := fn(b.Records[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// CountRecords returns the number of records in the complete batches in buf
-// from their CRC-verified headers alone, nothing inflated or decoded, so a
-// reader can size its output once per fetch. Each header's claim is clipped
-// to what the batch could hold; a trailing partial batch is tolerated.
-func CountRecords(buf []byte) (int, error) {
+// ClaimedRecords is the number of records the complete batches in buf claim
+// in their headers, each claim clipped to what its batch could hold, so that
+// a reader can size its output once before decoding: never fewer than
+// ScanRecords then delivers. Nothing is inflated or CRC-checked (the decode
+// that follows checks each CRC); like the decode, the walk stops at a length
+// that does not parse or a trailing partial batch.
+func ClaimedRecords(buf []byte) int {
 	n := 0
-	for len(buf) > 0 {
-		info, err := CheckBatch(buf)
-		if err == ErrShort {
-			break
-		}
-		if err != nil {
-			return n, err
-		}
-		body := info.Length - batchHeaderLen
+	for total, err := PeekBatchLen(buf); err == nil; total, err = PeekBatchLen(buf) {
+		body := total - batchHeaderLen
 		if codec, _ := PeekCodec(buf); codec != CodecNone {
-			body = maxInflatedBody
+			body = min(maxInflatedBody, maxDeflateRatio*body)
 		}
-		n += min(info.RecordCount, body/minRecordLen)
-		buf = buf[info.Length:]
+		count := int(int32(binary.BigEndian.Uint32(buf[attrsOffset+22:])))
+		n += min(max(count, 0), body/minRecordLen)
+		buf = buf[total:]
 	}
-	return n, nil
+	return n
 }
 
 // String implements fmt.Stringer for debugging.

@@ -236,20 +236,19 @@ func TestScanMultipleBatches(t *testing.T) {
 	var buf []byte
 	buf = append(buf, EncodeBatch(0, sampleRecords())...)
 	buf = append(buf, EncodeBatch(4, sampleRecords()[:2])...)
-	var bases []int64
-	err := Scan(buf, func(b Batch) error {
-		bases = append(bases, b.BaseOffset)
+	var offsets []int64
+	err := ScanRecords(buf, func(r Record) error {
+		offsets = append(offsets, r.Offset)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Scan: %v", err)
+		t.Fatalf("ScanRecords: %v", err)
 	}
-	if !reflect.DeepEqual(bases, []int64{0, 4}) {
-		t.Fatalf("bases = %v, want [0 4]", bases)
+	if !reflect.DeepEqual(offsets, []int64{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("offsets = %v, want [0 1 2 3 4 5]", offsets)
 	}
-	n, err := CountRecords(buf)
-	if err != nil || n != 6 {
-		t.Fatalf("CountRecords = %d, %v; want 6, nil", n, err)
+	if n := ClaimedRecords(buf); n != 6 {
+		t.Fatalf("ClaimedRecords = %d, want 6", n)
 	}
 }
 
@@ -257,15 +256,15 @@ func TestScanToleratesTrailingPartial(t *testing.T) {
 	full := EncodeBatch(0, sampleRecords())
 	buf := append(append([]byte(nil), full...), full[:10]...)
 	count := 0
-	err := Scan(buf, func(b Batch) error {
+	err := ScanRecords(buf, func(Record) error {
 		count++
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Scan: %v", err)
+		t.Fatalf("ScanRecords: %v", err)
 	}
-	if count != 1 {
-		t.Fatalf("scanned %d batches, want 1", count)
+	if count != len(sampleRecords()) {
+		t.Fatalf("scanned %d records, want the first batch's %d", count, len(sampleRecords()))
 	}
 }
 
