@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/state"
 	"repro/internal/storage/record"
 	"repro/internal/wire"
 )
@@ -54,17 +55,56 @@ func decodeOffsetKey(b []byte) (offsetKey, bool) {
 	return offsetKey{group: parts[0], topic: parts[1], partition: int32(p)}, true
 }
 
+// offsetState is the checkpoint histories of one offsets-topic partition:
+// the state.Writer that load folds the partition's log into.
+type offsetState map[offsetKey][]Checkpoint
+
+// Put keeps the history a record carries; an undecodable key or history is
+// skipped.
+func (s offsetState) Put(k, v []byte) error {
+	var hist []Checkpoint
+	if key, ok := decodeOffsetKey(k); ok && json.Unmarshal(v, &hist) == nil {
+		s[key] = hist
+	}
+	return nil
+}
+
+// Delete drops the history a tombstone names.
+func (s offsetState) Delete(k []byte) error {
+	if key, ok := decodeOffsetKey(k); ok {
+		delete(s, key)
+	}
+	return nil
+}
+
 // offsetManager maintains checkpoint histories in memory, persisted to the
 // compacted offsets topic so they survive coordinator failover.
 type offsetManager struct {
 	b *Broker
 
-	mu     sync.Mutex
-	byPart map[int32]map[offsetKey][]Checkpoint // offsets-topic partition -> state
+	mu sync.Mutex
+	// byPart maps each offsets-topic partition this broker leads to its
+	// state; nil marks one led but unloaded, whose log failed to load.
+	byPart map[int32]offsetState
 }
 
 func newOffsetManager(b *Broker) *offsetManager {
-	return &offsetManager{b: b, byPart: make(map[int32]map[offsetKey][]Checkpoint)}
+	return &offsetManager{b: b, byPart: make(map[int32]offsetState)}
+}
+
+// stateLocked returns an offsets-topic partition's state, or the code that
+// answers its groups: ErrNotCoordinator where this broker does not lead it,
+// the retriable ErrCoordinatorNotAvailable where its load failed. The
+// caller holds o.mu.
+func (o *offsetManager) stateLocked(opart int32) (offsetState, wire.ErrorCode) {
+	st, ok := o.byPart[opart]
+	switch {
+	case !ok:
+		return nil, wire.ErrNotCoordinator
+	case st == nil:
+		return nil, wire.ErrCoordinatorNotAvailable
+	}
+	return st, wire.ErrNone
 }
 
 // groupPartition maps a group to its offsets-topic partition.
@@ -75,11 +115,17 @@ func groupPartition(group string, numPartitions int32) int32 {
 }
 
 // load replays an offsets-topic partition into memory; called when this
-// broker becomes its leader.
+// broker becomes its leader. It is one pass over the local log: each read
+// is folded by state.ApplyBatches, which advances past whole batches or
+// fails, so load holds applyPartitionState for one pass at most, never for
+// an unbounded time. A batch that fails (CRC, inflation, a record that
+// does not parse) leaves the partition led but unloaded: nothing is
+// published, the failure is logged and counted, and its groups are
+// answered the retriable ErrCoordinatorNotAvailable. Repairing the log is
+// not load's business.
 func (o *offsetManager) load(partition int32, r *replica) {
-	state := make(map[offsetKey][]Checkpoint)
-	off := r.log.StartOffset()
-	for {
+	st := make(offsetState)
+	for off := r.log.StartOffset(); ; {
 		// The replication view: a new leader never truncates, so its whole
 		// log, uncommitted tail included, is what it will serve.
 		res, code := r.read(off, 1<<20, viewReplication)
@@ -87,29 +133,16 @@ func (o *offsetManager) load(partition int32, r *replica) {
 		if code != wire.ErrNone || err != nil || len(data) == 0 {
 			break
 		}
-		record.ScanRecords(data, func(rec record.Record) error {
-			if rec.Offset < off {
-				return nil
-			}
-			off = rec.Offset + 1
-			key, ok := decodeOffsetKey(rec.Key)
-			if !ok {
-				return nil
-			}
-			if rec.Value == nil {
-				delete(state, key)
-				return nil
-			}
-			var hist []Checkpoint
-			if json.Unmarshal(rec.Value, &hist) == nil {
-				state[key] = hist
-			}
-			return nil
-		})
+		if off, _, err = state.ApplyBatches(st, data, off); err != nil {
+			o.b.logger.Error("offset manager load failed", "partition", partition, "offset", off, "err", err)
+			o.b.cfg.Metrics.Counter("broker.offsets.load_failures").Inc()
+			st = nil
+			break
+		}
 	}
-	keys := len(state) // read before publishing: commit mutates the map under o.mu
+	keys := len(st) // read before publishing: commit mutates the map under o.mu
 	o.mu.Lock()
-	o.byPart[partition] = state
+	o.byPart[partition] = st
 	o.mu.Unlock()
 	o.b.logger.Debug("offset manager loaded", "partition", partition, "keys", keys)
 }
@@ -132,12 +165,12 @@ func (o *offsetManager) commit(group, topic string, partition int32, offset int6
 	key := offsetKey{group: group, topic: topic, partition: partition}
 
 	o.mu.Lock()
-	state, ok := o.byPart[opart]
-	if !ok {
+	st, code := o.stateLocked(opart)
+	if code != wire.ErrNone {
 		o.mu.Unlock()
-		return wire.ErrNotCoordinator
+		return code
 	}
-	hist := append(state[key], Checkpoint{
+	hist := append(st[key], Checkpoint{
 		Offset:      offset,
 		Metadata:    metadata,
 		CommittedAt: o.b.now().UnixMilli(),
@@ -145,7 +178,7 @@ func (o *offsetManager) commit(group, topic string, partition int32, offset int6
 	if len(hist) > checkpointHistory {
 		hist = hist[len(hist)-checkpointHistory:]
 	}
-	state[key] = hist
+	st[key] = hist
 	value, err := json.Marshal(hist)
 	o.mu.Unlock()
 	if err != nil {
@@ -180,11 +213,11 @@ func (o *offsetManager) fetch(group, topic string, partition int32) (Checkpoint,
 	opart := groupPartition(group, o.b.cfg.OffsetsPartitions)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	state, ok := o.byPart[opart]
-	if !ok {
-		return Checkpoint{}, false, wire.ErrNotCoordinator
+	st, code := o.stateLocked(opart)
+	if code != wire.ErrNone {
+		return Checkpoint{}, false, code
 	}
-	hist := state[offsetKey{group: group, topic: topic, partition: partition}]
+	hist := st[offsetKey{group: group, topic: topic, partition: partition}]
 	if len(hist) == 0 {
 		return Checkpoint{}, false, wire.ErrNone
 	}
@@ -199,11 +232,11 @@ func (o *offsetManager) query(req *wire.OffsetQueryRequest) *wire.OffsetQueryRes
 	opart := groupPartition(req.Group, o.b.cfg.OffsetsPartitions)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	state, ok := o.byPart[opart]
-	if !ok {
-		return &wire.OffsetQueryResponse{Err: wire.ErrNotCoordinator}
+	st, code := o.stateLocked(opart)
+	if code != wire.ErrNone {
+		return &wire.OffsetQueryResponse{Err: code}
 	}
-	hist := state[offsetKey{group: req.Group, topic: req.Topic, partition: req.Partition}]
+	hist := st[offsetKey{group: req.Group, topic: req.Topic, partition: req.Partition}]
 	if req.AnnotationKey == "@timestamp" {
 		ts, err := strconv.ParseInt(req.AnnotationValue, 10, 64)
 		if err != nil {
@@ -253,8 +286,8 @@ func (o *offsetManager) lagSnapshot() []GroupLag {
 	}
 	o.mu.Lock()
 	streams := make([]stream, 0, 16)
-	for _, state := range o.byPart {
-		for k, hist := range state {
+	for _, st := range o.byPart {
+		for k, hist := range st {
 			if len(hist) == 0 {
 				continue
 			}

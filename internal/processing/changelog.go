@@ -96,8 +96,9 @@ func (j *Job) buildStores(taskID int32) (map[string]state.Store, error) {
 }
 
 // restoreStores replays each store's changelog partition into the local
-// store — the failure-recovery path of paper §3.2. It returns the number
-// of records replayed.
+// store — the failure-recovery path of paper §3.2 — reading whole batches
+// and folding each through state.ApplyBatches. It returns the number of
+// records replayed.
 func (j *Job) restoreStores(taskID int32, stores map[string]state.Store) (int, error) {
 	replayed := 0
 	for _, spec := range j.cfg.Stores {
@@ -123,24 +124,15 @@ func (j *Job) restoreStores(taskID int32, stores map[string]state.Store) (int, e
 			return replayed, err
 		}
 		for cons.Position(topic, taskID) < end {
-			msgs, err := cons.Poll(time.Second)
+			batches, err := cons.PollBatches(time.Second)
+			for i := 0; err == nil && i < len(batches); i++ {
+				var n int
+				_, n, err = state.ApplyBatches(target, batches[i].Data, batches[i].Info.BaseOffset)
+				replayed += n
+			}
 			if err != nil {
 				cons.Close()
-				return replayed, err
-			}
-			for _, m := range msgs {
-				if m.Value == nil {
-					if err := target.Delete(m.Key); err != nil {
-						cons.Close()
-						return replayed, err
-					}
-				} else {
-					if err := target.Put(m.Key, m.Value); err != nil {
-						cons.Close()
-						return replayed, err
-					}
-				}
-				replayed++
+				return replayed, fmt.Errorf("processing: restore %s/%d: %w", topic, taskID, err)
 			}
 		}
 		cons.Close()

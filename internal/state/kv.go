@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,17 +47,12 @@ type KV struct {
 	cfg KVConfig
 
 	mu       sync.RWMutex
-	mem      map[string]memEntry
-	runs     []*run // oldest first
+	mem      map[string][]byte // nil value = tombstone, as in runs
+	runs     []*run            // oldest first
 	wal      *wal
 	nextRun  int
 	closed   bool
 	liveKeys int
-}
-
-type memEntry struct {
-	value     []byte
-	tombstone bool
 }
 
 // OpenKV opens or creates a persistent store in dir, replaying the WAL.
@@ -65,7 +61,7 @@ func OpenKV(dir string, cfg KVConfig) (*KV, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	kv := &KV{dir: dir, cfg: cfg, mem: make(map[string]memEntry)}
+	kv := &KV{dir: dir, cfg: cfg, mem: make(map[string][]byte)}
 
 	// Load runs in file order (ascending run number = oldest first).
 	entries, err := os.ReadDir(dir)
@@ -100,44 +96,35 @@ func OpenKV(dir string, cfg KVConfig) (*KV, error) {
 	kv.wal = w
 	err = w.replay(func(op byte, key, value []byte) {
 		if op == walOpPut {
-			kv.mem[string(key)] = memEntry{value: value}
+			kv.mem[string(key)] = value // a sub-slice of the log: never nil
 		} else {
-			kv.mem[string(key)] = memEntry{tombstone: true}
+			kv.mem[string(key)] = nil
 		}
 	})
 	if err != nil {
 		w.close()
 		return nil, err
 	}
-	kv.recountLive()
+	for _, v := range kv.merged() {
+		if v != nil {
+			kv.liveKeys++
+		}
+	}
 	return kv, nil
 }
 
-// recountLive recomputes the live key count (open-time only).
-func (kv *KV) recountLive() {
-	seen := make(map[string]bool)
-	n := 0
-	if kv.cfg.MaxRuns > 0 {
-		for key, e := range kv.mem {
-			seen[key] = true
-			if !e.tombstone {
-				n++
-			}
-		}
-		for i := len(kv.runs) - 1; i >= 0; i-- {
-			for _, e := range kv.runs[i].entries {
-				k := string(e.key)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				if e.value != nil {
-					n++
-				}
+// merged is the store's view, the memtable over the runs newest first;
+// tombstones are nil values. The caller holds kv.mu.
+func (kv *KV) merged() map[string][]byte {
+	latest := maps.Clone(kv.mem)
+	for i := len(kv.runs) - 1; i >= 0; i-- {
+		for _, e := range kv.runs[i].entries {
+			if _, ok := latest[string(e.key)]; !ok {
+				latest[string(e.key)] = e.value
 			}
 		}
 	}
-	kv.liveKeys = n
+	return latest
 }
 
 // Get implements Store.
@@ -147,19 +134,8 @@ func (kv *KV) Get(key []byte) ([]byte, bool, error) {
 	if kv.closed {
 		return nil, false, ErrClosed
 	}
-	if e, ok := kv.mem[string(key)]; ok {
-		if e.tombstone {
-			return nil, false, nil
-		}
-		return append([]byte(nil), e.value...), true, nil
-	}
-	for i := len(kv.runs) - 1; i >= 0; i-- {
-		if v, ok := kv.runs[i].get(key); ok {
-			if v == nil {
-				return nil, false, nil // tombstone
-			}
-			return append([]byte(nil), v...), true, nil
-		}
+	if v, _ := kv.lookupLocked(key); v != nil {
+		return append([]byte(nil), v...), true, nil
 	}
 	return nil, false, nil
 }
@@ -183,7 +159,7 @@ func (kv *KV) Put(key, value []byte) error {
 	if !existed || prev == nil {
 		kv.liveKeys++
 	}
-	kv.mem[string(key)] = memEntry{value: append([]byte(nil), value...)}
+	kv.mem[string(key)] = append([]byte{}, value...) // non-nil: nil is a tombstone
 	return kv.maybeFlushLocked()
 }
 
@@ -205,18 +181,15 @@ func (kv *KV) Delete(key []byte) error {
 	if prev, existed := kv.lookupLocked(key); existed && prev != nil {
 		kv.liveKeys--
 	}
-	kv.mem[string(key)] = memEntry{tombstone: true}
+	kv.mem[string(key)] = nil
 	return kv.maybeFlushLocked()
 }
 
 // lookupLocked resolves a key through memtable and runs; value nil means
 // tombstone or absent.
 func (kv *KV) lookupLocked(key []byte) ([]byte, bool) {
-	if e, ok := kv.mem[string(key)]; ok {
-		if e.tombstone {
-			return nil, true
-		}
-		return e.value, true
+	if v, ok := kv.mem[string(key)]; ok {
+		return v, true
 	}
 	for i := len(kv.runs) - 1; i >= 0; i-- {
 		if v, ok := kv.runs[i].get(key); ok {
@@ -247,12 +220,8 @@ func (kv *KV) flushLocked() error {
 		return nil
 	}
 	entries := make([]entry, 0, len(kv.mem))
-	for k, e := range kv.mem {
-		if e.tombstone {
-			entries = append(entries, entry{key: []byte(k), value: nil})
-		} else {
-			entries = append(entries, entry{key: []byte(k), value: e.value})
-		}
+	for k, v := range kv.mem {
+		entries = append(entries, entry{key: []byte(k), value: v})
 	}
 	sort.Slice(entries, func(i, j int) bool { return compareEntries(entries[i], entries[j]) < 0 })
 	r, err := writeRun(runPath(kv.dir, kv.nextRun), entries)
@@ -261,32 +230,14 @@ func (kv *KV) flushLocked() error {
 	}
 	kv.nextRun++
 	kv.runs = append(kv.runs, r)
-	kv.mem = make(map[string]memEntry)
+	kv.mem = make(map[string][]byte)
 	return kv.wal.reset()
 }
 
 // mergeLocked merges all runs into one, dropping shadowed entries and —
 // since nothing older remains — tombstones.
 func (kv *KV) mergeLocked() error {
-	latest := make(map[string][]byte) // nil value = tombstone
-	var order []string
-	for _, r := range kv.runs { // oldest -> newest: later wins
-		for _, e := range r.entries {
-			k := string(e.key)
-			if _, seen := latest[k]; !seen {
-				order = append(order, k)
-			}
-			latest[k] = e.value
-		}
-	}
-	sort.Strings(order)
-	merged := make([]entry, 0, len(order))
-	for _, k := range order {
-		if v := latest[k]; v != nil {
-			merged = append(merged, entry{key: []byte(k), value: v})
-		}
-	}
-	r, err := writeRun(runPath(kv.dir, kv.nextRun), merged)
+	r, err := writeRun(runPath(kv.dir, kv.nextRun), snapshot(kv.merged(), nil, nil))
 	if err != nil {
 		return err
 	}
@@ -306,45 +257,9 @@ func (kv *KV) Range(from, to []byte, fn func(key, value []byte) bool) error {
 		kv.mu.RUnlock()
 		return ErrClosed
 	}
-	// Build a merged snapshot view (newest wins).
-	latest := make(map[string][]byte)
-	for _, r := range kv.runs {
-		for _, e := range r.entries {
-			latest[string(e.key)] = e.value
-		}
-	}
-	for k, e := range kv.mem {
-		if e.tombstone {
-			latest[k] = nil
-		} else {
-			latest[k] = e.value
-		}
-	}
-	keys := make([]string, 0, len(latest))
-	for k, v := range latest {
-		if v == nil {
-			continue
-		}
-		if from != nil && k < string(from) {
-			continue
-		}
-		if to != nil && k >= string(to) {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type kvPair struct{ k, v []byte }
-	snapshot := make([]kvPair, 0, len(keys))
-	for _, k := range keys {
-		snapshot = append(snapshot, kvPair{k: []byte(k), v: append([]byte(nil), latest[k]...)})
-	}
+	es := snapshot(kv.merged(), from, to)
 	kv.mu.RUnlock()
-	for _, e := range snapshot {
-		if !fn(e.k, e.v) {
-			return nil
-		}
-	}
+	each(es, fn)
 	return nil
 }
 
@@ -363,13 +278,6 @@ func (kv *KV) Flush() error {
 		return ErrClosed
 	}
 	return kv.flushLocked()
-}
-
-// RunCount reports how many sorted runs exist (introspection for tests).
-func (kv *KV) RunCount() int {
-	kv.mu.RLock()
-	defer kv.mu.RUnlock()
-	return len(kv.runs)
 }
 
 // Close flushes and closes the store.
@@ -497,7 +405,7 @@ func openRun(path string) (*run, error) {
 			if pos+int(vl) > len(body) {
 				return nil, fmt.Errorf("state: run %s short", path)
 			}
-			value = append([]byte(nil), body[pos:pos+int(vl)]...)
+			value = append([]byte{}, body[pos:pos+int(vl)]...)
 			pos += int(vl)
 		}
 		entries = append(entries, entry{key: key, value: value})

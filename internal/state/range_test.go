@@ -63,8 +63,8 @@ func TestKVRangeAcrossRunsAndMemtable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := kv.RunCount(); got != 2 {
-		t.Fatalf("RunCount = %d, want 2 (test must span multiple runs)", got)
+	if got := len(kv.runs); got != 2 {
+		t.Fatalf("runs = %d, want 2 (test must span multiple runs)", got)
 	}
 
 	// Model: replay the same layers on a plain map.

@@ -258,8 +258,8 @@ func TestKVMergeCompactsRuns(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		kv.Put([]byte(fmt.Sprintf("k%d", i%8)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if got := kv.RunCount(); got > 3 {
-		t.Fatalf("RunCount = %d, merge not keeping up", got)
+	if got := len(kv.runs); got > 3 {
+		t.Fatalf("runs = %d, merge not keeping up", got)
 	}
 	if got := kv.Len(); got != 8 {
 		t.Fatalf("Len = %d, want 8", got)
@@ -398,4 +398,37 @@ func TestLargeValuesRoundTrip(t *testing.T) {
 			t.Fatalf("big value mismatch: %d bytes, ok=%v err=%v", len(v), ok, err)
 		}
 	})
+}
+
+// An empty value is a value, not a tombstone (nil is), in the memtable, in
+// a flushed run, after a merge and across a reopen.
+func TestEmptyValueIsNotATombstone(t *testing.T) {
+	storeImpls(t, func(t *testing.T, s Store) {
+		if err := s.Put([]byte("k"), []byte{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, found, err := s.Get([]byte("k")); !found || err != nil || s.Len() != 1 {
+			t.Fatalf("Get after empty Put: found %v, err %v, len %d", found, err, s.Len())
+		}
+	})
+	dir := t.TempDir()
+	kv, err := OpenKV(dir, KVConfig{MemtableEntries: 1, MaxRuns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} { // each Put flushes; the third merges
+		if err := kv.Put([]byte(k), []byte{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kv.Close()
+	if kv, err = OpenKV(dir, KVConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	var keys []string
+	kv.Range(nil, nil, func(k, _ []byte) bool { keys = append(keys, string(k)); return true })
+	if _, found, _ := kv.Get([]byte("a")); !found || kv.Len() != 3 || len(keys) != 3 {
+		t.Fatalf("after reopen: a found %v, len %d, range %v; want found, 3, [a b c]", found, kv.Len(), keys)
+	}
 }

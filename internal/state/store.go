@@ -17,14 +17,20 @@ import (
 // ErrClosed reports use of a closed store.
 var ErrClosed = errors.New("state: store closed")
 
-// Store is keyed local state. Implementations are safe for concurrent use.
-type Store interface {
-	// Get returns the value for key, with found=false for absent keys.
-	Get(key []byte) (value []byte, found bool, err error)
+// Writer is the write half of keyed state: what ApplyBatches folds a
+// changelog into.
+type Writer interface {
 	// Put stores a value.
 	Put(key, value []byte) error
 	// Delete removes a key; deleting an absent key is a no-op.
 	Delete(key []byte) error
+}
+
+// Store is keyed local state. Implementations are safe for concurrent use.
+type Store interface {
+	Writer
+	// Get returns the value for key, with found=false for absent keys.
+	Get(key []byte) (value []byte, found bool, err error)
 	// Range calls fn over keys in [from, to) in ascending order; nil
 	// bounds are open. fn returning false stops the scan.
 	Range(from, to []byte, fn func(key, value []byte) bool) error
@@ -68,7 +74,7 @@ func (s *MemStore) Put(key, value []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.m[string(key)] = append([]byte(nil), value...)
+	s.m[string(key)] = append([]byte{}, value...) // non-nil: nil is a tombstone
 	return nil
 }
 
@@ -90,29 +96,38 @@ func (s *MemStore) Range(from, to []byte, fn func(key, value []byte) bool) error
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		if from != nil && k < string(from) {
-			continue
+	es := snapshot(s.m, from, to)
+	s.mu.RUnlock()
+	each(es, fn)
+	return nil
+}
+
+// snapshot returns the entries of m with keys in [from, to), nil bounds
+// open, in key order, skipping tombstones (nil values). Values are shared,
+// not copied: a store replaces a value, never writes into one.
+func snapshot(m map[string][]byte, from, to []byte) []entry {
+	keys := make([]string, 0, len(m))
+	for k, v := range m {
+		if v != nil && (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
+			keys = append(keys, k)
 		}
-		if to != nil && k >= string(to) {
-			continue
-		}
-		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	type kv struct{ k, v []byte }
-	snapshot := make([]kv, 0, len(keys))
-	for _, k := range keys {
-		snapshot = append(snapshot, kv{k: []byte(k), v: append([]byte(nil), s.m[k]...)})
+	es := make([]entry, len(keys))
+	for i, k := range keys {
+		es[i] = entry{key: []byte(k), value: m[k]}
 	}
-	s.mu.RUnlock()
-	for _, e := range snapshot {
-		if !fn(e.k, e.v) {
-			return nil
+	return es
+}
+
+// each calls fn over copies of es until it returns false: a Range's walk
+// once the store's lock is released.
+func each(es []entry, fn func(key, value []byte) bool) {
+	for _, e := range es {
+		if !fn(e.key, append([]byte(nil), e.value...)) {
+			return
 		}
 	}
-	return nil
 }
 
 // Len implements Store.

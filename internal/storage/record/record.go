@@ -430,7 +430,10 @@ func getBytes(b []byte, pos int) ([]byte, int, error) {
 // byte limit. A batch's CRC and inflation are checked before fn sees any of
 // its records, but its records are decoded as fn is called: if one fails to
 // parse in a batch that passed its CRC (the leader's ValidateBatch refuses
-// such a batch), fn has already seen the records before it.
+// such a batch), fn has already seen the records before it. That matters
+// only to its callers that act on what fn sees, the consumer's decode and
+// compaction; keyed state is rebuilt through state.ApplyBatches, which
+// applies a batch whole or not at all.
 func ScanRecords(buf []byte, fn func(Record) error) error {
 	for len(buf) > 0 {
 		rs, n, err := DecodeRecords(buf)

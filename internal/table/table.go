@@ -6,9 +6,10 @@
 // A table is declared at topic creation (TopicSpec.Table, requires
 // Compacted). Each partition leader attaches a Partition materializer that
 // consumes its own committed log — the byte-identical compressed-batch read
-// path replication and consumers use — into an internal/state.Store,
-// changelog-style: nil-value records delete, everything else upserts, and
-// the applied offset advances past each record exactly once. Reads are
+// path replication and consumers use — into an internal/state.Store through
+// state.ApplyBatches, the changelog fold: nil-value records delete,
+// everything else upserts, a batch applies whole or not at all, and the
+// applied offset advances past each record exactly once. Reads are
 // answered locally by the leader (TableGet/TableRange wire APIs) with a
 // freshness watermark (applied offset vs high watermark) so callers choose
 // their own staleness bound. The Router hashes keys with the producer's
@@ -23,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/state"
-	"repro/internal/storage/record"
 	"repro/internal/wire"
 )
 
@@ -117,29 +117,12 @@ func (p *Partition) run() {
 			}
 			continue
 		}
-		next := pos
-		err := record.ScanRecords(data, func(rec record.Record) error {
-			if rec.Offset < next {
-				return nil // batch prefix below the requested offset
-			}
-			if rec.Value == nil {
-				if err := p.store.Delete(rec.Key); err != nil {
-					return err
-				}
-			} else if err := p.store.Put(rec.Key, rec.Value); err != nil {
-				return err
-			}
-			next = rec.Offset + 1
-			return nil
-		})
+		next, _, err := state.ApplyBatches(p.store, data, pos)
 		if err != nil {
+			// The store holds every batch below next: report it applied,
+			// and stop rather than re-read the same bytes.
+			p.applied.Store(next)
 			p.failure.Store(fmt.Errorf("table: apply at offset %d: %w", next, err))
-			return
-		}
-		if next == pos {
-			// A non-empty read that applied nothing would spin; treat it
-			// as corruption rather than loop.
-			p.failure.Store(fmt.Errorf("table: no records decoded at offset %d (%d bytes)", pos, len(data)))
 			return
 		}
 		pos = next
