@@ -162,7 +162,7 @@ func E4Compaction(scale Scale) Table {
 
 	nBefore, dBefore := replay()
 	sizeBefore := l.Size()
-	stats, err := compact.Compact(l)
+	stats, err := compact.Compact(l, l.NextOffset())
 	if err != nil {
 		t.Notes = append(t.Notes, "compact failed: "+err.Error())
 		return t

@@ -191,6 +191,8 @@ type Broker struct {
 	stopCh      chan struct{}
 	wg          sync.WaitGroup
 	watchCancel func()
+
+	timeouts func(time.Duration) <-chan time.Time // replaces after's real-time waits in tests; nil in production
 }
 
 // Start launches a broker against the shared coordination store: it binds
@@ -466,20 +468,17 @@ func (b *Broker) applyPartitionState(t tp) {
 	if err != nil || int(t.partition) >= len(info.Assignment) {
 		return
 	}
-	wasOffsetsLeader := b.isOffsetsLeader(t, r)
 	if st.Leader == b.cfg.ID {
 		b.fetchers.remove(t)
 		r.becomeLeader(st.Epoch, info.Assignment[t.partition], st.ISR, ver)
-		if t.topic == OffsetsTopic && !wasOffsetsLeader {
-			b.offsets.load(t.partition, r)
-		}
 		// Re-applied state (ISR changes) keeps the existing engine; a
 		// fresh promotion recovers tier state from the manifest.
 		if info.Config.Tiered && r.tierPartition() == nil {
 			b.adoptTierLeadership(t, info.Config, r)
 		}
 		// A fresh promotion materializes the table view from the local
-		// log (re-applied state keeps the running materializer).
+		// log (re-applied state keeps the running materializer); the
+		// offsets topic is one such table.
 		if info.Config.Table && b.tableFor(t) == nil {
 			b.attachTable(t, r)
 		}
@@ -488,9 +487,6 @@ func (b *Broker) applyPartitionState(t tp) {
 		b.detachTable(t)
 		if err := r.becomeFollower(st.Leader, st.Epoch, ver); err != nil {
 			b.logger.Error("follower transition failed", "tp", t.String(), "err", err)
-		}
-		if t.topic == OffsetsTopic && wasOffsetsLeader {
-			b.offsets.unload(t.partition)
 		}
 		if st.Leader >= 0 {
 			b.fetchers.assign(t, st.Leader)
@@ -522,17 +518,6 @@ func (b *Broker) adoptTierLeadership(t tp, tc cluster.TopicConfig, r *replica) {
 	p.SweepBelowStart()
 	r.log.SetOffloadedTo(p.NextOffset())
 	r.setTier(p)
-}
-
-// isOffsetsLeader reports whether r is a leader replica of the offsets
-// topic (used to detect offset-manager load/unload transitions).
-func (b *Broker) isOffsetsLeader(t tp, r *replica) bool {
-	if t.topic != OffsetsTopic {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.isLeader
 }
 
 // watchLoop reacts to registry changes: topics appearing/disappearing and
@@ -765,11 +750,13 @@ func (b *Broker) enforceRetention() {
 	}
 }
 
-// compactLogs runs a compaction pass over compacted topics.
+// compactLogs runs a compaction pass over compacted topics, each bounded at
+// its replica's high watermark: a version not yet committed, or not yet
+// known committed on a follower, supersedes nothing.
 func (b *Broker) compactLogs() {
 	for _, r := range b.replicaSnapshot() {
 		if r.log.Config().Compacted {
-			if _, err := compact.Compact(r.log); err != nil && !errors.Is(err, log.ErrClosed) {
+			if _, err := compact.Compact(r.log, r.highWatermark()); err != nil && !errors.Is(err, log.ErrClosed) {
 				b.logger.Warn("compaction failed", "tp", r.tp.String(), "err", err)
 			}
 		}

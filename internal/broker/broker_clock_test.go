@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"log/slog"
 	"testing"
 	"time"
 
@@ -65,7 +64,7 @@ func clockBroker(now *time.Time) *Broker {
 	cfg := Config{Now: func() time.Time { return *now }}.withDefaults()
 	return &Broker{
 		cfg:    cfg,
-		logger: slog.Default(),
+		logger: cfg.Logger,
 	}
 }
 
@@ -76,16 +75,8 @@ func TestOffsetCommitStampsInjectedClock(t *testing.T) {
 	now := clockBase
 	b := clockBroker(&now)
 	b.offsets = newOffsetManager(b)
-	l, err := log.Open(t.TempDir(), log.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opart := groupPartition("g", b.cfg.OffsetsPartitions)
-	r := newReplica(tp{topic: OffsetsTopic, partition: opart}, l, 1)
-	defer r.close()
-	r.becomeLeader(1, []int32{1}, []int32{1}, 1)
-	b.replicas = map[tp]*replica{r.tp: r}
-	b.offsets.load(opart, r)
+	r, _ := offsetsLeader(t, b, t.TempDir())
+	l := r.log
 
 	if code := b.offsets.commit("g", "t", 0, 7, "meta"); code != wire.ErrNone {
 		t.Fatalf("commit: %v", code)

@@ -17,8 +17,12 @@ func (b *Broker) since(t time.Time) time.Duration { return b.now().Sub(t) }
 
 // after waits d of real time. Chaos schedules inject only Now — timers and
 // long-poll waits deliberately stay on the runtime timer wheel, so every
-// such wait funnels through this one reviewed call site.
+// such wait funnels through this one reviewed call site. A test that needs
+// a timeout to fire sets b.timeouts.
 func (b *Broker) after(d time.Duration) <-chan time.Time {
+	if b.timeouts != nil {
+		return b.timeouts(d)
+	}
 	//lint:ignore clockdiscipline real-time waits intentionally bypass the injected clock; this helper is the single audited escape hatch
 	return time.After(d)
 }

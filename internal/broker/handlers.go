@@ -726,7 +726,8 @@ func (b *Broker) handleDeleteTopics(req *wire.DeleteTopicsRequest) *wire.DeleteT
 
 // -------------------------------------------------------- offset APIs
 
-// ensureOffsetsTopic creates the internal offsets topic on first use.
+// ensureOffsetsTopic creates the internal offsets topic on first use: a
+// compacted table, so the table host materializes its checkpoints.
 func (b *Broker) ensureOffsetsTopic() {
 	if _, err := b.reg.GetTopic(OffsetsTopic); err == nil {
 		return
@@ -740,6 +741,7 @@ func (b *Broker) ensureOffsetsTopic() {
 		NumPartitions:     b.cfg.OffsetsPartitions,
 		ReplicationFactor: rf,
 		Compacted:         true,
+		Table:             true,
 	})
 }
 

@@ -3,14 +3,13 @@ package broker
 import (
 	"encoding/json"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/state"
 	"repro/internal/storage/record"
+	"repro/internal/table"
 	"repro/internal/wire"
 )
 
@@ -55,56 +54,26 @@ func decodeOffsetKey(b []byte) (offsetKey, bool) {
 	return offsetKey{group: parts[0], topic: parts[1], partition: int32(p)}, true
 }
 
-// offsetState is the checkpoint histories of one offsets-topic partition:
-// the state.Writer that load folds the partition's log into.
-type offsetState map[offsetKey][]Checkpoint
+// offsetsWait bounds each wait of an offsets request: for the checkpoint
+// table to apply what its partition has committed, and for a commit's ack
+// and durability.
+const offsetsWait = 5 * time.Second
 
-// Put keeps the history a record carries; an undecodable key or history is
-// skipped.
-func (s offsetState) Put(k, v []byte) error {
-	var hist []Checkpoint
-	if key, ok := decodeOffsetKey(k); ok && json.Unmarshal(v, &hist) == nil {
-		s[key] = hist
-	}
-	return nil
-}
-
-// Delete drops the history a tombstone names.
-func (s offsetState) Delete(k []byte) error {
-	if key, ok := decodeOffsetKey(k); ok {
-		delete(s, key)
-	}
-	return nil
-}
-
-// offsetManager maintains checkpoint histories in memory, persisted to the
-// compacted offsets topic so they survive coordinator failover.
+// offsetManager serves checkpoint histories from the offsets topic, a
+// compacted table (paper §3.1, §4.2): the broker's table host materializes
+// each partition this broker leads, so a successor rebuilds the histories
+// from the replicated log exactly as any table is rebuilt, and a checkpoint
+// is visible only once committed.
 type offsetManager struct {
 	b *Broker
-
-	mu sync.Mutex
-	// byPart maps each offsets-topic partition this broker leads to its
-	// state; nil marks one led but unloaded, whose log failed to load.
-	byPart map[int32]offsetState
+	// commits serialises the commits of each offsets-topic partition from
+	// reading a history through the ack of the record that extends it, so
+	// the log holds histories in the order they were extended.
+	commits []sync.Mutex
 }
 
 func newOffsetManager(b *Broker) *offsetManager {
-	return &offsetManager{b: b, byPart: make(map[int32]offsetState)}
-}
-
-// stateLocked returns an offsets-topic partition's state, or the code that
-// answers its groups: ErrNotCoordinator where this broker does not lead it,
-// the retriable ErrCoordinatorNotAvailable where its load failed. The
-// caller holds o.mu.
-func (o *offsetManager) stateLocked(opart int32) (offsetState, wire.ErrorCode) {
-	st, ok := o.byPart[opart]
-	switch {
-	case !ok:
-		return nil, wire.ErrNotCoordinator
-	case st == nil:
-		return nil, wire.ErrCoordinatorNotAvailable
-	}
-	return st, wire.ErrNone
+	return &offsetManager{b: b, commits: make([]sync.Mutex, b.cfg.OffsetsPartitions)}
 }
 
 // groupPartition maps a group to its offsets-topic partition.
@@ -114,63 +83,72 @@ func groupPartition(group string, numPartitions int32) int32 {
 	return int32(h.Sum32() % uint32(numPartitions))
 }
 
-// load replays an offsets-topic partition into memory; called when this
-// broker becomes its leader. It is one pass over the local log: each read
-// is folded by state.ApplyBatches, which advances past whole batches or
-// fails, so load holds applyPartitionState for one pass at most, never for
-// an unbounded time. A batch that fails (CRC, inflation, a record that
-// does not parse) leaves the partition led but unloaded: nothing is
-// published, the failure is logged and counted, and its groups are
-// answered the retriable ErrCoordinatorNotAvailable. Repairing the log is
-// not load's business.
-func (o *offsetManager) load(partition int32, r *replica) {
-	st := make(offsetState)
-	for off := r.log.StartOffset(); ; {
-		// The replication view: a new leader never truncates, so its whole
-		// log, uncommitted tail included, is what it will serve.
-		res, code := r.read(off, 1<<20, viewReplication)
-		data, err := res.bytes()
-		if code != wire.ErrNone || err != nil || len(data) == 0 {
-			break
+// view returns the checkpoint table of an offsets-topic partition and its
+// replica once the table has applied everything the partition has
+// committed (checkTableLag at lag 0), waiting up to offsetsWait for it if
+// wait is set. It answers ErrNotCoordinator where this broker does not lead
+// the partition, and the retriable ErrCoordinatorNotAvailable where the
+// table is not attached, has failed, or has not caught up.
+func (o *offsetManager) view(opart int32, wait bool) (*table.Partition, *replica, wire.ErrorCode) {
+	var timeout <-chan time.Time
+	for {
+		p, r, code := o.b.tableView(OffsetsTopic, opart)
+		switch code {
+		case wire.ErrNone:
+		case wire.ErrTableNotServed:
+			return nil, nil, wire.ErrCoordinatorNotAvailable
+		default:
+			return nil, nil, wire.ErrNotCoordinator
 		}
-		if off, _, err = state.ApplyBatches(st, data, off); err != nil {
-			o.b.logger.Error("offset manager load failed", "partition", partition, "offset", off, "err", err)
-			o.b.cfg.Metrics.Counter("broker.offsets.load_failures").Inc()
-			st = nil
-			break
+		applied, moved := p.Applied()
+		if checkTableLag(applied, r, 0) == wire.ErrNone {
+			return p, r, wire.ErrNone
+		}
+		if !wait {
+			return nil, nil, wire.ErrCoordinatorNotAvailable
+		}
+		if timeout == nil {
+			timeout = o.b.after(offsetsWait)
+		}
+		select {
+		case <-moved:
+		case <-timeout:
+			return nil, nil, wire.ErrCoordinatorNotAvailable
 		}
 	}
-	keys := len(st) // read before publishing: commit mutates the map under o.mu
-	o.mu.Lock()
-	o.byPart[partition] = st
-	o.mu.Unlock()
-	o.b.logger.Debug("offset manager loaded", "partition", partition, "keys", keys)
 }
 
-// unload drops in-memory state for a partition whose leadership moved away.
-func (o *offsetManager) unload(partition int32) {
-	o.mu.Lock()
-	delete(o.byPart, partition)
-	o.mu.Unlock()
-}
-
-// commit records a checkpoint, appending the updated history to the
-// offsets topic.
-func (o *offsetManager) commit(group, topic string, partition int32, offset int64, metadata string) wire.ErrorCode {
-	opart := groupPartition(group, o.b.cfg.OffsetsPartitions)
-	r := o.b.getReplica(tp{topic: OffsetsTopic, partition: opart})
-	if r == nil {
-		return wire.ErrNotCoordinator
-	}
-	key := offsetKey{group: group, topic: topic, partition: partition}
-
-	o.mu.Lock()
-	st, code := o.stateLocked(opart)
+// read returns a key's committed checkpoint history, a history that does
+// not decode reading as none, and the replica of its offsets partition.
+func (o *offsetManager) read(k offsetKey) ([]Checkpoint, *replica, wire.ErrorCode) {
+	p, r, code := o.view(groupPartition(k.group, o.b.cfg.OffsetsPartitions), true)
 	if code != wire.ErrNone {
-		o.mu.Unlock()
+		return nil, nil, code
+	}
+	v, found, err := p.Get(k.encode())
+	if err != nil {
+		return nil, nil, wire.ErrUnknown
+	}
+	var hist []Checkpoint
+	if found && json.Unmarshal(v, &hist) != nil {
+		hist = nil
+	}
+	return hist, r, wire.ErrNone
+}
+
+// commit records a checkpoint, appending the extended history to the
+// offsets topic. Checkpoints are committed with full ISR acknowledgement so
+// they survive coordinator failover.
+func (o *offsetManager) commit(group, topic string, partition int32, offset int64, metadata string) wire.ErrorCode {
+	mu := &o.commits[groupPartition(group, o.b.cfg.OffsetsPartitions)]
+	mu.Lock()
+	defer mu.Unlock()
+	key := offsetKey{group: group, topic: topic, partition: partition}
+	hist, r, code := o.read(key)
+	if code != wire.ErrNone {
 		return code
 	}
-	hist := append(st[key], Checkpoint{
+	hist = append(hist, Checkpoint{
 		Offset:      offset,
 		Metadata:    metadata,
 		CommittedAt: o.b.now().UnixMilli(),
@@ -178,15 +156,10 @@ func (o *offsetManager) commit(group, topic string, partition int32, offset int6
 	if len(hist) > checkpointHistory {
 		hist = hist[len(hist)-checkpointHistory:]
 	}
-	st[key] = hist
 	value, err := json.Marshal(hist)
-	o.mu.Unlock()
 	if err != nil {
 		return wire.ErrUnknown
 	}
-	// Checkpoints are committed with full ISR acknowledgement so they
-	// survive coordinator failover: a successor restores them from the
-	// replicated offsets partition.
 	batch := record.EncodeBatch(0, []record.Record{{Key: key.encode(), Value: value, Timestamp: o.b.now().UnixMilli()}})
 	_, ackCh, durCh, code := r.appendSealedAsLeader([][]byte{batch}, -1)
 	if code != wire.ErrNone {
@@ -194,14 +167,14 @@ func (o *offsetManager) commit(group, topic string, partition int32, offset int6
 	}
 	select {
 	case code = <-ackCh:
-	case <-o.b.after(5 * time.Second):
+	case <-o.b.after(offsetsWait):
 		return wire.ErrRequestTimedOut
 	}
 	if code == wire.ErrNone && durCh != nil {
 		select {
 		case err := <-durCh:
 			code = durErrorCode(err)
-		case <-o.b.after(5 * time.Second):
+		case <-o.b.after(offsetsWait):
 			return wire.ErrRequestTimedOut
 		}
 	}
@@ -210,16 +183,9 @@ func (o *offsetManager) commit(group, topic string, partition int32, offset int6
 
 // fetch returns the newest checkpoint for a key, or found=false.
 func (o *offsetManager) fetch(group, topic string, partition int32) (Checkpoint, bool, wire.ErrorCode) {
-	opart := groupPartition(group, o.b.cfg.OffsetsPartitions)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	st, code := o.stateLocked(opart)
-	if code != wire.ErrNone {
+	hist, _, code := o.read(offsetKey{group: group, topic: topic, partition: partition})
+	if code != wire.ErrNone || len(hist) == 0 {
 		return Checkpoint{}, false, code
-	}
-	hist := st[offsetKey{group: group, topic: topic, partition: partition}]
-	if len(hist) == 0 {
-		return Checkpoint{}, false, wire.ErrNone
 	}
 	return hist[len(hist)-1], true, wire.ErrNone
 }
@@ -229,14 +195,10 @@ func (o *offsetManager) fetch(group, topic string, partition int32) (Checkpoint,
 // "@timestamp" — the newest checkpoint committed at or before the given
 // millisecond timestamp.
 func (o *offsetManager) query(req *wire.OffsetQueryRequest) *wire.OffsetQueryResponse {
-	opart := groupPartition(req.Group, o.b.cfg.OffsetsPartitions)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	st, code := o.stateLocked(opart)
+	hist, _, code := o.read(offsetKey{group: req.Group, topic: req.Topic, partition: req.Partition})
 	if code != wire.ErrNone {
 		return &wire.OffsetQueryResponse{Err: code}
 	}
-	hist := st[offsetKey{group: req.Group, topic: req.Topic, partition: req.Partition}]
 	if req.AnnotationKey == "@timestamp" {
 		ts, err := strconv.ParseInt(req.AnnotationValue, 10, 64)
 		if err != nil {
@@ -261,69 +223,28 @@ func (o *offsetManager) query(req *wire.OffsetQueryRequest) *wire.OffsetQueryRes
 	return &wire.OffsetQueryResponse{}
 }
 
-// GroupLag is one consumer group's committed position on one partition
-// measured against the partition's high watermark. HighWatermark and Lag
-// are -1 when this broker does not host the partition (the coordinator for
-// a group need not host the topics the group consumes); the gauge exporter
-// skips those tuples and the broker that leads the partition exports them.
-type GroupLag struct {
-	Group         string `json:"group"`
-	Topic         string `json:"topic"`
-	Partition     int32  `json:"partition"`
-	Committed     int64  `json:"committed"`
-	HighWatermark int64  `json:"highWatermark"`
-	Lag           int64  `json:"lag"`
-}
-
-// lagSnapshot computes lag for every checkpoint stream this broker
-// coordinates. Committed offsets are copied under o.mu first and high
-// watermarks resolved after it is released: getReplica takes b.mu, and the
-// two locks are never nested anywhere in the broker.
-func (o *offsetManager) lagSnapshot() []GroupLag {
-	type stream struct {
-		k         offsetKey
-		committed int64
-	}
-	o.mu.Lock()
-	streams := make([]stream, 0, 16)
-	for _, st := range o.byPart {
-		for k, hist := range st {
-			if len(hist) == 0 {
-				continue
+// groupLags calls fn with the lag of every checkpoint stream this broker
+// coordinates on a partition it also hosts: the partition's high watermark
+// less the newest committed offset. A coordinator need not host the topics
+// its groups consume; those streams are skipped, and so is a checkpoint
+// table that has not caught up, which is not waited for: the gauge exporter
+// calls again within a second.
+func (o *offsetManager) groupLags(fn func(k offsetKey, lag int64)) {
+	for opart := range o.commits {
+		p, _, code := o.view(int32(opart), false)
+		if code != wire.ErrNone {
+			continue
+		}
+		p.Range(nil, nil, func(kb, v []byte) bool {
+			var hist []Checkpoint
+			k, ok := decodeOffsetKey(kb)
+			if !ok || json.Unmarshal(v, &hist) != nil || len(hist) == 0 {
+				return true
 			}
-			streams = append(streams, stream{k: k, committed: hist[len(hist)-1].Offset})
-		}
-	}
-	o.mu.Unlock()
-
-	out := make([]GroupLag, 0, len(streams))
-	for _, s := range streams {
-		gl := GroupLag{
-			Group:         s.k.group,
-			Topic:         s.k.topic,
-			Partition:     s.k.partition,
-			Committed:     s.committed,
-			HighWatermark: -1,
-			Lag:           -1,
-		}
-		if r := o.b.getReplica(tp{topic: s.k.topic, partition: s.k.partition}); r != nil {
-			hw := r.highWatermark()
-			gl.HighWatermark = hw
-			if gl.Lag = hw - s.committed; gl.Lag < 0 {
-				gl.Lag = 0
+			if r := o.b.getReplica(tp{topic: k.topic, partition: k.partition}); r != nil {
+				fn(k, max(r.highWatermark()-hist[len(hist)-1].Offset, 0))
 			}
-		}
-		out = append(out, gl)
+			return true
+		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		if a.Topic != b.Topic {
-			return a.Topic < b.Topic
-		}
-		return a.Partition < b.Partition
-	})
-	return out
 }

@@ -20,9 +20,10 @@ import (
 	"repro/internal/wire"
 )
 
-// offsetsLeader opens a one-replica offsets-topic partition for group "g",
-// led by this broker, on a fresh log in dir.
-func offsetsLeader(t *testing.T, b *Broker, dir string) (*replica, int32) {
+// offsetsLeader opens an offsets-topic partition for group "g" on a fresh
+// log in dir, led by this broker (id 1) with the given replicas all in
+// sync, and attaches its checkpoint table as a promotion does.
+func offsetsLeader(t *testing.T, b *Broker, dir string, replicas ...int32) (*replica, int32) {
 	t.Helper()
 	l, err := log.Open(dir, log.Config{})
 	if err != nil {
@@ -30,32 +31,56 @@ func offsetsLeader(t *testing.T, b *Broker, dir string) (*replica, int32) {
 	}
 	opart := groupPartition("g", b.cfg.OffsetsPartitions)
 	r := newReplica(tp{topic: OffsetsTopic, partition: opart}, l, 1)
-	t.Cleanup(func() { r.close() })
-	r.becomeLeader(1, []int32{1}, []int32{1}, 1)
+	if len(replicas) == 0 {
+		replicas = []int32{1}
+	}
+	r.becomeLeader(1, replicas, replicas, 1)
 	b.replicas = map[tp]*replica{r.tp: r}
+	b.tables = make(map[tp]*table.Partition)
+	b.attachTable(r.tp, r)
+	t.Cleanup(func() {
+		b.detachAllTables()
+		r.close()
+	})
 	return r, opart
 }
 
-// loadWithin runs the offset manager's load and fails the test if it has
-// not returned by the deadline.
-func loadWithin(t *testing.T, o *offsetManager, opart int32, r *replica, d time.Duration) {
+// tableFailsWithin waits for the table of t to fail and fails the test if
+// it has not by the deadline.
+func tableFailsWithin(t *testing.T, b *Broker, at tp, d time.Duration) *table.Partition {
 	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		o.load(opart, r)
-	}()
-	select {
-	case <-done:
-	case <-time.After(d):
-		t.Fatalf("offsetManager.load still running after %v", d)
+	deadline := time.Now().Add(d)
+	for {
+		if p := b.tableFor(at); p != nil && p.Err() != nil {
+			return p
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("table %s has not failed after %v", at, d)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// wantCoordinatorNotAvailable checks that commit, fetch and query for group
+// "g" answer the retriable ErrCoordinatorNotAvailable.
+func wantCoordinatorNotAvailable(t *testing.T, o *offsetManager) {
+	t.Helper()
+	if code := o.commit("g", "t", 0, 20, "meta"); code != wire.ErrCoordinatorNotAvailable {
+		t.Fatalf("commit on a failed checkpoint table = %v, want ErrCoordinatorNotAvailable", code)
+	}
+	if _, _, code := o.fetch("g", "t", 0); code != wire.ErrCoordinatorNotAvailable {
+		t.Fatalf("fetch on a failed checkpoint table = %v, want ErrCoordinatorNotAvailable", code)
+	}
+	q := o.query(&wire.OffsetQueryRequest{Group: "g", Topic: "t", AnnotationKey: "@timestamp", AnnotationValue: "0"})
+	if q.Err != wire.ErrCoordinatorNotAvailable {
+		t.Fatalf("query on a failed checkpoint table = %v, want ErrCoordinatorNotAvailable", q.Err)
 	}
 }
 
 // TestOffsetsLoadStopsAtCorruptBatch: a batch of the offsets topic whose CRC
-// fails must stop load, not spin it. The partition is then led but
-// unloaded — its groups get the retriable ErrCoordinatorNotAvailable — and
-// the failure is logged and counted.
+// fails must stop the checkpoint table's load, not spin it. Its groups then
+// get the retriable ErrCoordinatorNotAvailable, and the failure is logged
+// and counted.
 func TestOffsetsLoadStopsAtCorruptBatch(t *testing.T) {
 	now := clockBase
 	b := clockBroker(&now)
@@ -63,12 +88,16 @@ func TestOffsetsLoadStopsAtCorruptBatch(t *testing.T) {
 	b.logger = slog.New(slog.NewTextHandler(&logs, nil))
 	b.offsets = newOffsetManager(b)
 	dir := t.TempDir()
-	r, opart := offsetsLeader(t, b, dir)
-	loadWithin(t, b.offsets, opart, r, 5*time.Second)
+	r, _ := offsetsLeader(t, b, dir)
 	for i := int64(0); i < 3; i++ {
 		if code := b.offsets.commit("g", "t", 0, 10+i, "meta"); code != wire.ErrNone {
 			t.Fatalf("commit %d: %v", i, code)
 		}
+	}
+	// The fetch waits for the table to apply the last commit, so the table
+	// has read every batch before one is garbled.
+	if cp, found, code := b.offsets.fetch("g", "t", 0); code != wire.ErrNone || !found || cp.Offset != 12 {
+		t.Fatalf("fetch = %+v found=%v %v, want offset 12", cp, found, code)
 	}
 
 	// Flip one byte inside the last batch of the segment file.
@@ -89,32 +118,20 @@ func TestOffsetsLoadStopsAtCorruptBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b.offsets.unload(opart)
-	loadWithin(t, b.offsets, opart, r, 5*time.Second)
+	// Rematerialize, as a new leader does.
+	b.detachTable(r.tp)
+	b.attachTable(r.tp, r)
+	tableFailsWithin(t, b, r.tp, 5*time.Second)
 
-	b.offsets.mu.Lock()
-	st, led := b.offsets.byPart[opart]
-	b.offsets.mu.Unlock()
-	if !led || st != nil {
-		t.Fatalf("byPart[%d] = %v (present %v), want led but unloaded (nil)", opart, st, led)
+	if n := b.cfg.Metrics.Counter("broker.table.failures").Value(); n != 1 {
+		t.Fatalf("broker.table.failures = %d, want 1", n)
 	}
-	if n := b.cfg.Metrics.Counter("broker.offsets.load_failures").Value(); n != 1 {
-		t.Fatalf("broker.offsets.load_failures = %d, want 1", n)
+	for _, want := range []string{"level=ERROR", "tp=" + r.tp.String(), "offset 2"} {
+		if out := logs.String(); !strings.Contains(out, want) {
+			t.Fatalf("table failure log does not name %q:\n%s", want, out)
+		}
 	}
-	wantLog := fmt.Sprintf("partition=%d offset=2", opart)
-	if out := logs.String(); !strings.Contains(out, "level=ERROR") || !strings.Contains(out, wantLog) {
-		t.Fatalf("load failure log does not name %q:\n%s", wantLog, out)
-	}
-	if code := b.offsets.commit("g", "t", 0, 20, "meta"); code != wire.ErrCoordinatorNotAvailable {
-		t.Fatalf("commit on an unloaded partition = %v, want ErrCoordinatorNotAvailable", code)
-	}
-	if _, _, code := b.offsets.fetch("g", "t", 0); code != wire.ErrCoordinatorNotAvailable {
-		t.Fatalf("fetch on an unloaded partition = %v, want ErrCoordinatorNotAvailable", code)
-	}
-	q := b.offsets.query(&wire.OffsetQueryRequest{Group: "g", Topic: "t", AnnotationKey: "@timestamp", AnnotationValue: "0"})
-	if q.Err != wire.ErrCoordinatorNotAvailable {
-		t.Fatalf("query on an unloaded partition = %v, want ErrCoordinatorNotAvailable", q.Err)
-	}
+	wantCoordinatorNotAvailable(t, b.offsets)
 }
 
 // The record package's batch layout: the CRC-32C at byte crcAt covers
@@ -196,13 +213,13 @@ func storeContents(t *testing.T, rng func(from, to []byte, fn func(k, v []byte) 
 	return m
 }
 
-// TestFoldAppliesBatchWholeOrNotAtAll holds the three consumers of the
-// changelog fold — state.ApplyBatches itself, a table partition and the
-// offset manager's load — to one rule over a log whose batch k is CRC-valid
-// but holds a record that does not parse: each ends with exactly batches
-// 0..k-1 applied (the offset manager, which must not serve a partial log,
-// with nothing published), none with the records of batch k before the
-// garbled one.
+// TestFoldAppliesBatchWholeOrNotAtAll holds the consumers of the changelog
+// fold — state.ApplyBatches itself and the broker's table host, here
+// materializing the offsets topic — to one rule over a log whose batch k is
+// CRC-valid but holds a record that does not parse: each ends with exactly
+// batches 0..k-1 applied, none with the records of batch k before the
+// garbled one, and the offset manager, which must not serve a partial log,
+// answers the partition's groups with a retriable code.
 func TestFoldAppliesBatchWholeOrNotAtAll(t *testing.T) {
 	const n = 5
 	for _, codec := range []record.Codec{record.CodecNone, record.CodecFlate} {
@@ -223,34 +240,29 @@ func TestFoldAppliesBatchWholeOrNotAtAll(t *testing.T) {
 
 				now := clockBase
 				b := clockBroker(&now)
-				b.logger = slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))
+				var logs bytes.Buffer
+				b.logger = slog.New(slog.NewTextHandler(&logs, nil))
 				b.offsets = newOffsetManager(b)
-				r, opart := offsetsLeader(t, b, t.TempDir())
+				r, _ := offsetsLeader(t, b, t.TempDir())
 				_, ack, _, code := r.appendSealedAsLeader(batches, -1)
 				if code != wire.ErrNone || <-ack != wire.ErrNone {
 					t.Fatalf("append: %v", code)
 				}
 
-				p := table.NewPartition(replicaSource{r: r}, state.NewMem())
-				defer p.Close()
-				deadline := time.Now().Add(5 * time.Second)
-				for p.Err() == nil && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if p.Err() == nil {
-					t.Fatal("table: no failure within 5s")
-				}
+				p := tableFailsWithin(t, b, r.tp, 5*time.Second)
 				if applied, _ := p.Freshness(); applied != bases[k] {
 					t.Errorf("table: applied %d, want batch %d's base %d", applied, k, bases[k])
 				}
 				if got := storeContents(t, p.Range); !maps.Equal(got, want) {
 					t.Errorf("table: store %v, want batches 0..%d: %v", got, k-1, want)
 				}
-
-				loadWithin(t, b.offsets, opart, r, 5*time.Second)
-				if st, led := b.offsets.byPart[opart]; !led || st != nil {
-					t.Fatalf("offsets: published %v (present %v), want nothing", st, led)
+				if n := b.cfg.Metrics.Counter("broker.table.failures").Value(); n != 1 {
+					t.Errorf("broker.table.failures = %d, want 1", n)
 				}
+				if out := logs.String(); !strings.Contains(out, "level=ERROR") || !strings.Contains(out, fmt.Sprintf("offset %d", bases[k])) {
+					t.Errorf("table failure log does not name offset %d:\n%s", bases[k], out)
+				}
+				wantCoordinatorNotAvailable(t, b.offsets)
 			})
 		}
 	}

@@ -278,12 +278,9 @@ func (b *Broker) opsTick(now time.Time) {
 	}
 
 	m.groupLag.DeleteWhere("broker", m.id)
-	for _, gl := range b.offsets.lagSnapshot() {
-		if gl.Lag < 0 {
-			continue // HW not resolvable locally; another broker exports it
-		}
-		m.groupLag.With(m.id, gl.Group, gl.Topic, strconv.Itoa(int(gl.Partition))).Set(gl.Lag)
-	}
+	b.offsets.groupLags(func(k offsetKey, lag int64) {
+		m.groupLag.With(m.id, k.group, k.topic, strconv.Itoa(int(k.partition))).Set(lag)
+	})
 
 	m.tableLag.DeleteWhere("broker", m.id)
 	m.tableApplied.DeleteWhere("broker", m.id)

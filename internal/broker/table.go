@@ -48,8 +48,13 @@ func (b *Broker) tableSnapshot() map[tp]*table.Partition {
 }
 
 // attachTable starts materializing a table partition this broker now leads.
+// A terminal failure of its materializer is logged and counted once; the
+// view then stays unserved until leadership moves.
 func (b *Broker) attachTable(t tp, r *replica) {
-	p := table.NewPartition(replicaSource{r: r}, state.NewMem())
+	p := table.NewPartition(replicaSource{r: r}, state.NewMem(), func(err error) {
+		b.logger.Error("table failed", "tp", t.String(), "err", err)
+		b.cfg.Metrics.Counter("broker.table.failures").Inc()
+	})
 	b.mu.Lock()
 	if b.stopped || b.tables[t] != nil {
 		b.mu.Unlock()
@@ -103,28 +108,43 @@ func (b *Broker) tableView(topic string, partition int32) (*table.Partition, *re
 	return p, r, wire.ErrNone
 }
 
-// checkTableLag enforces the request's staleness bound. A negative bound
-// accepts anything; otherwise the view must trail the high watermark by at
-// most maxLag offsets.
-func checkTableLag(applied, hw, maxLag int64) wire.ErrorCode {
-	if maxLag >= 0 && hw-applied > maxLag {
+// checkTableLag is the one readiness rule of a table view, the offsets
+// topic's included. A negative bound accepts anything; otherwise the view's
+// applied offset may trail the partition's committed end by at most maxLag
+// offsets. The committed end is max(HW, epochStart), read live: an acked
+// write raises the HW before the materializer wakes, and a new leader's HW
+// trails its log end at election, so until it gets there a view at the HW
+// can lack what the old leader committed.
+func checkTableLag(applied int64, r *replica, maxLag int64) wire.ErrorCode {
+	if maxLag < 0 {
+		return wire.ErrNone
+	}
+	r.mu.Lock()
+	end := max(r.hw, r.epochStart)
+	r.mu.Unlock()
+	if end-applied > maxLag {
 		return wire.ErrTableStale
 	}
 	return wire.ErrNone
 }
 
-func (b *Broker) handleTableGet(req *wire.TableGetRequest) *wire.TableGetResponse {
-	resp := &wire.TableGetResponse{}
-	p, r, code := b.tableView(req.Topic, req.Partition)
+// tableRead resolves a read to its table view and checks the request's
+// staleness bound. The freshness watermark (leader epoch, applied offset,
+// high watermark) is reported whenever the view is served, stale or not.
+func (b *Broker) tableRead(topic string, partition int32, maxLag int64) (p *table.Partition, epoch int32, applied, hw int64, code wire.ErrorCode) {
+	p, r, code := b.tableView(topic, partition)
 	if code != wire.ErrNone {
-		resp.Err = code
-		return resp
+		return nil, 0, 0, 0, code
 	}
-	_, epoch, _, _ := r.snapshotState()
-	resp.LeaderEpoch = epoch
-	resp.AppliedOffset, resp.HighWatermark = p.Freshness()
-	if code := checkTableLag(resp.AppliedOffset, resp.HighWatermark, req.MaxLagOffsets); code != wire.ErrNone {
-		resp.Err = code // freshness watermark still reported
+	_, epoch, _, _ = r.snapshotState()
+	applied, hw = p.Freshness()
+	return p, epoch, applied, hw, checkTableLag(applied, r, maxLag)
+}
+
+func (b *Broker) handleTableGet(req *wire.TableGetRequest) *wire.TableGetResponse {
+	p, epoch, applied, hw, code := b.tableRead(req.Topic, req.Partition, req.MaxLagOffsets)
+	resp := &wire.TableGetResponse{Err: code, LeaderEpoch: epoch, AppliedOffset: applied, HighWatermark: hw}
+	if code != wire.ErrNone {
 		return resp
 	}
 	v, found, err := p.Get(req.Key)
@@ -143,18 +163,12 @@ func (b *Broker) handleTableGet(req *wire.TableGetRequest) *wire.TableGetRespons
 const maxTableRangeEntries = 10_000
 
 func (b *Broker) handleTableRange(req *wire.TableRangeRequest) *wire.TableRangeResponse {
-	resp := &wire.TableRangeResponse{}
-	p, r, code := b.tableView(req.Topic, req.Partition)
-	if code != wire.ErrNone {
-		resp.Err = code
-		return resp
+	p, epoch, applied, hw, code := b.tableRead(req.Topic, req.Partition, req.MaxLagOffsets)
+	resp := &wire.TableRangeResponse{Err: code, LeaderEpoch: epoch, AppliedOffset: applied, HighWatermark: hw}
+	if p != nil {
+		resp.ApproxLen = int64(p.ApproxLen())
 	}
-	_, epoch, _, _ := r.snapshotState()
-	resp.LeaderEpoch = epoch
-	resp.AppliedOffset, resp.HighWatermark = p.Freshness()
-	resp.ApproxLen = int64(p.ApproxLen())
-	if code := checkTableLag(resp.AppliedOffset, resp.HighWatermark, req.MaxLagOffsets); code != wire.ErrNone {
-		resp.Err = code
+	if code != wire.ErrNone {
 		return resp
 	}
 	limit := req.Limit

@@ -238,6 +238,49 @@ func TestControllerFailsOverDeadLeader(t *testing.T) {
 	})
 }
 
+// TestControllerFencedBySession: a controller whose session closed has lost
+// the seat with its ephemeral nodes and must not act on the broker
+// deletions that follow. No other controller runs here, so any partition
+// state written after the session closes is the fenced controller's.
+func TestControllerFencedBySession(t *testing.T) {
+	reg, store := newRegistry()
+	s2 := store.CreateSession(time.Hour)
+	if err := reg.RegisterBroker(s2, BrokerInfo{ID: 2, Host: "h", Port: 9002}); err != nil {
+		t.Fatal(err)
+	}
+	// Broker 3 never registers, so the controller's sweep on election
+	// moves leadership to 2; once that is written the controller is idle.
+	reg.CreateTopic(TopicInfo{
+		Name:       "t",
+		Config:     TopicConfig{NumPartitions: 1, ReplicationFactor: 3},
+		Assignment: [][]int32{{3, 2, 1}},
+	})
+	_, s1 := startController(t, reg, store, 1, time.Hour)
+	waitFor(t, "the sweep on election", 3*time.Second, func() bool {
+		st, _, err := reg.PartitionState("t", 0)
+		return err == nil && st.Leader == 2
+	})
+	_, before, err := reg.PartitionState("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store.CloseSession(s1) // the controller's own session: seat and broker node go
+	store.CloseSession(s2) // the partition's leader dies after it
+
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		st, ver, err := reg.PartitionState("t", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ver != before {
+			t.Fatalf("a controller without a session wrote partition state %+v (version %d → %d)", st, before, ver)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestControllerMarksPartitionOfflineWithoutISR(t *testing.T) {
 	reg, store := newRegistry()
 	_, s1 := startController(t, reg, store, 1, time.Hour)

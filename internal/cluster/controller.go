@@ -56,8 +56,7 @@ func (c *Controller) run() {
 	events, cancel := c.reg.Store().Watch("/")
 	defer func() { cancel() }()
 
-	isController := c.tryElect()
-	if isController {
+	if c.tryElect() {
 		c.failoverAll()
 	}
 	for {
@@ -69,20 +68,25 @@ func (c *Controller) run() {
 				// Watch overflowed: re-register and resync.
 				cancel()
 				events, cancel = c.reg.Store().Watch("/")
-				if isController {
+				if c.IsController() {
 					c.failoverAll()
 				}
 				continue
 			}
 			switch {
 			case ev.Path == ControllerPath && ev.Type == coord.EventDeleted:
-				// Previous controller died: race for the seat.
-				if !isController && c.tryElect() {
-					isController = true
+				// The seat is free: race for it, whether or not this
+				// controller held it. One whose session closed loses.
+				if c.tryElect() {
 					c.failoverAll()
 				}
 			case ev.Type == coord.EventDeleted:
-				if id, ok := ParseBrokerPath(ev.Path); ok && isController {
+				// A controller acts only while it holds the seat, read
+				// live: a closed session's ephemeral nodes all go at once
+				// but their events arrive in no fixed order, so the
+				// deletion of this broker's own node can come before the
+				// seat's.
+				if id, ok := ParseBrokerPath(ev.Path); ok && c.IsController() {
 					c.logger.Info("broker failure detected", "dead", id)
 					c.handleBrokerFailure(id)
 				}

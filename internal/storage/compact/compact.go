@@ -7,7 +7,6 @@ package compact
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/storage/log"
 	"repro/internal/storage/record"
@@ -30,29 +29,42 @@ func (s Stats) Ratio() float64 {
 	return float64(s.BytesAfter) / float64(s.BytesBefore)
 }
 
-// Compact performs one compaction pass over l. Records without keys are
-// always retained (compaction is meaningful only for keyed data). The most
-// recent record for each key — judged over the entire log, including the
-// active segment — survives; older versions in inactive segments are
-// dropped. Tombstones (nil values) that are the latest for their key are
-// retained so that replicating consumers observe the deletion.
-func Compact(l *log.Log) (Stats, error) {
+// Compact performs one compaction pass over l, bounded at upTo: the offset
+// below which records are known committed (a replica passes its high
+// watermark). Records without keys are always retained (compaction is
+// meaningful only for keyed data). Each key's newest record below upTo
+// survives; older versions in segments wholly below upTo are dropped. A
+// record at or above upTo supersedes nothing, since it may not be committed
+// and a truncation may cut it, and no segment reaching upTo is rewritten.
+// Tombstones (nil values) that are the latest for their key are retained so
+// that replicating consumers observe the deletion.
+//
+// A restarted replica's high watermark is its log end, so the bound
+// protects only a running replica's uncommitted tail.
+func Compact(l *log.Log, upTo int64) (Stats, error) {
 	var stats Stats
 	segs := l.Segments()
-	if len(segs) < 2 {
-		return stats, nil // only the active segment: nothing compactable
+	n := 0
+	for n < len(segs) && !segs[n].Active && segs[n].NextOffset <= upTo {
+		n++
 	}
-	inactive := segs[:len(segs)-1]
+	if n == 0 {
+		return stats, nil // nothing inactive wholly below the bound
+	}
+	inactive := segs[:n]
 
-	// Pass 1: newest offset per key across the whole log.
+	// Pass 1: newest offset per key below the bound.
 	latest := make(map[string]int64)
 	for _, si := range segs {
+		if si.BaseOffset >= upTo {
+			break
+		}
 		data, err := l.ReadSegment(si.BaseOffset)
 		if err != nil {
 			return stats, err
 		}
 		err = record.ScanRecords(data, func(r record.Record) error {
-			if r.Key != nil {
+			if r.Key != nil && r.Offset < upTo {
 				latest[string(r.Key)] = r.Offset
 			}
 			return nil
@@ -117,54 +129,4 @@ func Compact(l *log.Log) (Stats, error) {
 		return stats, err
 	}
 	return stats, nil
-}
-
-// Cleaner periodically compacts a set of logs in the background, the way
-// the paper describes asynchronous scanning of the log (§4.1).
-type Cleaner struct {
-	interval time.Duration
-	logs     func() []*log.Log
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// NewCleaner creates a cleaner that compacts every log returned by logs()
-// each interval. Start must be called to begin cleaning.
-func NewCleaner(interval time.Duration, logs func() []*log.Log) *Cleaner {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	return &Cleaner{
-		interval: interval,
-		logs:     logs,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-}
-
-// Start launches the background cleaning loop.
-func (c *Cleaner) Start() {
-	go func() {
-		defer close(c.done)
-		ticker := time.NewTicker(c.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-ticker.C:
-				for _, l := range c.logs() {
-					if l.Config().Compacted {
-						_, _ = Compact(l) // best effort; next tick retries
-					}
-				}
-			}
-		}
-	}()
-}
-
-// Stop halts the cleaner and waits for the loop to exit.
-func (c *Cleaner) Stop() {
-	close(c.stop)
-	<-c.done
 }

@@ -89,7 +89,7 @@ func TestCompactKeepsLatestPerKey(t *testing.T) {
 	before := latestPerKey(t, l)
 	recordsBefore := countRecords(t, l)
 
-	stats, err := Compact(l)
+	stats, err := Compact(l, l.NextOffset())
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestCompactPreservesOffsets(t *testing.T) {
 		put(t, l, fmt.Sprintf("k%d", i%3), fmt.Sprintf("v%d", i))
 	}
 	end := l.NextOffset()
-	if _, err := Compact(l); err != nil {
+	if _, err := Compact(l, l.NextOffset()); err != nil {
 		t.Fatal(err)
 	}
 	if l.NextOffset() != end {
@@ -155,7 +155,7 @@ func TestCompactRetainsLatestTombstone(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		put(t, l, "other", fmt.Sprintf("v%d", i))
 	}
-	if _, err := Compact(l); err != nil {
+	if _, err := Compact(l, l.NextOffset()); err != nil {
 		t.Fatal(err)
 	}
 	state := latestPerKey(t, l)
@@ -194,7 +194,7 @@ func TestCompactKeepsUnkeyedRecords(t *testing.T) {
 		}
 	}
 	before := countRecords(t, l)
-	if _, err := Compact(l); err != nil {
+	if _, err := Compact(l, l.NextOffset()); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRecords(t, l); got != before {
@@ -205,7 +205,7 @@ func TestCompactKeepsUnkeyedRecords(t *testing.T) {
 func TestCompactSingleSegmentNoop(t *testing.T) {
 	l := openLog(t, log.Config{})
 	put(t, l, "a", "1")
-	stats, err := Compact(l)
+	stats, err := Compact(l, l.NextOffset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestCompactIdempotent(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		put(t, l, fmt.Sprintf("k%d", i%5), fmt.Sprintf("v%d", i))
 	}
-	if _, err := Compact(l); err != nil {
+	if _, err := Compact(l, l.NextOffset()); err != nil {
 		t.Fatal(err)
 	}
 	state1 := latestPerKey(t, l)
-	stats2, err := Compact(l)
+	stats2, err := Compact(l, l.NextOffset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestCompactSurvivesReopen(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		l.Append([]record.Record{{Timestamp: 1, Key: []byte(fmt.Sprintf("k%d", i%5)), Value: []byte(fmt.Sprintf("v%d", i))}})
 	}
-	if _, err := Compact(l); err != nil {
+	if _, err := Compact(l, l.NextOffset()); err != nil {
 		t.Fatal(err)
 	}
 	end := l.NextOffset()
@@ -282,20 +282,35 @@ func TestStatsRatio(t *testing.T) {
 	}
 }
 
-func TestCleanerCompactsPeriodically(t *testing.T) {
-	l := openLog(t, log.Config{SegmentBytes: 512})
-	for i := 0; i < 200; i++ {
-		put(t, l, fmt.Sprintf("k%d", i%5), fmt.Sprintf("v%d", i))
+// TestCompactStopsAtBound: a version at or above the bound is not known
+// committed, so it supersedes nothing. The committed v1 of a key, in an
+// inactive segment wholly below the bound, survives a v2 above it.
+func TestCompactStopsAtBound(t *testing.T) {
+	l := openLog(t, log.Config{SegmentBytes: 256})
+	put(t, l, "k", "v1")
+	for i := 0; l.SegmentCount() < 3; i++ {
+		put(t, l, fmt.Sprintf("filler-%d", i), "x")
 	}
-	before := countRecords(t, l)
-	cl := NewCleaner(10*time.Millisecond, func() []*log.Log { return []*log.Log{l} })
-	cl.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for countRecords(t, l) >= before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	segs := l.Segments()
+	bound := segs[1].BaseOffset // segment 0 is wholly below it
+	put(t, l, "k", "v2")        // in the active segment, above the bound
+
+	if _, err := Compact(l, bound); err != nil {
+		t.Fatal(err)
 	}
-	cl.Stop()
-	if got := countRecords(t, l); got >= before {
-		t.Fatalf("cleaner never compacted: %d records", got)
+	data, err := l.Read(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 bool
+	record.ScanRecords(data, func(r record.Record) error {
+		v1 = v1 || string(r.Key) == "k" && string(r.Value) == "v1"
+		return nil
+	})
+	if !v1 {
+		t.Fatalf("v1 of k (offset 0) dropped by a v2 above the bound %d", bound)
+	}
+	if got := latestPerKey(t, l)["k"]; got != "v2" {
+		t.Fatalf("k = %q, want v2", got)
 	}
 }

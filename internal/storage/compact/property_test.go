@@ -72,7 +72,7 @@ func TestQuickCompactionPreservesLatestState(t *testing.T) {
 			return false
 		}
 		end := l.NextOffset()
-		if _, err := Compact(l); err != nil {
+		if _, err := Compact(l, l.NextOffset()); err != nil {
 			return false
 		}
 		after, ok := replay()
@@ -91,7 +91,7 @@ func TestQuickCompactionPreservesLatestState(t *testing.T) {
 			}
 		}
 		// A second pass is a fixed point for state.
-		if _, err := Compact(l); err != nil {
+		if _, err := Compact(l, l.NextOffset()); err != nil {
 			return false
 		}
 		again, ok := replay()
@@ -134,7 +134,7 @@ func TestCompactionUnderConcurrentAppends(t *testing.T) {
 	}()
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if _, err := Compact(l); err != nil {
+		if _, err := Compact(l, l.NextOffset()); err != nil {
 			t.Fatalf("compact during appends: %v", err)
 		}
 	}

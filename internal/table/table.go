@@ -52,10 +52,14 @@ const readMaxBytes = 4 << 20
 // watermark continuously. Get/Range/ApproxLen may be called concurrently
 // with materialization; Freshness reports how far behind the view is.
 type Partition struct {
-	src   Source
-	store state.Store
+	src    Source
+	store  state.Store
+	onFail func(error)
 
 	applied atomic.Int64 // next offset to apply; offsets below are in the store
+
+	mu    sync.Mutex
+	moved chan struct{} // made when a waiter asks; closed when applied moves or the loop ends
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -64,20 +68,26 @@ type Partition struct {
 }
 
 // NewPartition starts materializing src into store and returns the running
-// Partition. The Partition owns store and closes it on Close.
-func NewPartition(src Source, store state.Store) *Partition {
+// Partition. The Partition owns store and closes it on Close. onFail, when
+// not nil, is called once, from the materializer, with its terminal
+// failure; a Close is not a failure.
+func NewPartition(src Source, store state.Store, onFail func(error)) *Partition {
 	p := &Partition{
-		src:   src,
-		store: store,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		src:    src,
+		store:  store,
+		onFail: onFail,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go p.run()
 	return p
 }
 
 func (p *Partition) run() {
-	defer close(p.done)
+	defer func() {
+		close(p.done)
+		p.wake()
+	}()
 	pos := int64(0)
 	for {
 		select {
@@ -100,16 +110,16 @@ func (p *Partition) run() {
 				pos = earliest
 				continue
 			}
-			p.failure.Store(fmt.Errorf("table: offset %d beyond log (earliest %d, hw %d)", pos, earliest, hw))
+			p.fail(fmt.Errorf("table: offset %d beyond log (earliest %d, hw %d)", pos, earliest, hw))
 			return
 		default:
 			// Not leader anymore, or the replica closed: terminal — the
 			// broker detaches and a new leader rematerializes.
-			p.failure.Store(code.Err())
+			p.fail(code.Err())
 			return
 		}
 		if len(data) == 0 {
-			p.applied.Store(pos)
+			p.setApplied(pos)
 			select {
 			case <-notify:
 			case <-p.stop:
@@ -121,13 +131,57 @@ func (p *Partition) run() {
 		if err != nil {
 			// The store holds every batch below next: report it applied,
 			// and stop rather than re-read the same bytes.
-			p.applied.Store(next)
-			p.failure.Store(fmt.Errorf("table: apply at offset %d: %w", next, err))
+			p.setApplied(next)
+			p.fail(fmt.Errorf("table: apply at offset %d: %w", next, err))
 			return
 		}
 		pos = next
-		p.applied.Store(pos)
+		p.setApplied(pos)
 	}
+}
+
+// fail reports the materializer's terminal failure, then records it: a
+// reader that sees Err set sees it reported.
+func (p *Partition) fail(err error) {
+	if p.onFail != nil {
+		p.onFail(err)
+	}
+	p.failure.Store(err)
+}
+
+// setApplied publishes the applied offset, waking Applied's waiters when it
+// moved.
+func (p *Partition) setApplied(pos int64) {
+	if p.applied.Swap(pos) != pos {
+		p.wake()
+	}
+}
+
+// wake closes the channel Applied handed out.
+func (p *Partition) wake() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.moved != nil {
+		close(p.moved)
+		p.moved = nil
+	}
+}
+
+// Applied returns the applied offset (next offset to materialize) and a
+// channel closed when it next moves or materialization ends, so a reader
+// can wait for the view to reach an offset without polling.
+func (p *Partition) Applied() (int64, <-chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.done:
+		return p.applied.Load(), p.done
+	default:
+	}
+	if p.moved == nil {
+		p.moved = make(chan struct{})
+	}
+	return p.applied.Load(), p.moved
 }
 
 // Get returns the current value for key.

@@ -160,7 +160,7 @@ func rec(key, value string) record.Record {
 func TestPartitionMaterializesChangelog(t *testing.T) {
 	src := newFakeSource()
 	src.append(rec("a", "1"), rec("b", "1"), rec("c", "1"))
-	p := NewPartition(src, state.NewMem())
+	p := NewPartition(src, state.NewMem(), nil)
 	defer p.Close()
 	awaitApplied(t, p, 3)
 
@@ -206,7 +206,7 @@ func TestFreshnessReadsLiveHighWatermark(t *testing.T) {
 	src := newFakeSource()
 	src.idle = make(chan int64, 1)
 	src.append(rec("a", "1"), rec("b", "1"), rec("c", "1"))
-	p := NewPartition(src, state.NewMem())
+	p := NewPartition(src, state.NewMem(), nil)
 	defer p.Close()
 	// The first empty read at offset 3 comes after applying 0..2: the
 	// materializer is parked on Notify with applied == hw == 3.
@@ -235,7 +235,7 @@ func TestPartitionJumpsCompactedPrefix(t *testing.T) {
 	// Compaction dropped the first batch before the materializer started.
 	src.compactTo(2)
 
-	p := NewPartition(src, state.NewMem())
+	p := NewPartition(src, state.NewMem(), nil)
 	defer p.Close()
 	awaitApplied(t, p, 4)
 	if v, ok, _ := p.Get([]byte("a")); !ok || string(v) != "new" {
@@ -252,7 +252,7 @@ func TestPartitionJumpsCompactedPrefix(t *testing.T) {
 func TestPartitionTerminalOnLeadershipLoss(t *testing.T) {
 	src := newFakeSource()
 	src.append(rec("a", "1"))
-	p := NewPartition(src, state.NewMem())
+	p := NewPartition(src, state.NewMem(), nil)
 	awaitApplied(t, p, 1)
 
 	src.fail(wire.ErrNotLeaderForPartition)
@@ -277,7 +277,7 @@ func TestPartitionTerminalOnLeadershipLoss(t *testing.T) {
 
 func TestPartitionCloseStopsTailer(t *testing.T) {
 	src := newFakeSource()
-	p := NewPartition(src, state.NewMem())
+	p := NewPartition(src, state.NewMem(), nil)
 	done := make(chan error, 1)
 	go func() { done <- p.Close() }()
 	select {
