@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/dfs"
+	"repro/internal/isolation"
 	"repro/internal/storage/record"
 )
 
@@ -129,7 +130,8 @@ func Backfill(c *client.Client, cfg BackfillConfig) (BackfillStats, error) {
 
 	prod := client.NewProducer(c, client.ProducerConfig{Acks: cfg.Acks, BatchBytes: 256 << 10})
 	defer prod.Close()
-	limiter := newRateLimiter(cfg.RecordsPerSec)
+	// Burst 1 keeps the pacing strict: no record goes ahead of its slot.
+	limiter := isolation.NewRate(isolation.RateConfig{PerSec: float64(cfg.RecordsPerSec), Burst: 1})
 
 	for _, man := range manifests {
 		// Resume point: the committed checkpoint is the last offset (+1)
@@ -159,7 +161,7 @@ func Backfill(c *client.Client, cfg BackfillConfig) (BackfillStats, error) {
 				if r.Offset < resume {
 					continue // partial segment handoff is impossible, but stay safe
 				}
-				limiter.wait()
+				time.Sleep(limiter.Charge(1))
 				msg := client.Message{
 					Topic:     cfg.TargetTopic,
 					Partition: man.Partition,
@@ -203,30 +205,4 @@ func Backfill(c *client.Client, cfg BackfillConfig) (BackfillStats, error) {
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
-}
-
-// rateLimiter paces record publishes to a fixed rate.
-type rateLimiter struct {
-	interval time.Duration
-	next     time.Time
-}
-
-func newRateLimiter(perSec int) *rateLimiter {
-	if perSec <= 0 {
-		return &rateLimiter{}
-	}
-	return &rateLimiter{interval: time.Second / time.Duration(perSec)}
-}
-
-// wait blocks until the next publish slot.
-func (l *rateLimiter) wait() {
-	if l.interval == 0 {
-		return
-	}
-	now := time.Now()
-	if l.next.Before(now) {
-		l.next = now
-	}
-	time.Sleep(l.next.Sub(now))
-	l.next = l.next.Add(l.interval)
 }

@@ -35,7 +35,8 @@ type JobConfig struct {
 	Annotations map[string]string
 	// StartFrom applies when no checkpoint exists (default earliest).
 	StartFrom int64
-	// DataDir hosts persistent stores.
+	// DataDir hosts persistent stores; a job with one requires it.
+	// core.Stack.RunJob defaults it into the stack's data directory.
 	DataDir string
 	// PollWait is the long-poll budget per fetch (default 100ms).
 	PollWait time.Duration
@@ -79,9 +80,6 @@ func (c JobConfig) withDefaults() JobConfig {
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
-	if c.DataDir == "" {
-		c.DataDir = os.TempDir()
-	}
 	return c
 }
 
@@ -118,6 +116,11 @@ func NewJob(c *client.Client, cfg JobConfig) (*Job, error) {
 	}
 	if cfg.Factory == nil {
 		return nil, errors.New("processing: task factory is required")
+	}
+	for _, spec := range cfg.Stores {
+		if spec.Persistent && cfg.DataDir == "" {
+			return nil, fmt.Errorf("processing: persistent store %q requires DataDir", spec.Name)
+		}
 	}
 	return &Job{
 		cfg:    cfg,
@@ -167,7 +170,9 @@ func (j *Job) Start() error {
 		return err
 	}
 	j.collectorProducer = client.NewProducer(j.client, client.ProducerConfig{})
-	j.changelogProducer = client.NewProducer(j.client, client.ProducerConfig{Codec: j.cfg.ChangelogCodec})
+	// acks=all: a flushed changelog is committed, so a store checkpoint at
+	// its end covers no write a leader change could take back.
+	j.changelogProducer = client.NewProducer(j.client, client.ProducerConfig{Codec: j.cfg.ChangelogCodec, Acks: client.AcksAll})
 
 	for i := int32(0); i < numTasks; i++ {
 		tr := &taskRunner{job: j, id: i}
@@ -246,7 +251,8 @@ func (t *taskRunner) runOnce() error {
 	cfg := t.job.cfg
 	reg := cfg.Metrics
 
-	stores, err := t.job.buildStores(t.id)
+	restoreStart := time.Now()
+	stores, replayed, err := t.job.openStores(t.id)
 	if err != nil {
 		return err
 	}
@@ -254,12 +260,6 @@ func (t *taskRunner) runOnce() error {
 		for _, s := range stores {
 			s.Close()
 		}
-	}
-	restoreStart := time.Now()
-	replayed, err := t.job.restoreStores(t.id, stores)
-	if err != nil {
-		closeStores()
-		return err
 	}
 	if replayed > 0 {
 		reg.Counter(cfg.Name + ".restores").Inc()
@@ -330,6 +330,13 @@ func (t *taskRunner) runOnce() error {
 		}
 		if err := t.job.changelogProducer.Flush(); err != nil {
 			return err
+		}
+		for _, s := range stores {
+			if cs, ok := s.(*changelogStore); ok {
+				if err := cs.checkpoint(t.job.client); err != nil {
+					return err
+				}
+			}
 		}
 		commit := make(map[string]map[int32]int64)
 		for topic := range positions {

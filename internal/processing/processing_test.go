@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/processing"
+	"repro/internal/state"
 )
 
 // startStack boots a small single-broker stack for job tests.
@@ -445,6 +447,13 @@ func TestJobValidation(t *testing.T) {
 	if err := j.Start(); err == nil {
 		t.Fatal("start with missing input topic should fail")
 	}
+	if _, err := processing.NewJob(s.Client(), processing.JobConfig{
+		Name: "x", Inputs: []string{"t"},
+		Factory: func() processing.StreamTask { return annotateTask{} },
+		Stores:  []processing.StoreSpec{{Name: "s", Persistent: true}},
+	}); err == nil {
+		t.Fatal("persistent store without DataDir accepted")
+	}
 }
 
 // persistentCountTask is countTask over a persistent store.
@@ -499,5 +508,91 @@ func TestMultiInputJob(t *testing.T) {
 	msgs := drain(t, s, "merged", 2, 20, 15*time.Second)
 	if len(msgs) < 20 {
 		t.Fatalf("merged %d messages", len(msgs))
+	}
+}
+
+// persistentCounter is a countTask job over a persistent "counts" store.
+func persistentCounter(name, input, dataDir string) processing.JobConfig {
+	return processing.JobConfig{
+		Name:               name,
+		Inputs:             []string{input},
+		Factory:            func() processing.StreamTask { return countTask{} },
+		Stores:             []processing.StoreSpec{{Name: "counts", Persistent: true}},
+		CheckpointInterval: 50 * time.Millisecond,
+		DataDir:            dataDir,
+	}
+}
+
+// runCounts runs cfg on s over n inputs keyed by keyFn, stops it, and
+// returns the job for its metrics.
+func runCounts(t *testing.T, s *core.Stack, cfg processing.JobConfig, n int, keyFn func(int) string) *processing.Job {
+	t.Helper()
+	job, err := s.RunJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	produceN(t, s, cfg.Inputs[0], n, keyFn, func(int) string { return "u" })
+	waitCounter(t, job.Metrics().Counter(cfg.Name+".processed"), int64(n), 10*time.Second)
+	if err := job.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// A write that reached the store's disk but never the changelog — what a
+// task killed between Put and the changelog ack leaves — does not survive
+// restore: the restored store is the changelog's fold.
+func TestRestoreDropsUnackedWrite(t *testing.T) {
+	s := startStack(t)
+	s.CreateFeed("unacked-in", 1, 1)
+	dataDir := t.TempDir()
+	kv, err := state.OpenKV(filepath.Join(dataDir, "unacked-counts-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv.Put([]byte("g"), []byte("7"))
+	kv.Close()
+
+	runCounts(t, s, persistentCounter("unacked", "unacked-in", dataDir), 1, func(int) string { return "g" })
+	if got := changelogState(t, s, "unacked-counts-changelog", 1)["g"]; got != "1" {
+		t.Fatalf("changelog holds g = %q, want \"1\": a write the changelog never received was restored", got)
+	}
+}
+
+// A persistent store restores from its checkpoint: a restart after a clean
+// stop replays nothing, and the counts stay right after more input.
+func TestRestoreReplaysOnlySuffix(t *testing.T) {
+	s := startStack(t)
+	s.CreateFeed("suffix-in", 1, 1)
+	cfg := persistentCounter("suffix", "suffix-in", t.TempDir())
+	key := func(i int) string { return fmt.Sprintf("k%d", i%4) }
+	runCounts(t, s, cfg, 20, key)
+	job := runCounts(t, s, cfg, 4, key)
+	if got := job.Metrics().Counter("suffix.restored.records").Value(); got != 0 {
+		t.Fatalf("second start replayed %d changelog records, want 0: the checkpoint covers them", got)
+	}
+	counts := changelogState(t, s, "suffix-counts-changelog", 1)
+	for i := 0; i < 4; i++ {
+		if counts[key(i)] != "6" {
+			t.Fatalf("counts = %v, want 6 per key", counts)
+		}
+	}
+}
+
+// A checkpoint ahead of its changelog — a new stack over an old DataDir —
+// came from another history: the store is discarded and rebuilt from 0.
+func TestCheckpointAheadOfChangelogDiscarded(t *testing.T) {
+	dataDir := t.TempDir()
+	key := func(int) string { return "g" }
+	old := startStack(t)
+	old.CreateFeed("ahead-in", 1, 1)
+	runCounts(t, old, persistentCounter("ahead", "ahead-in", dataDir), 10, key)
+	old.Shutdown()
+
+	s := startStack(t)
+	s.CreateFeed("ahead-in", 1, 1)
+	runCounts(t, s, persistentCounter("ahead", "ahead-in", dataDir), 1, key)
+	if got := changelogState(t, s, "ahead-counts-changelog", 1)["g"]; got != "1" {
+		t.Fatalf("changelog holds g = %q, want \"1\": the old stack's checkpoint was trusted", got)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 func benchKV(b *testing.B) *KV {
 	b.Helper()
-	kv, err := OpenKV(b.TempDir(), KVConfig{})
+	kv, err := OpenKV(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func BenchmarkKVGet(b *testing.B) {
 	for i := 0; i < 4096; i++ {
 		kv.Put([]byte(fmt.Sprintf("key-%d", i)), value)
 	}
-	kv.Flush()
+	kv.Checkpoint(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

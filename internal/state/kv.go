@@ -2,107 +2,69 @@ package state
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
 
-// KVConfig parameterises the persistent store.
-type KVConfig struct {
-	// MemtableEntries is the flush threshold: once the memtable holds
-	// this many entries it is written out as a sorted run.
-	MemtableEntries int
-	// MaxRuns triggers a full merge once exceeded.
-	MaxRuns int
-	// SyncWAL fsyncs the write-ahead log on every write (durable but
-	// slow); off by default, matching the processing layer's stance that
-	// the changelog — not local disk — is the recovery source of truth.
-	SyncWAL bool
-}
+// mergeAt is the run count past which a checkpoint merges the runs into one.
+const mergeAt = 4
 
-func (c KVConfig) withDefaults() KVConfig {
-	if c.MemtableEntries == 0 {
-		c.MemtableEntries = 16 * 1024
-	}
-	if c.MaxRuns == 0 {
-		c.MaxRuns = 4
-	}
-	return c
-}
+// checkpointName is the file that names a store's durable state.
+const checkpointName = "CHECKPOINT"
 
-// KV is a persistent log-structured store: writes land in a WAL-backed
-// memtable, which flushes to immutable sorted runs; reads consult the
-// memtable then runs newest-first; a background-free merge compacts runs
-// when they pile up. It stands in for RocksDB as the off-heap local state
-// of the processing layer (paper §4.4).
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// KV is a persistent log-structured store, the RocksDB stand-in of the
+// processing layer (paper §4.4). Writes land in a memtable; reads consult
+// the memtable, then the immutable sorted runs newest first. The disk
+// changes only at a Checkpoint, which makes the store's contents a cache of
+// its changelog's prefix: the runs a checkpoint file names hold the fold of
+// the changelog below the offset it records, and nothing else on disk is
+// trusted.
 type KV struct {
 	dir string
-	cfg KVConfig
 
 	mu       sync.RWMutex
 	mem      map[string][]byte // nil value = tombstone, as in runs
 	runs     []*run            // oldest first
-	wal      *wal
+	offset   int64             // the changelog offset the runs cover
 	nextRun  int
 	closed   bool
 	liveKeys int
 }
 
-// OpenKV opens or creates a persistent store in dir, replaying the WAL.
-func OpenKV(dir string, cfg KVConfig) (*KV, error) {
-	cfg = cfg.withDefaults()
+// OpenKV opens or creates a persistent store in dir, loading exactly the
+// runs its checkpoint names and deleting every other run and tmp file. With
+// no checkpoint, or one that fails its CRC or names a run that does not
+// load, the store opens empty at offset 0: the changelog still holds
+// everything.
+func OpenKV(dir string) (*KV, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	kv := &KV{dir: dir, cfg: cfg, mem: make(map[string][]byte)}
-
-	// Load runs in file order (ascending run number = oldest first).
-	entries, err := os.ReadDir(dir)
+	kv := &KV{dir: dir, mem: make(map[string][]byte)}
+	offset, nums, err := readCheckpoint(dir)
+	for i := 0; err == nil && i < len(nums); i++ {
+		var r *run
+		if r, err = openRun(dir, nums[i]); err == nil {
+			kv.runs = append(kv.runs, r)
+			kv.nextRun = nums[i] + 1
+		}
+	}
 	if err != nil {
-		return nil, err
+		kv.runs, kv.nextRun = nil, 0
+	} else {
+		kv.offset = offset
 	}
-	var runNums []int
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, runSuffix) {
-			if n, err := strconv.Atoi(strings.TrimSuffix(name, runSuffix)); err == nil {
-				runNums = append(runNums, n)
-			}
-		}
-	}
-	sort.Ints(runNums)
-	for _, n := range runNums {
-		r, err := openRun(runPath(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		kv.runs = append(kv.runs, r)
-		if n >= kv.nextRun {
-			kv.nextRun = n + 1
-		}
-	}
-
-	w, err := openWAL(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		return nil, err
-	}
-	kv.wal = w
-	err = w.replay(func(op byte, key, value []byte) {
-		if op == walOpPut {
-			kv.mem[string(key)] = value // a sub-slice of the log: never nil
-		} else {
-			kv.mem[string(key)] = nil
-		}
-	})
-	if err != nil {
-		w.close()
+	if err := kv.sweep(); err != nil {
 		return nil, err
 	}
 	for _, v := range kv.merged() {
@@ -140,49 +102,32 @@ func (kv *KV) Get(key []byte) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Put implements Store.
+// Put implements Store. It touches memory only.
 func (kv *KV) Put(key, value []byte) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	if kv.closed {
 		return ErrClosed
 	}
-	if err := kv.wal.appendRecord(walOpPut, key, value); err != nil {
-		return err
-	}
-	if kv.cfg.SyncWAL {
-		if err := kv.wal.sync(); err != nil {
-			return err
-		}
-	}
-	prev, existed := kv.lookupLocked(key)
-	if !existed || prev == nil {
+	if prev, _ := kv.lookupLocked(key); prev == nil {
 		kv.liveKeys++
 	}
 	kv.mem[string(key)] = append([]byte{}, value...) // non-nil: nil is a tombstone
-	return kv.maybeFlushLocked()
+	return nil
 }
 
-// Delete implements Store.
+// Delete implements Store. It touches memory only.
 func (kv *KV) Delete(key []byte) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	if kv.closed {
 		return ErrClosed
 	}
-	if err := kv.wal.appendRecord(walOpDelete, key, nil); err != nil {
-		return err
-	}
-	if kv.cfg.SyncWAL {
-		if err := kv.wal.sync(); err != nil {
-			return err
-		}
-	}
-	if prev, existed := kv.lookupLocked(key); existed && prev != nil {
+	if prev, _ := kv.lookupLocked(key); prev != nil {
 		kv.liveKeys--
 	}
 	kv.mem[string(key)] = nil
-	return kv.maybeFlushLocked()
+	return nil
 }
 
 // lookupLocked resolves a key through memtable and runs; value nil means
@@ -199,53 +144,98 @@ func (kv *KV) lookupLocked(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// maybeFlushLocked flushes the memtable to a run and merges runs when they
-// pile up.
-func (kv *KV) maybeFlushLocked() error {
-	if len(kv.mem) < kv.cfg.MemtableEntries {
+// Offset returns the changelog offset the store's checkpoint covers: a
+// restore replays the changelog from there.
+func (kv *KV) Offset() int64 {
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
+	return kv.offset
+}
+
+// Checkpoint makes the store's contents its durable state, covering the
+// changelog below offset. It writes the memtable as a run, merges the runs
+// into one when there are more than mergeAt, commits a checkpoint file
+// naming the offset and the runs, and deletes every run file the checkpoint
+// does not name. A failure leaves the previous checkpoint in force.
+func (kv *KV) Checkpoint(offset int64) error {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	if kv.closed {
+		return ErrClosed
+	}
+	if len(kv.mem) == 0 && offset == kv.offset {
 		return nil
 	}
-	if err := kv.flushLocked(); err != nil {
+	if len(kv.mem) > 0 {
+		entries := make([]entry, 0, len(kv.mem))
+		for k, v := range kv.mem {
+			entries = append(entries, entry{key: []byte(k), value: v})
+		}
+		slices.SortFunc(entries, compareEntries)
+		if err := kv.addRunLocked(entries); err != nil {
+			return err
+		}
+		kv.mem = make(map[string][]byte)
+	}
+	if len(kv.runs) > mergeAt {
+		if err := kv.mergeLocked(); err != nil {
+			return err
+		}
+	}
+	buf := make([]byte, 4, 12+4*len(kv.runs))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(offset))
+	for _, r := range kv.runs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.n))
+	}
+	binary.BigEndian.PutUint32(buf, crc32.Checksum(buf[4:], crcTable))
+	if err := commitFile(filepath.Join(kv.dir, checkpointName), buf); err != nil {
 		return err
 	}
-	if len(kv.runs) > kv.cfg.MaxRuns {
-		return kv.mergeLocked()
+	kv.offset = offset
+	return kv.sweep()
+}
+
+// addRunLocked writes sorted entries as the newest run.
+func (kv *KV) addRunLocked(entries []entry) error {
+	if err := commitFile(filepath.Join(kv.dir, runName(kv.nextRun)), encodeRun(entries)); err != nil {
+		return err
+	}
+	kv.runs = append(kv.runs, &run{n: kv.nextRun, entries: entries})
+	kv.nextRun++
+	return nil
+}
+
+// mergeLocked merges all runs into one, dropping shadowed entries and —
+// since nothing older remains — tombstones. The old run files stay until a
+// checkpoint that no longer names them.
+func (kv *KV) mergeLocked() error {
+	old, entries := kv.runs, snapshot(kv.merged(), nil, nil)
+	kv.runs = nil
+	if err := kv.addRunLocked(entries); err != nil {
+		kv.runs = old
+		return err
 	}
 	return nil
 }
 
-// flushLocked writes the memtable as a new sorted run and resets the WAL.
-func (kv *KV) flushLocked() error {
-	if len(kv.mem) == 0 {
-		return nil
+// sweep deletes every run and tmp file in the store's directory that the
+// store's runs do not name. The caller holds kv.mu or owns kv.
+func (kv *KV) sweep() error {
+	keep := make(map[string]bool, len(kv.runs))
+	for _, r := range kv.runs {
+		keep[runName(r.n)] = true
 	}
-	entries := make([]entry, 0, len(kv.mem))
-	for k, v := range kv.mem {
-		entries = append(entries, entry{key: []byte(k), value: v})
-	}
-	sort.Slice(entries, func(i, j int) bool { return compareEntries(entries[i], entries[j]) < 0 })
-	r, err := writeRun(runPath(kv.dir, kv.nextRun), entries)
+	des, err := os.ReadDir(kv.dir)
 	if err != nil {
 		return err
 	}
-	kv.nextRun++
-	kv.runs = append(kv.runs, r)
-	kv.mem = make(map[string][]byte)
-	return kv.wal.reset()
-}
-
-// mergeLocked merges all runs into one, dropping shadowed entries and —
-// since nothing older remains — tombstones.
-func (kv *KV) mergeLocked() error {
-	r, err := writeRun(runPath(kv.dir, kv.nextRun), snapshot(kv.merged(), nil, nil))
-	if err != nil {
-		return err
-	}
-	kv.nextRun++
-	old := kv.runs
-	kv.runs = []*run{r}
-	for _, o := range old {
-		o.remove()
+	for _, de := range des {
+		name := de.Name()
+		if !keep[name] && (strings.HasSuffix(name, runSuffix) || strings.HasSuffix(name, ".tmp")) {
+			if err := os.Remove(filepath.Join(kv.dir, name)); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -270,147 +260,145 @@ func (kv *KV) Len() int {
 	return kv.liveKeys
 }
 
-// Flush forces the memtable to disk; primarily for tests and shutdown.
-func (kv *KV) Flush() error {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if kv.closed {
-		return ErrClosed
-	}
-	return kv.flushLocked()
-}
-
-// Close flushes and closes the store.
+// Close releases the store's memory. It writes nothing: what the last
+// checkpoint does not cover is the changelog's to replay.
 func (kv *KV) Close() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	if kv.closed {
-		return nil
+	kv.closed, kv.mem, kv.runs = true, nil, nil
+	return nil
+}
+
+// readCheckpoint reads the checkpoint file in dir. Format:
+//
+//	crc     uint32  // CRC-32C over everything after it
+//	offset  uint64
+//	runs    uint32* // run numbers, oldest first
+func readCheckpoint(dir string) (offset int64, runs []int, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		return 0, nil, err
 	}
-	kv.closed = true
-	var first error
-	if err := kv.wal.sync(); err != nil {
-		first = err
+	if len(data) < 12 || len(data)%4 != 0 || crc32.Checksum(data[4:], crcTable) != binary.BigEndian.Uint32(data) {
+		return 0, nil, errors.New("state: checkpoint corrupt")
 	}
-	if err := kv.wal.close(); err != nil && first == nil {
-		first = err
+	for b := data[12:]; len(b) > 0; b = b[4:] {
+		runs = append(runs, int(binary.BigEndian.Uint32(b)))
 	}
-	for _, r := range kv.runs {
-		r.release()
+	return int64(binary.BigEndian.Uint64(data[4:])), runs, nil
+}
+
+// commitFile writes data to path through a synced tmp file and a rename, so
+// a crash leaves either the old file or the whole new one.
+func commitFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
 	}
-	return first
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // ---------------------------------------------------------------- runs
 
 const runSuffix = ".run"
 
-func runPath(dir string, n int) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d%s", n, runSuffix))
-}
+func runName(n int) string { return fmt.Sprintf("%06d%s", n, runSuffix) }
+
+// tombstoneLen is the value length that marks a tombstone in a run.
+const tombstoneLen = 0xFFFFFFFF
 
 // run is one immutable sorted file, fully resident in memory. Format:
 //
+//	crc     uint32  // CRC-32C over everything after it
 //	count   uint32
-//	crc     uint32  // over all entry bytes
-//	entries { keyLen uint32, key, valLen uint32 (0xFFFFFFFF = tombstone), value }*
+//	entries { keyLen uint32, key, valLen uint32 (tombstoneLen = tombstone), value }*
 type run struct {
-	path    string
+	n       int
 	entries []entry
 }
 
-// writeRun persists sorted entries as a run file.
-func writeRun(path string, entries []entry) (*run, error) {
-	var body []byte
+// encodeRun is the run file of sorted entries.
+func encodeRun(entries []entry) []byte {
+	buf := binary.BigEndian.AppendUint32(make([]byte, 4), uint32(len(entries)))
 	for _, e := range entries {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(e.key)))
-		body = append(body, e.key...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.key)))
+		buf = append(buf, e.key...)
 		if e.value == nil {
-			body = binary.BigEndian.AppendUint32(body, 0xFFFFFFFF)
+			buf = binary.BigEndian.AppendUint32(buf, tombstoneLen)
 		} else {
-			body = binary.BigEndian.AppendUint32(body, uint32(len(e.value)))
-			body = append(body, e.value...)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.value)))
+			buf = append(buf, e.value...)
 		}
 	}
-	buf := make([]byte, 0, 8+len(body))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(entries)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(body, walTable))
-	buf = append(buf, body...)
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, err
-	}
-	return &run{path: path, entries: entries}, nil
+	binary.BigEndian.PutUint32(buf, crc32.Checksum(buf[4:], crcTable))
+	return buf
 }
 
-// writeFileSync writes data to path and fsyncs it before returning. Run
-// files are renamed into place and then trusted as durable (the WAL records
-// that cover them are dropped), so a torn run after a crash would lose data.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// openRun loads run n of dir.
+func openRun(dir string, n int) (*run, error) {
+	data, err := os.ReadFile(filepath.Join(dir, runName(n)))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	entries, err := decodeRun(data)
+	if err != nil {
+		return nil, fmt.Errorf("state: run %d: %w", n, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return &run{n: n, entries: entries}, nil
 }
 
-// openRun loads a run file, validating its checksum.
-func openRun(path string) (*run, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// decodeRun parses a run file whose checksum covers its count and entries,
+// and whose entries fill it exactly. Keys and values alias data.
+func decodeRun(data []byte) ([]entry, error) {
+	if len(data) < 8 || crc32.Checksum(data[4:], crcTable) != binary.BigEndian.Uint32(data) {
+		return nil, errors.New("corrupt")
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 8 {
-		return nil, fmt.Errorf("state: run %s truncated", path)
-	}
-	count := int(binary.BigEndian.Uint32(data))
-	wantCRC := binary.BigEndian.Uint32(data[4:])
-	body := data[8:]
-	if crc32.Checksum(body, walTable) != wantCRC {
-		return nil, fmt.Errorf("state: run %s corrupt", path)
+	count, body := binary.BigEndian.Uint32(data[4:]), data[8:]
+	if uint64(count) > uint64(len(body)/8) { // an entry takes at least 8 bytes
+		return nil, errors.New("count exceeds body")
 	}
 	entries := make([]entry, 0, count)
-	pos := 0
-	for i := 0; i < count; i++ {
-		if pos+4 > len(body) {
-			return nil, fmt.Errorf("state: run %s short", path)
+	field := func(n int) []byte {
+		if n > len(body) {
+			return nil
 		}
-		kl := int(binary.BigEndian.Uint32(body[pos:]))
-		pos += 4
-		if pos+kl+4 > len(body) {
-			return nil, fmt.Errorf("state: run %s short", path)
+		f := body[:n:n]
+		body = body[n:]
+		return f
+	}
+	for range count {
+		kl := field(4)
+		if kl == nil {
+			return nil, errors.New("short")
 		}
-		key := append([]byte(nil), body[pos:pos+kl]...)
-		pos += kl
-		vl := binary.BigEndian.Uint32(body[pos:])
-		pos += 4
+		key := field(int(binary.BigEndian.Uint32(kl)))
+		vl := field(4)
+		if key == nil || vl == nil {
+			return nil, errors.New("short")
+		}
 		var value []byte
-		if vl != 0xFFFFFFFF {
-			if pos+int(vl) > len(body) {
-				return nil, fmt.Errorf("state: run %s short", path)
+		if l := binary.BigEndian.Uint32(vl); l != tombstoneLen {
+			if value = field(int(l)); value == nil {
+				return nil, errors.New("short")
 			}
-			value = append([]byte{}, body[pos:pos+int(vl)]...)
-			pos += int(vl)
 		}
 		entries = append(entries, entry{key: key, value: value})
 	}
-	return &run{path: path, entries: entries}, nil
+	if len(body) != 0 {
+		return nil, errors.New("trailing bytes")
+	}
+	return entries, nil
 }
 
 // get binary-searches the run. ok distinguishes "present (maybe
@@ -424,12 +412,3 @@ func (r *run) get(key []byte) ([]byte, bool) {
 	}
 	return nil, false
 }
-
-// remove deletes the run file.
-func (r *run) remove() {
-	os.Remove(r.path)
-	r.entries = nil
-}
-
-// release drops in-memory entries without deleting the file.
-func (r *run) release() { r.entries = nil }

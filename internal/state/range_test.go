@@ -15,7 +15,7 @@ import (
 // key. The table materializer's scan path (TableRange) depends on exactly
 // this.
 func TestKVRangeAcrossRunsAndMemtable(t *testing.T) {
-	kv, err := OpenKV(t.TempDir(), KVConfig{MemtableEntries: 1 << 20, MaxRuns: 16})
+	kv, err := OpenKV(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestKVRangeAcrossRunsAndMemtable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := kv.Flush(); err != nil {
+	if err := kv.Checkpoint(1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +43,7 @@ func TestKVRangeAcrossRunsAndMemtable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := kv.Flush(); err != nil {
+	if err := kv.Checkpoint(2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,8 +144,8 @@ func TestStoreRangeConformance(t *testing.T) {
 			}
 			// Occasionally force the KV through its flush path so later
 			// ranges cross run boundaries, not just the memtable.
-			if kv, ok := s.(*KV); ok && op%500 == 499 {
-				if err := kv.Flush(); err != nil {
+			if kv, ok := s.(*checkpointingKV); ok && op%500 == 499 {
+				if err := kv.Checkpoint(int64(op)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -20,13 +21,42 @@ func storeImpls(t *testing.T, fn func(t *testing.T, s Store)) {
 		fn(t, s)
 	})
 	t.Run("kv", func(t *testing.T) {
-		s, err := OpenKV(t.TempDir(), KVConfig{MemtableEntries: 64, MaxRuns: 2})
+		kv, err := OpenKV(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := &checkpointingKV{KV: kv, every: 64}
 		defer s.Close()
 		fn(t, s)
 	})
+}
+
+// checkpointingKV checkpoints its KV every so many writes, at the write
+// count, so store tests cross the flush and merge paths.
+type checkpointingKV struct {
+	*KV
+	every, writes int64
+}
+
+func (s *checkpointingKV) Put(key, value []byte) error {
+	if err := s.KV.Put(key, value); err != nil {
+		return err
+	}
+	return s.tick()
+}
+
+func (s *checkpointingKV) Delete(key []byte) error {
+	if err := s.KV.Delete(key); err != nil {
+		return err
+	}
+	return s.tick()
+}
+
+func (s *checkpointingKV) tick() error {
+	if s.writes++; s.writes%s.every != 0 {
+		return nil
+	}
+	return s.KV.Checkpoint(s.writes)
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -157,25 +187,32 @@ func TestClosedStoreErrors(t *testing.T) {
 
 func TestKVFlushAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	kv, err := OpenKV(dir, KVConfig{MemtableEntries: 32, MaxRuns: 3})
+	kv, err := OpenKV(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &checkpointingKV{KV: kv, every: 32}
 	for i := 0; i < 500; i++ {
-		kv.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
+		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	for i := 0; i < 100; i++ {
-		kv.Delete([]byte(fmt.Sprintf("k%04d", i)))
+		s.Delete([]byte(fmt.Sprintf("k%04d", i)))
+	}
+	if err := kv.Checkpoint(600); err != nil {
+		t.Fatal(err)
 	}
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	kv2, err := OpenKV(dir, KVConfig{MemtableEntries: 32, MaxRuns: 3})
+	kv2, err := OpenKV(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv2.Close()
+	if got := kv2.Offset(); got != 600 {
+		t.Fatalf("Offset after reopen = %d, want 600", got)
+	}
 	if got := kv2.Len(); got != 400 {
 		t.Fatalf("Len after reopen = %d, want 400", got)
 	}
@@ -192,74 +229,91 @@ func TestKVFlushAndReopen(t *testing.T) {
 	}
 }
 
-func TestKVWALReplayAfterCrash(t *testing.T) {
+// Writes after the last checkpoint are gone after a reopen: the disk holds
+// only what a checkpoint covers, and the changelog replays the rest.
+func TestKVWritesAfterCheckpointGone(t *testing.T) {
 	dir := t.TempDir()
-	kv, err := OpenKV(dir, KVConfig{MemtableEntries: 1 << 20}) // never flush
+	kv, err := OpenKV(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		kv.Put([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)))
+	kv.Put([]byte("a"), []byte("1"))
+	kv.Put([]byte("b"), []byte("1"))
+	if err := kv.Checkpoint(2); err != nil {
+		t.Fatal(err)
 	}
-	kv.Delete([]byte("k7"))
-	// Simulate a crash: do NOT close (no flush); reopen replays the WAL.
-	kv.wal.f.Sync()
+	kv.Put([]byte("a"), []byte("2"))
+	kv.Delete([]byte("b"))
+	kv.Put([]byte("c"), []byte("1"))
+	kv.Close()
 
-	kv2, err := OpenKV(dir, KVConfig{})
-	if err != nil {
+	if kv, err = OpenKV(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer kv2.Close()
-	if _, ok, _ := kv2.Get([]byte("k7")); ok {
-		t.Fatal("deleted key survived WAL replay")
-	}
-	v, ok, _ := kv2.Get([]byte("k42"))
-	if !ok || string(v) != "v42" {
-		t.Fatalf("k42 = %q %v", v, ok)
+	defer kv.Close()
+	a, _, _ := kv.Get([]byte("a"))
+	_, bFound, _ := kv.Get([]byte("b"))
+	_, cFound, _ := kv.Get([]byte("c"))
+	if kv.Offset() != 2 || string(a) != "1" || !bFound || cFound || kv.Len() != 2 {
+		t.Fatalf("after reopen: offset %d, a %q, b found %v, c found %v, len %d; want 2, \"1\", true, false, 2",
+			kv.Offset(), a, bFound, cFound, kv.Len())
 	}
 }
 
-func TestKVWALTornTailTruncated(t *testing.T) {
+// A checkpoint file that fails its CRC opens the store empty at offset 0,
+// and the run files it named are deleted with every other run and tmp file.
+func TestKVCorruptCheckpointOpensEmpty(t *testing.T) {
 	dir := t.TempDir()
-	kv, _ := OpenKV(dir, KVConfig{MemtableEntries: 1 << 20})
-	for i := 0; i < 20; i++ {
+	kv, err := OpenKV(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
 		kv.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		if err := kv.Checkpoint(int64(i + 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	kv.wal.f.Sync()
-	// Append garbage to the WAL, as a torn write would leave.
-	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	kv.Close()
+	path := filepath.Join(dir, checkpointName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{1, 2, 3, 4, 5})
-	f.Close()
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(filepath.Join(dir, "000099.run.tmp"), []byte("torn"), 0o644)
 
-	kv2, err := OpenKV(dir, KVConfig{})
-	if err != nil {
-		t.Fatalf("reopen with torn WAL: %v", err)
-	}
-	defer kv2.Close()
-	if got := kv2.Len(); got != 20 {
-		t.Fatalf("Len = %d, want 20", got)
-	}
-	// New writes continue cleanly.
-	if err := kv2.Put([]byte("new"), []byte("v")); err != nil {
+	if kv, err = OpenKV(dir); err != nil {
 		t.Fatal(err)
+	}
+	defer kv.Close()
+	if kv.Offset() != 0 || kv.Len() != 0 {
+		t.Fatalf("corrupt checkpoint opened at offset %d with %d keys; want 0, 0", kv.Offset(), kv.Len())
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.run*")); len(left) != 0 {
+		t.Fatalf("files the checkpoint does not name survived the open: %v", left)
 	}
 }
 
 func TestKVMergeCompactsRuns(t *testing.T) {
-	kv, err := OpenKV(t.TempDir(), KVConfig{MemtableEntries: 16, MaxRuns: 2})
+	kv, err := OpenKV(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv.Close()
+	s := &checkpointingKV{KV: kv, every: 16}
 	// Hammer a small key space so runs contain many shadowed versions.
 	for i := 0; i < 600; i++ {
-		kv.Put([]byte(fmt.Sprintf("k%d", i%8)), []byte(fmt.Sprintf("v%d", i)))
+		s.Put([]byte(fmt.Sprintf("k%d", i%8)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if got := len(kv.runs); got > 3 {
+	if got := len(kv.runs); got > mergeAt {
 		t.Fatalf("runs = %d, merge not keeping up", got)
+	}
+	if files, _ := filepath.Glob(filepath.Join(kv.dir, "*"+runSuffix)); len(files) != len(kv.runs) {
+		t.Fatalf("%d run files for %d runs: merged runs not deleted", len(files), len(kv.runs))
 	}
 	if got := kv.Len(); got != 8 {
 		t.Fatalf("Len = %d, want 8", got)
@@ -272,7 +326,7 @@ func TestKVMergeCompactsRuns(t *testing.T) {
 }
 
 func TestKVMergeDropsTombstones(t *testing.T) {
-	kv, err := OpenKV(t.TempDir(), KVConfig{MemtableEntries: 8, MaxRuns: 1})
+	kv, err := OpenKV(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +334,11 @@ func TestKVMergeDropsTombstones(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		kv.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
 	}
+	kv.Checkpoint(64)
 	for i := 0; i < 64; i++ {
 		kv.Delete([]byte(fmt.Sprintf("k%d", i)))
 	}
-	kv.Flush()
+	kv.Checkpoint(128)
 	kv.mu.Lock()
 	kv.mergeLocked()
 	total := 0
@@ -305,11 +360,12 @@ func TestQuickStoreMatchesModel(t *testing.T) {
 			return false
 		}
 		defer os.RemoveAll(dir)
-		kv, err := OpenKV(dir, KVConfig{MemtableEntries: 8, MaxRuns: 2})
+		kv, err := OpenKV(dir)
 		if err != nil {
 			return false
 		}
-		defer kv.Close()
+		defer func() { kv.Close() }()
+		s := &checkpointingKV{KV: kv, every: 8}
 		mem := NewMem()
 		defer mem.Close()
 		model := make(map[string]string)
@@ -320,32 +376,39 @@ func TestQuickStoreMatchesModel(t *testing.T) {
 			switch op % 3 {
 			case 0, 1:
 				val := []byte(fmt.Sprintf("v%d", rng.Int()))
-				if kv.Put(key, val) != nil || mem.Put(key, val) != nil {
+				if s.Put(key, val) != nil || mem.Put(key, val) != nil {
 					return false
 				}
 				model[string(key)] = string(val)
 			case 2:
-				if kv.Delete(key) != nil || mem.Delete(key) != nil {
+				if s.Delete(key) != nil || mem.Delete(key) != nil {
 					return false
 				}
 				delete(model, string(key))
 			}
 		}
-		// Every key agrees across model, MemStore and KV.
-		for i := 0; i < 16; i++ {
-			key := []byte(fmt.Sprintf("k%d", i))
-			want, wantOK := model[string(key)]
-			for _, s := range []Store{kv, mem} {
-				got, ok, err := s.Get(key)
-				if err != nil || ok != wantOK || (ok && string(got) != want) {
-					return false
+		// Every key agrees across model, MemStore and KV, and again once
+		// the KV is checkpointed and reopened.
+		agree := func() bool {
+			for i := 0; i < 16; i++ {
+				key := []byte(fmt.Sprintf("k%d", i))
+				want, wantOK := model[string(key)]
+				for _, s := range []Store{kv, mem} {
+					got, ok, err := s.Get(key)
+					if err != nil || ok != wantOK || (ok && string(got) != want) {
+						return false
+					}
 				}
 			}
+			return kv.Len() == len(model) && mem.Len() == len(model)
 		}
-		if kv.Len() != len(model) || mem.Len() != len(model) {
+		if !agree() || kv.Checkpoint(s.writes+1) != nil || kv.Close() != nil {
 			return false
 		}
-		return true
+		if kv, err = OpenKV(dir); err != nil {
+			return false
+		}
+		return agree()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -358,10 +421,11 @@ func TestRunBinarySearch(t *testing.T) {
 		{key: []byte("c"), value: nil}, // tombstone
 		{key: []byte("e"), value: []byte("5")},
 	}
-	r, err := writeRun(filepath.Join(t.TempDir(), "000001.run"), entries)
+	decoded, err := decodeRun(encodeRun(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := &run{entries: decoded}
 	if v, ok := r.get([]byte("a")); !ok || string(v) != "1" {
 		t.Fatalf("get a = %q %v", v, ok)
 	}
@@ -373,18 +437,66 @@ func TestRunBinarySearch(t *testing.T) {
 	}
 }
 
+// Every damaged run file is refused, not read short: the entry count is
+// under the checksum with the entries.
 func TestRunCorruptionDetected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "000001.run")
-	_, err := writeRun(path, []entry{{key: []byte("k"), value: []byte("v")}})
+	dir := t.TempDir()
+	kv, err := OpenKV(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(path)
-	data[len(data)-1] ^= 0xFF
-	os.WriteFile(path, data, 0o644)
-	if _, err := openRun(path); err == nil {
-		t.Fatal("corrupt run accepted")
+	kv.Put([]byte("k1"), []byte("v1"))
+	kv.Put([]byte("k2"), []byte("v2"))
+	if err := kv.Checkpoint(2); err != nil {
+		t.Fatal(err)
 	}
+	kv.Close()
+	good, err := os.ReadFile(filepath.Join(dir, runName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func(b []byte){
+		"last byte flipped":   func(b []byte) { b[len(b)-1] ^= 0xFF },
+		"count rewritten 2→1": func(b []byte) { b[7] = 1 },
+	} {
+		data := append([]byte(nil), good...)
+		damage(data)
+		os.WriteFile(filepath.Join(dir, runName(0)), data, 0o644)
+		if r, err := openRun(dir, 0); err == nil {
+			t.Fatalf("%s: corrupt run accepted with %d entries", name, len(r.entries))
+		}
+	}
+}
+
+// FuzzOpenRun: decoding a run file never panics, allocates within a small
+// multiple of the file's size whatever its count says, and accepts only
+// files that encodeRun writes byte for byte from what was decoded.
+func FuzzOpenRun(f *testing.F) {
+	for _, es := range [][]entry{
+		nil,
+		{{key: []byte("k"), value: []byte("v")}},
+		{{key: []byte{}, value: []byte{}}, {key: []byte("a"), value: nil}, {key: []byte("b"), value: bytes.Repeat([]byte("x"), 300)}},
+	} {
+		data := encodeRun(es)
+		f.Add(data)
+		if len(es) > 1 {
+			data = append([]byte(nil), data...)
+			data[7]-- // the count, one short of the entries
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		entries, err := decodeRun(data)
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+8*len(data)); alloc > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over the bound %d", len(data), alloc, bound)
+		}
+		if err == nil && !bytes.Equal(encodeRun(entries), data) {
+			t.Fatalf("accepted %d bytes that re-encode differently", len(data))
+		}
+	})
 }
 
 func TestLargeValuesRoundTrip(t *testing.T) {
@@ -412,23 +524,30 @@ func TestEmptyValueIsNotATombstone(t *testing.T) {
 		}
 	})
 	dir := t.TempDir()
-	kv, err := OpenKV(dir, KVConfig{MemtableEntries: 1, MaxRuns: 1})
+	kv, err := OpenKV(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"a", "b", "c"} { // each Put flushes; the third merges
+	keys := []string{"a", "b", "c", "d", "e"}
+	for i, k := range keys { // each checkpoint flushes; the last merges
 		if err := kv.Put([]byte(k), []byte{}); err != nil {
 			t.Fatal(err)
 		}
+		if err := kv.Checkpoint(int64(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(kv.runs) != 1 {
+		t.Fatalf("runs = %d after %d checkpoints, want 1 (merged)", len(kv.runs), len(keys))
 	}
 	kv.Close()
-	if kv, err = OpenKV(dir, KVConfig{}); err != nil {
+	if kv, err = OpenKV(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	var keys []string
-	kv.Range(nil, nil, func(k, _ []byte) bool { keys = append(keys, string(k)); return true })
-	if _, found, _ := kv.Get([]byte("a")); !found || kv.Len() != 3 || len(keys) != 3 {
-		t.Fatalf("after reopen: a found %v, len %d, range %v; want found, 3, [a b c]", found, kv.Len(), keys)
+	var got []string
+	kv.Range(nil, nil, func(k, _ []byte) bool { got = append(got, string(k)); return true })
+	if _, found, _ := kv.Get([]byte("a")); !found || kv.Len() != len(keys) || len(got) != len(keys) {
+		t.Fatalf("after reopen: a found %v, len %d, range %v; want found, %d, %v", found, kv.Len(), got, len(keys), keys)
 	}
 }

@@ -2,9 +2,10 @@
 // (paper §3.2 "stateful processing", §4.4): tasks keep state as arbitrary
 // keyed data accessed locally for efficiency. Two implementations exist —
 // an in-memory map store, and a persistent log-structured store (memtable +
-// write-ahead log + sorted runs) standing in for RocksDB. Fault tolerance
-// comes from the changelog mechanism in the processing layer, which
-// replays keyed updates from the messaging layer.
+// checkpointed sorted runs) standing in for RocksDB. Fault tolerance comes
+// from the changelog mechanism in the processing layer, which replays keyed
+// updates from the messaging layer; a persistent store's checkpoint names
+// the changelog offset its runs cover, so a restore replays only the rest.
 package state
 
 import (
