@@ -9,9 +9,11 @@
 // the derived feed being keyed and compacted, the latest (v2) cleaning
 // wins for every profile.
 //
-// Paper experiment: the rewind mechanics (annotated checkpoints, derived
-// compacted feeds) are quantified by E5 (incremental processing) and E13
-// (state recovery); compaction of the keyed derived feed is E4.
+// Paper claim: the rewind mechanics (annotated checkpoints, derived
+// compacted feeds) are held by the processing tests
+// TestStatefulJobRestoresFromChangelog (a restart processes only the
+// delta) and TestRestoreReplaysOnlySuffix; compaction of the keyed derived
+// feed by the internal/storage/compact tests.
 package main
 
 import (

@@ -6,6 +6,8 @@
 // depend on the machine; the reproduction target is the shape — who wins,
 // by what magnitude, where the crossovers fall. Numbers tracked across
 // changes come from the standing benchmark under benchmark/, not from here.
+// An experiment goes once a benchmark cell, a test or a failing example
+// holds its claim (docs/ARCHITECTURE.md lists what holds each retired one).
 package bench
 
 import (
@@ -194,18 +196,8 @@ var experiments = []struct {
 	id  string
 	run func(Scale) Table
 }{
-	{"E1", E1PipelineLatency},
 	{"E2", E2ThroughputVsLogSize},
-	{"E4", E4Compaction},
-	{"E5", E5Incremental},
-	{"E6", E6Failover},
 	{"E7", E7AcksTradeoff},
-	{"E8", E8Isolation},
-	{"E9", E9ConsumerGroups},
-	{"E10", E10Decoupling},
-	{"E11", E11ManyTopics},
-	{"E12", E12UseCases},
-	{"E13", E13StateRecovery},
 	{"E17", E17Availability},
 	{"E18", E18RewindScan},
 	{"E22", E22TableReads},

@@ -84,6 +84,105 @@ func TestStackMultiBrokerSpreadsLeadership(t *testing.T) {
 	}
 }
 
+// TestStackManyTopicsServeTraffic is the paper's many-topics deployment
+// (§5) at small scale: 20 topics × 4 partitions on 3 brokers all have a
+// live leader in metadata, and a sample of them serves exactly the records
+// produced to it.
+func TestStackManyTopicsServeTraffic(t *testing.T) {
+	const topics, parts, perTopic = 20, 4, 50
+	s := startTestStack(t, 3)
+	name := func(i int) string { return fmt.Sprintf("feed-%02d", i) }
+	for i := 0; i < topics; i++ {
+		if err := s.CreateFeed(name(i), parts, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cli := s.Client()
+	if err := cli.RefreshMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	brokers, err := cli.Brokers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[int32]bool{}
+	for _, b := range brokers {
+		live[b.ID] = true
+	}
+	if len(live) != 3 {
+		t.Fatalf("metadata lists %d live brokers, want 3", len(live))
+	}
+	for i := 0; i < topics; i++ {
+		n, err := cli.PartitionCount(name(i))
+		if err != nil || n != parts {
+			t.Fatalf("%s: %d partitions in metadata (%v), want %d", name(i), n, err, parts)
+		}
+		for p := int32(0); p < parts; p++ {
+			l, err := cli.LeaderFor(name(i), p)
+			if err != nil || !live[l] {
+				t.Fatalf("%s/%d: leader %d (%v), want one of %v", name(i), p, l, err, live)
+			}
+		}
+	}
+
+	p := s.NewProducer(client.ProducerConfig{Acks: client.AcksAll})
+	defer p.Close()
+	for i := 0; i < topics; i += 4 {
+		for j := 0; j < perTopic; j++ {
+			msg := client.Message{Topic: name(i), Key: []byte(fmt.Sprint(j)), Value: []byte(fmt.Sprintf("%s/%d", name(i), j))}
+			if err := p.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < topics; i += 4 {
+		var end int64
+		for part := int32(0); part < parts; part++ {
+			off, err := cli.ListOffset(name(i), part, wire.TimestampLatest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end += off
+		}
+		if end != perTopic {
+			t.Fatalf("%s holds %d records, want %d", name(i), end, perTopic)
+		}
+		seen := map[string]bool{}
+		func() {
+			cons := s.NewConsumer(client.ConsumerConfig{})
+			defer cons.Close()
+			for part := int32(0); part < parts; part++ {
+				if err := cons.Assign(name(i), part, client.StartEarliest); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for len(seen) < perTopic && time.Now().Before(deadline) {
+				msgs, err := cons.Poll(200 * time.Millisecond)
+				if err != nil {
+					continue
+				}
+				for _, m := range msgs {
+					if seen[string(m.Value)] {
+						t.Fatalf("%s: %q read twice", name(i), m.Value)
+					}
+					seen[string(m.Value)] = true
+				}
+			}
+		}()
+		for j := 0; j < perTopic; j++ {
+			if v := fmt.Sprintf("%s/%d", name(i), j); !seen[v] {
+				t.Fatalf("%s: read %d of %d records, %q missing", name(i), len(seen), perTopic, v)
+			}
+		}
+	}
+}
+
 func TestStackKillBroker(t *testing.T) {
 	s := startTestStack(t, 3)
 	if err := s.CreateFeed("kb", 1, 3); err != nil {

@@ -1,15 +1,12 @@
 // Package dfs is a miniature distributed file system standing in for
 // HDFS/GFS as the substrate of the baseline MR/DFS data integration stack
 // the paper argues against (§1, §2). It provides coarse-grained,
-// chunk-oriented file storage with namenode-style metadata and a cost
-// model that charges the latencies such a system pays in production:
-// per-operation metadata RPCs, per-chunk access setup, replication write
-// amplification, and bounded bandwidth. Chunks are real files on local
-// disk, so data paths are genuinely exercised; the cost model adds the
-// distributed-system latencies a local directory would otherwise hide.
-// Namenode metadata persists in an fsimage file inside the directory, so
-// reopening it (from the same or another process) restores the committed
-// namespace — archived data outlives the process that wrote it.
+// chunk-oriented file storage with namenode-style metadata: files are
+// written whole and become visible only on Close. Chunks are real files on
+// local disk, so data paths are genuinely exercised. Namenode metadata
+// persists in an fsimage file inside the directory, so reopening it (from
+// the same or another process) restores the committed namespace — archived
+// data outlives the process that wrote it.
 package dfs
 
 import (
@@ -39,77 +36,12 @@ var (
 	ErrReadOnly = errors.New("dfs: read-only file system")
 )
 
-// CostModel charges the latencies of a production DFS. Zero values cost
-// nothing, so tests can run the data path at memory speed.
-type CostModel struct {
-	// MetadataOp is the namenode round trip paid by open/create/list/
-	// delete/rename/stat.
-	MetadataOp time.Duration
-	// ChunkAccess is paid per chunk read or written (datanode dial,
-	// pipeline setup).
-	ChunkAccess time.Duration
-	// ReadBandwidth / WriteBandwidth cap throughput in bytes/second
-	// (0 = unlimited). Writes are amplified by the replication factor.
-	ReadBandwidth  int64
-	WriteBandwidth int64
-	// Sleep is injectable for tests; nil means time.Sleep.
-	Sleep func(time.Duration)
-}
-
-// ProductionModel returns a cost model with HDFS-like magnitudes (a few
-// ms of metadata latency, ~1ms chunk setup, GbE-class bandwidth).
-func ProductionModel() CostModel {
-	return CostModel{
-		MetadataOp:     2 * time.Millisecond,
-		ChunkAccess:    time.Millisecond,
-		ReadBandwidth:  125 << 20, // ~1 Gb/s
-		WriteBandwidth: 125 << 20,
-	}
-}
-
-func (c CostModel) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.Sleep != nil {
-		c.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// chargeMeta pays one metadata operation.
-func (c CostModel) chargeMeta() { c.sleep(c.MetadataOp) }
-
-// chargeRead pays for reading n bytes of one chunk.
-func (c CostModel) chargeRead(n int64) {
-	d := c.ChunkAccess
-	if c.ReadBandwidth > 0 {
-		d += time.Duration(n * int64(time.Second) / c.ReadBandwidth)
-	}
-	c.sleep(d)
-}
-
-// chargeWrite pays for writing n bytes of one chunk with replication.
-func (c CostModel) chargeWrite(n int64, replication int) {
-	d := c.ChunkAccess
-	if c.WriteBandwidth > 0 {
-		d += time.Duration(n * int64(replication) * int64(time.Second) / c.WriteBandwidth)
-	}
-	c.sleep(d)
-}
-
 // Config parameterises the file system.
 type Config struct {
 	// Dir is the local backing directory.
 	Dir string
 	// ChunkBytes is the chunk size (default 4 MiB).
 	ChunkBytes int64
-	// Replication is the simulated replica count (write amplification;
-	// default 3, as HDFS).
-	Replication int
-	// Cost charges distributed-system latencies.
-	Cost CostModel
 	// ReadOnly opens a lock-free reader over the committed fsimage:
 	// mutations are refused, and the handle can coexist with one live
 	// writer (it sees the namespace as of Open; committed chunks are
@@ -121,9 +53,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ChunkBytes == 0 {
 		c.ChunkBytes = 4 << 20
-	}
-	if c.Replication == 0 {
-		c.Replication = 3
 	}
 	return c
 }
@@ -239,12 +168,10 @@ func (fs *FS) loadImage() error {
 }
 
 // persistLocked checkpoints namenode metadata (callers hold fs.mu). The
-// write-tmp-then-rename protocol keeps the image atomic; local rename cost
-// is not charged — it stands in for the namenode's own journal, not for
-// client-visible RPCs. Each commit rewrites the full image (O(files)); an
-// append-only journal with periodic compaction would make this O(1) per
-// mutation if namespaces grow beyond the tens of thousands of files this
-// repo exercises.
+// write-tmp-then-rename protocol keeps the image atomic. Each commit
+// rewrites the full image (O(files)); an append-only journal with periodic
+// compaction would make this O(1) per mutation if namespaces grow beyond
+// the tens of thousands of files this repo exercises.
 func (fs *FS) persistLocked() error {
 	fs.stats.Commits++
 	img := persistedImage{NextChunk: fs.nextChunk, Files: make(map[string]persistedFile, len(fs.files))}
@@ -301,7 +228,6 @@ func (fs *FS) Refresh() error {
 	if !fs.cfg.ReadOnly {
 		return nil
 	}
-	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -321,7 +247,6 @@ func (fs *FS) chunkPath(name string) string {
 // readers only on Close — the coarse-grained, whole-file semantics that
 // make a DFS unsuitable for record-at-a-time access (paper §1).
 func (fs *FS) Create(path string) (*Writer, error) {
-	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -353,7 +278,6 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 // ReadFile returns a file's full contents: its chunks as of the call, each
 // read straight into the one output buffer.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
-	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	if fs.closed {
 		fs.mu.Unlock()
@@ -377,7 +301,6 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 
 // List returns files whose paths start with prefix, sorted.
 func (fs *FS) List(prefix string) []FileInfo {
-	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.stats.MetadataOps++
@@ -398,7 +321,6 @@ func (fs *FS) List(prefix string) []FileInfo {
 
 // Stat describes one file.
 func (fs *FS) Stat(path string) (FileInfo, error) {
-	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.stats.MetadataOps++
@@ -431,7 +353,6 @@ func (fs *FS) DeletePrefix(prefix string) int {
 // leaves at worst orphan chunks — never a committed namespace pointing at
 // missing data — and a failed commit removes nothing.
 func (fs *FS) remove(target string, match func(string) bool) (int, error) {
-	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	if fs.closed {
 		fs.mu.Unlock()
@@ -472,7 +393,6 @@ func (fs *FS) removeChunks(chunks []string) {
 
 // Rename atomically moves a file — the commit step of MR job output.
 func (fs *FS) Rename(oldPath, newPath string) error {
-	fs.cfg.Cost.chargeMeta()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -539,7 +459,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// spill writes one chunk to backing storage, paying the write cost.
+// spill writes one chunk to backing storage.
 func (w *Writer) spill(chunk []byte) error {
 	w.fs.mu.Lock()
 	w.fs.nextChunk++
@@ -550,7 +470,6 @@ func (w *Writer) spill(chunk []byte) error {
 	if err := os.WriteFile(w.fs.chunkPath(name), chunk, 0o644); err != nil {
 		return err
 	}
-	w.fs.cfg.Cost.chargeWrite(int64(len(chunk)), w.fs.cfg.Replication)
 	w.chunks = append(w.chunks, name)
 	return nil
 }
@@ -566,7 +485,6 @@ func (w *Writer) Close() error {
 			return err
 		}
 	}
-	w.fs.cfg.Cost.chargeMeta()
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	if w.fs.closed {
@@ -595,7 +513,7 @@ func (w *Writer) Abort() {
 	w.fs.removeChunks(w.chunks)
 }
 
-// readChunk appends one chunk's bytes to dst, paying and counting the read.
+// readChunk appends one chunk's bytes to dst, counting the read.
 func (fs *FS) readChunk(name string, dst []byte) ([]byte, error) {
 	f, err := os.Open(fs.chunkPath(name))
 	if err != nil {
@@ -611,7 +529,6 @@ func (fs *FS) readChunk(name string, dst []byte) ([]byte, error) {
 	if _, err := io.ReadFull(f, dst[len(dst):len(dst)+n]); err != nil {
 		return dst, err
 	}
-	fs.cfg.Cost.chargeRead(int64(n))
 	fs.mu.Lock()
 	fs.stats.BytesRead += int64(n)
 	fs.stats.ChunksRead++

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 )
 
 func openFS(t *testing.T, cfg Config) *FS {
@@ -203,50 +201,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if s.MetadataOps == 0 {
 		t.Fatal("no metadata ops recorded")
-	}
-}
-
-func TestCostModelCharged(t *testing.T) {
-	var mu sync.Mutex
-	var slept time.Duration
-	cost := CostModel{
-		MetadataOp:  time.Millisecond,
-		ChunkAccess: time.Millisecond,
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			slept += d
-			mu.Unlock()
-		},
-	}
-	fs := openFS(t, Config{ChunkBytes: 100, Cost: cost})
-	fs.WriteFile("/f", bytes.Repeat([]byte("x"), 250)) // create meta + 3 chunks + commit meta
-	mu.Lock()
-	got := slept
-	mu.Unlock()
-	want := 2*time.Millisecond + 3*time.Millisecond
-	if got != want {
-		t.Fatalf("charged %v, want %v", got, want)
-	}
-}
-
-func TestBandwidthCharge(t *testing.T) {
-	var mu sync.Mutex
-	var slept time.Duration
-	cost := CostModel{
-		WriteBandwidth: 1 << 20, // 1 MiB/s
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			slept += d
-			mu.Unlock()
-		},
-	}
-	fs := openFS(t, Config{ChunkBytes: 1 << 20, Replication: 2, Cost: cost})
-	fs.WriteFile("/f", bytes.Repeat([]byte("x"), 1<<19)) // 0.5 MiB * 2 replicas
-	mu.Lock()
-	got := slept
-	mu.Unlock()
-	if got != time.Second {
-		t.Fatalf("charged %v, want 1s (0.5MiB at 1MiB/s with 2 replicas)", got)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package mapreduce implements the batch-oriented baseline data
-// integration stack of the paper (§1, §2): ETL pipelines as chained
-// MapReduce jobs over a distributed file system, with every stage's
-// intermediate results materialised back into the DFS. Its cost structure —
-// scheduler launch delay per stage, whole-file reads and writes, map/reduce
-// barriers — is exactly what gives the MR/DFS stack its high end-to-end
-// latency, which experiment E1 contrasts with Liquid's nearline path.
+// integration stack of the paper (§1, §2): ETL as MapReduce jobs over a
+// distributed file system, with intermediate results materialised back
+// into the DFS. Its cost structure — scheduler launch delay per job,
+// whole-file reads and writes, map/reduce barriers — is exactly what gives
+// the MR/DFS stack its high end-to-end latency; the standing benchmark's
+// pipeline workload runs it beside Liquid's nearline path over one feed.
 package mapreduce
 
 import (
@@ -373,40 +373,4 @@ func (e *Engine) runReduceTask(spec JobSpec, tmpDir string, numMaps, r int, tmpP
 	res.out = len(out)
 	res.err = e.fs.WriteFile(tmpPart, EncodeLines(out))
 	return res
-}
-
-// Pipeline chains jobs: each stage's output directory is the next stage's
-// input prefix, re-materialised through the DFS every time.
-type Pipeline struct {
-	Stages []JobSpec
-}
-
-// RunPipeline executes the stages sequentially, returning per-stage stats.
-func (e *Engine) RunPipeline(p Pipeline) ([]JobStats, error) {
-	if len(p.Stages) == 0 {
-		return nil, errors.New("mapreduce: empty pipeline")
-	}
-	out := make([]JobStats, 0, len(p.Stages))
-	for i, spec := range p.Stages {
-		if i > 0 {
-			// Later stages always read the previous stage's text output.
-			spec.InputPrefix = p.Stages[i-1].OutputDir + "/"
-			spec.InputFiles = nil
-			spec.Decode = nil
-		}
-		stats, err := e.Run(spec)
-		if err != nil {
-			return out, fmt.Errorf("mapreduce: stage %d (%s): %w", i, spec.Name, err)
-		}
-		out = append(out, stats)
-	}
-	return out, nil
-}
-
-// CleanOutputs removes the output directories of all stages, so a
-// pipeline can re-run from scratch (the paper's §2.1 re-execution model).
-func (e *Engine) CleanOutputs(p Pipeline) {
-	for _, spec := range p.Stages {
-		e.fs.DeletePrefix(spec.OutputDir + "/")
-	}
 }

@@ -12,7 +12,7 @@ import (
 
 func newEngine(t *testing.T, cfg EngineConfig) (*Engine, *dfs.FS) {
 	t.Helper()
-	fs, err := dfs.Open(dfs.Config{Dir: t.TempDir(), ChunkBytes: 1 << 16, Replication: 1})
+	fs, err := dfs.Open(dfs.Config{Dir: t.TempDir(), ChunkBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,49 +127,6 @@ func TestMapErrorAborts(t *testing.T) {
 	}
 	if n := len(fs.List("/out/")); n != 0 {
 		t.Fatal("failed job committed output")
-	}
-}
-
-func TestPipelineChainsStages(t *testing.T) {
-	e, fs := newEngine(t, EngineConfig{})
-	fs.WriteFile("/raw/events", EncodeLines([]KV{
-		{Key: "u1", Value: "5"},
-		{Key: "u2", Value: "3"},
-		{Key: "u1", Value: "2"},
-	}))
-	sum := func(key string, values []string, emit func(k, v string)) error {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(v)
-			total += n
-		}
-		emit(key, strconv.Itoa(total))
-		return nil
-	}
-	double := func(key, value string, emit func(k, v string)) error {
-		n, _ := strconv.Atoi(value)
-		emit(key, strconv.Itoa(n*2))
-		return nil
-	}
-	p := Pipeline{Stages: []JobSpec{
-		{Name: "s1", InputPrefix: "/raw/", OutputDir: "/stage1", Reduce: sum},
-		{Name: "s2", OutputDir: "/stage2", Map: double},
-	}}
-	stats, err := e.RunPipeline(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 {
-		t.Fatalf("stats = %v", stats)
-	}
-	got := readOutput(t, fs, "/stage2")
-	if got["u1"] != "14" || got["u2"] != "6" {
-		t.Fatalf("pipeline output = %v", got)
-	}
-	// Re-run from scratch after cleaning (the paper's §2.1 model).
-	e.CleanOutputs(p)
-	if _, err := e.RunPipeline(p); err != nil {
-		t.Fatalf("re-run: %v", err)
 	}
 }
 

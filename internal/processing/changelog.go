@@ -11,7 +11,9 @@ import (
 	"repro/internal/wire"
 )
 
-// StoreSpec declares one state store of a job.
+// StoreSpec declares one state store of a job. Every update is published
+// to a compacted changelog feed named <job>-<store>-changelog, from which
+// the store is restored after failure (paper §3.2).
 type StoreSpec struct {
 	// Name is the handle tasks use via TaskContext.Store.
 	Name string
@@ -20,12 +22,6 @@ type StoreSpec struct {
 	// JobConfig.DataDir. Its disk state is a checkpoint of its changelog,
 	// so a restore replays only the changelog past it.
 	Persistent bool
-	// NoChangelog disables fault tolerance for this store: state is lost
-	// on failure, and every task start opens it empty. The default (false)
-	// publishes every update to a compacted changelog feed named
-	// <job>-<store>-changelog, from which state is restored after failure
-	// (paper §3.2).
-	NoChangelog bool
 }
 
 // changelogTopic names the derived feed backing a store.
@@ -114,21 +110,18 @@ func (j *Job) openStores(taskID int32) (map[string]state.Store, int, error) {
 // one, reading whole batches and folding each through state.ApplyBatches.
 func (j *Job) openStore(spec StoreSpec, taskID int32) (state.Store, int, error) {
 	topic := changelogTopic(j.cfg.Name, spec.Name)
-	var end int64
-	if !spec.NoChangelog {
-		var err error
-		if end, err = j.client.ListOffset(topic, taskID, wire.TimestampLatest); err != nil {
-			return nil, 0, fmt.Errorf("processing: changelog end: %w", err)
-		}
+	end, err := j.client.ListOffset(topic, taskID, wire.TimestampLatest)
+	if err != nil {
+		return nil, 0, fmt.Errorf("processing: changelog end: %w", err)
 	}
 	var base state.Store = state.NewMem()
 	from := int64(0)
 	if spec.Persistent {
 		dir := filepath.Join(j.cfg.DataDir, fmt.Sprintf("%s-%s-%d", j.cfg.Name, spec.Name, taskID))
 		kv, err := state.OpenKV(dir)
-		if err == nil && (spec.NoChangelog || kv.Offset() > end) {
-			// Without a changelog the store starts empty; a checkpoint
-			// past the changelog's end came from another history.
+		if err == nil && kv.Offset() > end {
+			// A checkpoint past the changelog's end came from another
+			// history.
 			kv.Close()
 			if err = os.RemoveAll(dir); err == nil {
 				kv, err = state.OpenKV(dir)
@@ -138,9 +131,6 @@ func (j *Job) openStore(spec StoreSpec, taskID int32) (state.Store, int, error) 
 			return nil, 0, err
 		}
 		base, from = kv, kv.Offset()
-	}
-	if spec.NoChangelog {
-		return base, 0, nil
 	}
 	n, err := j.replay(base, topic, taskID, from, end)
 	if err != nil {
@@ -181,9 +171,6 @@ func (j *Job) replay(target state.Store, topic string, taskID int32, from, end i
 // the job's task count.
 func (j *Job) ensureChangelogTopics(numTasks int32) error {
 	for _, spec := range j.cfg.Stores {
-		if spec.NoChangelog {
-			continue
-		}
 		err := j.client.CreateTopic(wire.TopicSpec{
 			Name:              changelogTopic(j.cfg.Name, spec.Name),
 			NumPartitions:     numTasks,

@@ -21,14 +21,6 @@ type Stats struct {
 	BytesAfter      int64
 }
 
-// Ratio returns BytesAfter / BytesBefore, or 1 when nothing was scanned.
-func (s Stats) Ratio() float64 {
-	if s.BytesBefore == 0 {
-		return 1
-	}
-	return float64(s.BytesAfter) / float64(s.BytesBefore)
-}
-
 // Compact performs one compaction pass over l, bounded at upTo: the offset
 // below which records are known committed (a replica passes its high
 // watermark). Records without keys are always retained (compaction is

@@ -272,16 +272,6 @@ func TestCompactSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestStatsRatio(t *testing.T) {
-	s := Stats{BytesBefore: 100, BytesAfter: 25}
-	if got := s.Ratio(); got != 0.25 {
-		t.Fatalf("Ratio = %v", got)
-	}
-	if got := (Stats{}).Ratio(); got != 1 {
-		t.Fatalf("empty Ratio = %v, want 1", got)
-	}
-}
-
 // TestCompactStopsAtBound: a version at or above the bound is not known
 // committed, so it supersedes nothing. The committed v1 of a key, in an
 // inactive segment wholly below the bound, survives a v2 above it.

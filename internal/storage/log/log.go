@@ -34,7 +34,7 @@ type Config struct {
 	// single record larger than the limit still becomes one oversized
 	// batch). It bounds nothing else: AppendSealed and AppendBatch store
 	// the batch they are handed whatever its size, and Append's only
-	// non-test callers are experiments E2 and E4 in internal/bench.
+	// non-test caller is experiment E2 in internal/bench.
 	MaxBatchBytes int64
 	// Compacted marks the log for key-based compaction instead of
 	// deletion-based retention.
@@ -385,8 +385,8 @@ func putEncBuf(bp *[]byte) {
 // with now (log-append time), encodes them (through a pooled buffer) as
 // batches of at most MaxBatchBytes, and appends them. It returns the base
 // offset assigned to the first record. Brokers append sealed batches
-// (AppendSealed, AppendBatch); Append serves tests and experiments E2 and E4
-// in internal/bench.
+// (AppendSealed, AppendBatch); Append serves tests and experiment E2 in
+// internal/bench.
 func (l *Log) Append(records []record.Record) (int64, error) {
 	if len(records) == 0 {
 		return 0, fmt.Errorf("log: empty append")

@@ -97,107 +97,6 @@ func (g *RUMGenerator) Next() RUMEvent {
 	}
 }
 
-// TenantSpec declares one tenant of a multi-tenant workload (§3.2/§4.4
-// "ETL-as-a-service": many teams share one nearline stack). Weight sets
-// the tenant's share of the event stream; ValueBytes its payload size —
-// a noisy neighbor is simply a tenant with a large weight and large
-// payloads.
-type TenantSpec struct {
-	// ID is the tenant's principal (used as the client-id, so broker
-	// quotas key on it).
-	ID string
-	// Weight is the tenant's relative share of generated events
-	// (default 1).
-	Weight float64
-	// ValueBytes sizes the tenant's payloads (default 100).
-	ValueBytes int
-}
-
-// TenantEvent is one tenant's produced record.
-type TenantEvent struct {
-	// Tenant is the generating tenant's ID.
-	Tenant string
-	// Seq is the tenant-local sequence number (dense per tenant, so
-	// conservation checks can detect loss per principal).
-	Seq int64
-	// Payload is the deterministic value body.
-	Payload []byte
-}
-
-// MultiTenantConfig shapes the multi-tenant generator.
-type MultiTenantConfig struct {
-	Seed int64
-	// Tenants lists the sharing tenants; empty defaults to one "tenant-0".
-	Tenants []TenantSpec
-}
-
-// MultiTenantGenerator interleaves the event streams of several tenants,
-// weighted and deterministic under a seed (aggressor/victim quota mixes).
-type MultiTenantGenerator struct {
-	cfg    MultiTenantConfig
-	rng    *rand.Rand
-	cum    []float64 // cumulative weights for tenant selection
-	total  float64
-	seq    []int64
-	counts map[string]int64
-}
-
-// NewMultiTenant creates a generator.
-func NewMultiTenant(cfg MultiTenantConfig) *MultiTenantGenerator {
-	if len(cfg.Tenants) == 0 {
-		cfg.Tenants = []TenantSpec{{ID: "tenant-0"}}
-	}
-	for i := range cfg.Tenants {
-		if cfg.Tenants[i].Weight <= 0 {
-			cfg.Tenants[i].Weight = 1
-		}
-		if cfg.Tenants[i].ValueBytes <= 0 {
-			cfg.Tenants[i].ValueBytes = 100
-		}
-	}
-	g := &MultiTenantGenerator{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		seq:    make([]int64, len(cfg.Tenants)),
-		counts: make(map[string]int64, len(cfg.Tenants)),
-	}
-	for _, t := range cfg.Tenants {
-		g.total += t.Weight
-		g.cum = append(g.cum, g.total)
-	}
-	return g
-}
-
-// Next returns the next event: a weighted tenant pick with a dense
-// per-tenant sequence and a deterministic payload of the tenant's size.
-func (g *MultiTenantGenerator) Next() TenantEvent {
-	x := g.rng.Float64() * g.total
-	idx := 0
-	for idx < len(g.cum)-1 && x >= g.cum[idx] {
-		idx++
-	}
-	t := g.cfg.Tenants[idx]
-	seq := g.seq[idx]
-	g.seq[idx]++
-	g.counts[t.ID]++
-	payload := make([]byte, t.ValueBytes)
-	header := fmt.Sprintf("%s/%08d/", t.ID, seq)
-	copy(payload, header)
-	for i := len(header); i < len(payload); i++ {
-		payload[i] = byte('a' + (seq+int64(i))%26)
-	}
-	return TenantEvent{Tenant: t.ID, Seq: seq, Payload: payload}
-}
-
-// Counts returns how many events each tenant has generated so far.
-func (g *MultiTenantGenerator) Counts() map[string]int64 {
-	out := make(map[string]int64, len(g.counts))
-	for k, v := range g.counts {
-		out[k] = v
-	}
-	return out
-}
-
 // CallEvent is one REST call of a front-end request (§5.1 "call graph
 // assembly"). All calls of one page view share a RequestID; ParentSpan
 // links the tree.

@@ -194,53 +194,3 @@ func TestMetricsRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v vs %+v (%v)", got, e, err)
 	}
 }
-
-func TestMultiTenantDeterministicAndWeighted(t *testing.T) {
-	cfg := MultiTenantConfig{
-		Seed: 7,
-		Tenants: []TenantSpec{
-			{ID: "victim", Weight: 1, ValueBytes: 64},
-			{ID: "aggr", Weight: 3, ValueBytes: 256},
-		},
-	}
-	g1, g2 := NewMultiTenant(cfg), NewMultiTenant(cfg)
-	const n = 4000
-	for i := 0; i < n; i++ {
-		e1, e2 := g1.Next(), g2.Next()
-		if e1.Tenant != e2.Tenant || e1.Seq != e2.Seq || string(e1.Payload) != string(e2.Payload) {
-			t.Fatalf("generators diverged at %d: %+v vs %+v", i, e1, e2)
-		}
-	}
-	counts := g1.Counts()
-	if counts["victim"]+counts["aggr"] != n {
-		t.Fatalf("counts don't sum: %v", counts)
-	}
-	// 3:1 weighting: the aggressor should carry ~75% of events.
-	share := float64(counts["aggr"]) / n
-	if share < 0.70 || share > 0.80 {
-		t.Fatalf("aggressor share = %.2f, want ~0.75 (%v)", share, counts)
-	}
-}
-
-func TestMultiTenantSequencesDense(t *testing.T) {
-	g := NewMultiTenant(MultiTenantConfig{Tenants: []TenantSpec{{ID: "a"}, {ID: "b"}}})
-	next := map[string]int64{}
-	for i := 0; i < 500; i++ {
-		e := g.Next()
-		if e.Seq != next[e.Tenant] {
-			t.Fatalf("tenant %s seq %d, want dense %d", e.Tenant, e.Seq, next[e.Tenant])
-		}
-		next[e.Tenant]++
-		if len(e.Payload) != 100 {
-			t.Fatalf("default payload size = %d", len(e.Payload))
-		}
-	}
-}
-
-func TestMultiTenantDefaults(t *testing.T) {
-	g := NewMultiTenant(MultiTenantConfig{})
-	e := g.Next()
-	if e.Tenant != "tenant-0" || len(e.Payload) != 100 {
-		t.Fatalf("defaults broken: %+v", e)
-	}
-}
